@@ -10,11 +10,13 @@ width/local-steps sweeps and the heterogeneous classification benchmarks.
 
 Modules: ``numerics`` (power iteration, truncated SVD, Kronecker matvec),
 ``datasets`` (synthetic tasks, Dirichlet partitioning, IDX/CSV ingestion),
-``models`` (two-layer relu nets, MLPs, SGD, checkpoints), ``fisher``
-(curvature payloads), ``aggregate`` (server merging), ``compress`` (codecs
-and bit accounting), ``cli`` (experiment drivers). ``oracle`` holds slow
-reference implementations for the test suite and is deliberately not
-re-exported here.
+``models`` (two-layer relu nets, MLPs, SGD), ``fisher`` (curvature
+payloads), ``aggregate`` (server merging), ``compress`` (codecs and bit
+accounting), ``cli`` (the client round, whose one uplink per client is
+charged ``compress.bit_cost`` of what the server receives, and the
+experiment runners built on it; every runner honours ``compress``).
+``oracle`` holds slow reference implementations for the test suite and is
+deliberately not re-exported here.
 """
 
 from . import aggregate, cli, compress, datasets, fisher, models, numerics

@@ -14,16 +14,12 @@ projection of the mean onto the stationary set.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import fisher as fisher_mod
-from . import models
 from .fisher import DiagFisher, FisherApprox, FullFisher, KFACFisher, fisher_matvec
-from .models import MLP, Model, TrainConfig
 from .numerics import PowerIterResult, power_iteration_max_eig
 
 METHOD_FEDAVG = "fedavg"
@@ -293,35 +289,6 @@ def fisher_merge_diag(updates: list[ClientUpdate], floor: float = DEFAULT_FISHER
     return num / den
 
 
-@dataclass
-class RoundRecord:
-    weights: np.ndarray
-    train_loss: float
-    eval_accuracy: float  # nan when no eval set / not a classifier
-    client_seconds: float
-    server_seconds: float
-
-
-@dataclass
-class FewShotResult:
-    rounds: list[RoundRecord] = field(default_factory=list)
-    diverged: bool = False
-
-
-def _client_fisher(
-    method: str, model: Model, x: np.ndarray, loss: str, mode: str, draws: int, seed
-) -> FisherApprox | None:
-    if method in (METHOD_FEDAVG,):
-        return None
-    if method == METHOD_FULL:
-        return fisher_mod.full_fisher_two_layer(model, x, mode=mode, draws=draws, seed=seed)
-    if method in (METHOD_DIAG, METHOD_FISHERMERGE):
-        return fisher_mod.diag_fisher(model, x, loss, mode=mode, draws=draws, seed=seed)
-    if method == METHOD_KFAC:
-        return fisher_mod.kfac_fisher(model, x, loss, mode=mode, draws=draws, seed=seed)
-    raise ValueError(f"unknown method {method!r}, expected one of {VALID_METHODS}")
-
-
 def merge_updates(method: str, updates: list[ClientUpdate], cfg: ServerConfig) -> tuple[np.ndarray, MergeResult | None]:
     """Dispatch one aggregation step for a method identifier."""
     if method == METHOD_FEDAVG:
@@ -337,56 +304,3 @@ def merge_updates(method: str, updates: list[ClientUpdate], cfg: ServerConfig) -
             raise ValueError(f"unknown server optimizer {cfg.optimizer!r}")
         return result.weights, result
     raise ValueError(f"unknown method {method!r}, expected one of {VALID_METHODS}")
-
-
-def few_shot_rounds(
-    dataset,
-    model: Model,
-    rounds: int,
-    local_cfg: TrainConfig,
-    server_cfg: ServerConfig,
-    method: str,
-    loss: str = models.LOSS_SQUARED,
-    seed: int = 0,
-    eval_x: np.ndarray | None = None,
-    eval_y: np.ndarray | None = None,
-    fisher_mode: str = "expected",
-    draws: int = 1,
-) -> FewShotResult:
-    """Iterate broadcast -> local training -> curvature -> merge.
-
-    Every round re-trains each client from the current global weights with a
-    fresh (seed, round, client) substream, recomputes curvature, and merges
-    with ``method``. Records the global training loss (union of client data)
-    and eval accuracy per round. Divergence of any client or of the server
-    stops the loop with ``diverged=True``.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    result = FewShotResult()
-    global_w = models.get_flat_params(model)
-    for r in range(rounds):
-        t0 = time.perf_counter()
-        updates = []
-        for i in range(dataset.num_clients):
-            cx, cy = dataset.client_data(i)
-            local = models.with_flat_params(model, global_w)
-            trained = models.sgd_train(local, cx, cy, local_cfg, loss=loss, seed=[seed, r, i])
-            if trained.diverged:
-                result.diverged = True
-                return result
-            f = _client_fisher(method, trained.model, cx, loss, fisher_mode, draws, [seed, r, i, 99])
-            updates.append(ClientUpdate(models.get_flat_params(trained.model), f, cx.shape[0]))
-        t1 = time.perf_counter()
-        global_w, merge = merge_updates(method, updates, server_cfg)
-        t2 = time.perf_counter()
-        if merge is not None and merge.diverged:
-            result.diverged = True
-            return result
-        merged_model = models.with_flat_params(model, global_w)
-        train_loss = models.loss_eval(merged_model, dataset.x, dataset.y, loss)
-        acc = float("nan")
-        if eval_x is not None and eval_y is not None and isinstance(model, MLP) and model.out_dim >= 2:
-            acc = models.accuracy_eval(merged_model, eval_x, eval_y)
-        result.rounds.append(RoundRecord(global_w.copy(), train_loss, acc, t1 - t0, t2 - t1))
-    return result

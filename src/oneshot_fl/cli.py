@@ -1,15 +1,17 @@
 """Experiment runners and the command-line front end.
 
-Five subcommands drive the simulator end to end:
+Every subcommand is a loop over one client round: clients train locally
+from a start model, each sends one uplink built by :func:`client_update`,
+and the server merges the uplinks once per method.
 
 - ``synthetic-width``: unit-sphere regression, two-layer nets, sweep the
-  hidden width and merge once per width.
+  hidden width; one round per width, merged once per method.
 - ``synthetic-steps``: same task at fixed width, sweep the local full-batch
   step count.
-- ``one-shot``: heterogeneous image classification with an MLP, one round of
-  local training and server-side merging per method.
-- ``few-shot``: the same pipeline repeated for a few broadcast rounds.
-- ``compress-bench``: the one-shot pipeline under payload quantization,
+- ``one-shot``: heterogeneous image classification with an MLP, one round
+  merged once per method.
+- ``few-shot``: the same runner for a few broadcast rounds.
+- ``compress-bench``: the one-shot round under payload quantization,
   sweeping the compression factor.
 
 Each subcommand reads an optional INI-style config (flat key=value lines
@@ -19,12 +21,14 @@ error, 3 on numerical divergence. Rows are sorted by (seed, method, sweep)
 and floats carry 17 significant digits, so identical configs (with wall-time
 measurement disabled via --no-timing) produce byte-identical CSVs.
 
-Communication bits count each client's uplink: flat weights plus curvature
-payload, after any configured compression. The compressed pipeline quantizes
-weights per layer at s_q=2 and diagonal curvature likewise; Kronecker factor
-payloads are SVD-truncated to the budget-planned ranks and quantized at the
-configured factor s_q, keeping every curvature-carrying method within
-32 d + 64 L bits of the 32 d float32 baseline.
+``comm_bits`` is ``compress.bit_cost`` of the payloads the server receives
+from every client: flat weights plus curvature. Every runner honours
+``compress``: it quantizes weights per layer at s_q=2 and diagonal
+curvature likewise, and SVD-truncates Kronecker factors to the
+budget-planned ranks and quantizes them at the configured s_q, keeping every
+curvature-carrying method within 32 d + 64 L bits of the 32 d float32
+baseline. Plain averaging is never compressed. ``compress-bench`` sweeps
+the codec's s_q instead, with s_q = 1 meaning uncompressed.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ EXIT_DIVERGED = 3
 
 CSV_HEADER = "seed,method,sweep,train_loss,test_accuracy,wall_time_s,comm_bits"
 
-_WEIGHT_SQ = 2  # per-layer weight quantization in the compressed pipeline
-_DIAG_SQ = 2  # diagonal curvature quantization
+_WEIGHT_SQ = 2  # weights and diagonal curvature in the configured codec
 
 
 class ConfigError(ValueError):
@@ -82,7 +85,6 @@ class ExperimentConfig:
     test_fraction: float = 0.2
     val_fraction: float = 0.1
     # [model]
-    model_kind: str = "mlp"  # two-layer | mlp
     width: int = 512
     kappa: float = 0.5
     hidden_dims: list[int] = field(default_factory=lambda: [64])
@@ -117,7 +119,7 @@ def default_config(task: str) -> ExperimentConfig:
     if task == "synthetic-width":
         return ExperimentConfig(
             task=task, data_kind="synthetic", clients=2, per_client=100, dim=2,
-            model_kind="two-layer", kappa=0.5, loss=models.LOSS_SQUARED,
+            kappa=0.5, loss=models.LOSS_SQUARED,
             eta=0.1, momentum=0.0, epochs_or_steps=2048, batch_size=0,
             optimizer="gd", eta_s=0.001, t_max=20000, val_every=0,
             methods=[agg.METHOD_FEDAVG, agg.METHOD_FULL],
@@ -183,7 +185,6 @@ _CONFIG_KEYS = {
     ("data", "csv_path"): ("csv_path", str),
     ("data", "test_fraction"): ("test_fraction", float),
     ("data", "val_fraction"): ("val_fraction", float),
-    ("model", "kind"): ("model_kind", str),
     ("model", "width"): ("width", int),
     ("model", "kappa"): ("kappa", float),
     ("model", "hidden_dims"): ("hidden_dims", _parse_int_list),
@@ -262,7 +263,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("step sweep needs at least one step count")
     if cfg.task == "compress-bench" and not cfg.s_q_list:
         raise ConfigError("compression sweep needs at least one s_q value")
-    if cfg.task in ("synthetic-width", "synthetic-steps") and agg.METHOD_FULL in cfg.methods:
+    # The task fixes the architecture: two-layer nets for the synthetic sweeps,
+    # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
+    synthetic = cfg.task in ("synthetic-width", "synthetic-steps")
+    misfit = agg.METHOD_KFAC if synthetic else agg.METHOD_FULL
+    if misfit in cfg.methods:
+        net = "two-layer net" if synthetic else "MLP"
+        raise ConfigError(f"method {misfit} does not apply to the {net} of task {cfg.task}")
+    if synthetic and agg.METHOD_FULL in cfg.methods:
         widest = max(cfg.widths) if cfg.task == "synthetic-width" else cfg.width
         if widest * cfg.dim > 2000:  # dense curvature is (width*dim)^2 entries
             raise ConfigError(
@@ -323,63 +331,189 @@ def _local_config(cfg: ExperimentConfig, n_examples: int) -> models.TrainConfig:
 
 
 # ---------------------------------------------------------------------------
+# The client round: local training, one uplink per client, one server merge
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Codec:
+    """Uplink compression for every method but fedavg.
+
+    Weights and diagonal curvature are quantized per layer at ``s_q``;
+    Kronecker factors are SVD-truncated to the budget-planned ranks and
+    quantized at ``factor_s_q``; dense curvature travels as float32.
+    """
+
+    s_q: int
+    factor_s_q: int
+
+
+def _codec(cfg: ExperimentConfig) -> Codec | None:
+    return Codec(_WEIGHT_SQ, cfg.s_q) if cfg.compress else None
+
+
+# Curvature variant each method sends; fedavg sends its weights alone.
+_VARIANTS = {
+    agg.METHOD_FULL: "full",
+    agg.METHOD_DIAG: "diag",
+    agg.METHOD_FISHERMERGE: "diag",
+    agg.METHOD_KFAC: "kfac",
+}
+
+
+def _build_curvature(variant: str, model, x, cfg: ExperimentConfig, seed_tag):
+    kw = dict(mode=cfg.fisher_mode, draws=cfg.draws, seed=seed_tag)
+    if variant == "full":
+        return fisher.full_fisher_two_layer(model, x, **kw)
+    if variant == "diag":
+        return fisher.diag_fisher(model, x, cfg.loss, **kw)
+    return fisher.kfac_fisher(model, x, cfg.loss, **kw)
+
+
+def _raw_payload(f) -> list[np.ndarray]:
+    if f is None:
+        return []
+    if isinstance(f, fisher.FullFisher):
+        return [f.matrix]
+    if isinstance(f, fisher.DiagFisher):
+        return [f.diag]
+    return [m for layer in f.layers for m in (layer.a, layer.b)]
+
+
+def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
+                  codec: Codec | None = None, seed_tag=0,
+                  built: dict | None = None) -> tuple[agg.ClientUpdate, int]:
+    """One client's uplink for ``method``: the update the server merges, and
+    its bits.
+
+    Builds the curvature variant the method needs from the client's inputs
+    ``x``, unless ``built`` (variant -> payload, for this trained model)
+    already holds it. Applies ``codec`` unless the method is fedavg. The bits
+    are ``compress.bit_cost`` of exactly the objects the server receives.
+    """
+    weights = models.get_flat_params(model)
+    f = None
+    variant = _VARIANTS.get(method)
+    if variant is not None:
+        built = {} if built is None else built
+        if variant not in built:
+            built[variant] = _build_curvature(variant, model, x, cfg, seed_tag)
+        f = built[variant]
+    sent_weights, sent_curvature = weights, _raw_payload(f)
+    if codec is not None and method != agg.METHOD_FEDAVG:
+        blocks = ([rows * cols for _, rows, cols in models.layer_slices(model)]
+                  if isinstance(model, models.MLP) else [weights.size])
+        sent_weights = comp.quantize_blocks(weights, blocks, codec.s_q)
+        weights = comp.dequantize_blocks(sent_weights)
+        if isinstance(f, fisher.DiagFisher):
+            sent_curvature = comp.quantize_blocks(f.diag, blocks, codec.s_q)
+            f = fisher.DiagFisher(comp.dequantize_blocks(sent_curvature))
+        elif isinstance(f, fisher.KFACFisher):
+            dims = [(layer.a.shape[0], layer.b.shape[0]) for layer in f.layers]
+            plan = comp.kfac_budget_plan(dims, weights.size, codec.factor_s_q)
+            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, plan.l_v)
+            f = comp.decompress_kfac(sent_curvature)
+    bits = comp.bit_cost([sent_weights, sent_curvature])
+    return agg.ClientUpdate(weights, f, x.shape[0]), bits
+
+
+@dataclass
+class Round:
+    """Client models after one round of local training.
+
+    Every method and codec merged from a round shares it, so each client
+    trains once per round and builds each curvature variant at most once.
+    """
+
+    cfg: ExperimentConfig
+    data: datasets.FederatedDataset
+    trained: list  # client i's model
+    seed: int
+    index: int  # 0-based; seeds client draws as [seed, index, client, ...]
+    built: list[dict] = field(init=False)
+
+    def __post_init__(self):
+        self.built = [{} for _ in self.trained]
+
+
+def train_round(cfg: ExperimentConfig, data: datasets.FederatedDataset, starts: list,
+                train_cfg: models.TrainConfig, seed: int, index: int) -> Round:
+    """Train client i of ``data`` from ``starts[i]``; divergence raises
+    :class:`DivergenceError`."""
+    trained = []
+    for i, start in enumerate(starts):
+        cx, cy = data.client_data(i)
+        result = models.sgd_train(start, cx, cy, train_cfg, loss=cfg.loss,
+                                  seed=[seed, index, i])
+        if result.diverged:
+            raise DivergenceError(f"client {i} diverged during local training")
+        trained.append(result.model)
+    return Round(cfg, data, trained, seed, index)
+
+
+def merge_round(rnd: Round, method: str, codec: Codec | None,
+                server_cfg: agg.ServerConfig) -> tuple[np.ndarray, int]:
+    """Merge one :func:`client_update` per client of ``rnd``: (weights, bits)."""
+    updates, bits = [], 0
+    for i, model in enumerate(rnd.trained):
+        cx, _ = rnd.data.client_data(i)
+        update, client_bits = client_update(model, cx, method, rnd.cfg, codec,
+                                            [rnd.seed, rnd.index, i, 99], rnd.built[i])
+        updates.append(update)
+        bits += client_bits
+    merged, result = agg.merge_updates(method, updates, server_cfg)
+    if result is not None and result.diverged:
+        raise DivergenceError(f"server merge diverged for method {method}")
+    return merged, bits
+
+
+@dataclass
+class _Pipeline:
+    """What every merge of one seed's pipeline shares."""
+
+    clock: _Clock
+    init: models.Model
+    server_cfg: agg.ServerConfig
+    test: tuple | None = None  # (x, y) scored by accuracy; None for regression
+
+    def row(self, rnd: Round, method: str, codec: Codec | None, sweep: float,
+            train_seconds: float, earlier_bits: int = 0) -> tuple[ResultRow, np.ndarray]:
+        """Merge ``rnd`` with ``method`` into a row timed as ``train_seconds``
+        plus the measured merge, and return the merged weights too."""
+        t0 = self.clock.now()
+        merged, bits = merge_round(rnd, method, codec, self.server_cfg)
+        seconds = train_seconds + (self.clock.now() - t0)
+        model = models.with_flat_params(self.init, merged)
+        loss = models.loss_eval(model, rnd.data.x, rnd.data.y, rnd.cfg.loss)
+        acc = models.accuracy_eval(model, *self.test) if self.test else float("nan")
+        return ResultRow(rnd.seed, method, sweep, loss, acc, seconds, earlier_bits + bits), merged
+
+
+# ---------------------------------------------------------------------------
 # Synthetic regression sweeps
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_client_models(cfg, seed, width, steps):
-    """Train every client on fresh synthetic data; returns (dataset, models)."""
-    data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, seed)
-    init = models.init_two_layer(width, cfg.dim, cfg.kappa, [seed, width, 7])
-    local_cfg = models.TrainConfig(eta=cfg.eta, epochs_or_steps=steps,
-                                   batch_size=cfg.per_client, momentum=cfg.momentum)
-    trained = []
-    for i in range(cfg.clients):
-        cx, cy = data.client_data(i)
-        result = models.sgd_train(init, cx, cy, local_cfg, loss=cfg.loss, seed=[seed, 0, i])
-        if result.diverged:
-            raise DivergenceError(f"client {i} diverged during local training")
-        trained.append(result.model)
-    return data, init, trained
-
-
-def _merge_synthetic(cfg, data, init, client_models, method, clock) -> tuple[np.ndarray, float, int]:
-    """Merge trained two-layer clients; returns (weights, seconds, bits)."""
-    t0 = clock.now()
-    updates = []
-    bits = 0
-    for i, model in enumerate(client_models):
-        cx, _ = data.client_data(i)
-        flat = models.get_flat_params(model)
-        f = agg._client_fisher(method, model, cx, cfg.loss, cfg.fisher_mode, cfg.draws, [0, i])
-        updates.append(agg.ClientUpdate(flat, f, cx.shape[0]))
-        bits += comp.bit_cost(flat)
-        if isinstance(f, fisher.FullFisher):
-            bits += comp.bit_cost(f.matrix)
-        elif isinstance(f, fisher.DiagFisher):
-            bits += comp.bit_cost(f.diag)
-    merged, result = agg.merge_updates(method, updates, _server_config(cfg))
-    if result is not None and result.diverged:
-        raise DivergenceError(f"server merge diverged for method {method}")
-    return merged, clock.now() - t0, bits
+def _full_batch(cfg: ExperimentConfig, data: datasets.FederatedDataset,
+                steps: int) -> models.TrainConfig:
+    return models.TrainConfig(eta=cfg.eta, epochs_or_steps=steps,
+                              batch_size=data.x.shape[0], momentum=cfg.momentum)
 
 
 def run_width_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     clock = _Clock(cfg.timing)
     rows = []
     for seed in cfg.seeds:
+        data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, seed)
         for width in cfg.widths:
+            init = models.init_two_layer(width, cfg.dim, cfg.kappa, [seed, width, 7])
+            run = _Pipeline(clock, init, _server_config(cfg))
             t0 = clock.now()
-            data, init, client_models = _synthetic_client_models(
-                cfg, seed, width, cfg.epochs_or_steps)
+            rnd = train_round(cfg, data, [init] * data.num_clients,
+                              _full_batch(cfg, data, cfg.epochs_or_steps), seed, 0)
             train_seconds = clock.now() - t0
-            for method in cfg.methods:
-                merged, merge_seconds, bits = _merge_synthetic(
-                    cfg, data, init, client_models, method, clock)
-                loss = models.loss_eval(models.with_flat_params(init, merged),
-                                        data.x, data.y, cfg.loss)
-                rows.append(ResultRow(seed, method, float(width), loss, float("nan"),
-                                      train_seconds + merge_seconds, bits))
+            rows.extend(run.row(rnd, method, _codec(cfg), float(width), train_seconds)[0]
+                        for method in cfg.methods)
     return rows
 
 
@@ -388,52 +522,28 @@ def run_local_steps_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
     With zero momentum, full-batch descent is a deterministic trajectory, so
     each client trains once to max(steps) and is snapshotted at every sweep
-    point; identical to independent runs, at a fraction of the cost.
+    point; identical to independent runs, at a fraction of the cost. A row's
+    time is the measured training up to its snapshot plus its merge.
     """
     clock = _Clock(cfg.timing)
-    steps_sorted = sorted(set(cfg.steps_list))
     incremental = cfg.momentum == 0.0
     rows = []
     for seed in cfg.seeds:
         data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, seed)
         init = models.init_two_layer(cfg.width, cfg.dim, cfg.kappa, [seed, cfg.width, 7])
-        t0 = clock.now()
-        snapshots: dict[int, list] = {k: [] for k in steps_sorted}
-        for i in range(cfg.clients):
-            cx, cy = data.client_data(i)
-            if incremental:
-                current = init
-                done = 0
-                for k in steps_sorted:
-                    local_cfg = models.TrainConfig(eta=cfg.eta, epochs_or_steps=k - done,
-                                                   batch_size=cfg.per_client, momentum=0.0)
-                    result = models.sgd_train(current, cx, cy, local_cfg,
-                                              loss=cfg.loss, seed=[seed, 0, i])
-                    if result.diverged:
-                        raise DivergenceError(f"client {i} diverged during local training")
-                    current = result.model
-                    done = k
-                    snapshots[k].append(current)
+        run = _Pipeline(clock, init, _server_config(cfg))
+        rnd, done, train_seconds = None, 0, 0.0
+        for k in sorted(set(cfg.steps_list)):
+            t0 = clock.now()
+            if incremental and rnd is not None:  # continue from the last snapshot
+                starts = rnd.trained
             else:
-                for k in steps_sorted:
-                    local_cfg = models.TrainConfig(eta=cfg.eta, epochs_or_steps=k,
-                                                   batch_size=cfg.per_client,
-                                                   momentum=cfg.momentum)
-                    result = models.sgd_train(init, cx, cy, local_cfg,
-                                              loss=cfg.loss, seed=[seed, 0, i])
-                    if result.diverged:
-                        raise DivergenceError(f"client {i} diverged during local training")
-                    snapshots[k].append(result.model)
-        train_seconds = clock.now() - t0
-        for k in steps_sorted:
-            for method in cfg.methods:
-                merged, merge_seconds, bits = _merge_synthetic(
-                    cfg, data, init, snapshots[k], method, clock)
-                loss = models.loss_eval(models.with_flat_params(init, merged),
-                                        data.x, data.y, cfg.loss)
-                rows.append(ResultRow(seed, method, float(k), loss, float("nan"),
-                                      train_seconds / len(steps_sorted) + merge_seconds,
-                                      bits))
+                starts, done, train_seconds = [init] * data.num_clients, 0, 0.0
+            rnd = train_round(cfg, data, starts, _full_batch(cfg, data, k - done), seed, 0)
+            train_seconds += clock.now() - t0
+            done = k
+            rows.extend(run.row(rnd, method, _codec(cfg), float(k), train_seconds)[0]
+                        for method in cfg.methods)
     return rows
 
 
@@ -496,193 +606,78 @@ def _holdout(x, y, fraction, seed):
     return x[train_idx], y[train_idx], x[test_idx], y[test_idx]
 
 
-def _train_clients_classification(cfg, splits, init, seed, clock):
-    trained = []
-    seconds = []
-    for i in range(splits.train.num_clients):
-        cx, cy = splits.train.client_data(i)
-        t0 = clock.now()
-        result = models.sgd_train(init, cx, cy, _local_config(cfg, cx.shape[0]),
-                                  loss=cfg.loss, seed=[seed, 0, i])
-        seconds.append(clock.now() - t0)
-        if result.diverged:
-            raise DivergenceError(f"client {i} diverged during local training")
-        trained.append(result.model)
-    return trained, seconds
-
-
-def _compressed_update(cfg, method, model, cx, seed_tag,
-                       s_q_weights, s_q_diag, s_q_factors, quantize_payloads):
-    """One client's (possibly compressed) uplink: (update, bits).
-
-    Weights travel per-layer quantized at ``s_q_weights`` when compression is
-    on; diagonal curvature likewise, Kronecker factors via planned SVD +
-    ``s_q_factors``.
-    """
-    flat = models.get_flat_params(model)
-    slices = models.layer_slices(model) if isinstance(model, models.MLP) else []
-    block_sizes = [rows * cols for (_, rows, cols) in slices] or [flat.size]
-
-    if quantize_payloads:
-        q_weights = comp.quantize_blocks(flat, block_sizes, s_q_weights)
-        weight_vec = comp.dequantize_blocks(q_weights)
-        weight_bits = comp.bit_cost(q_weights)
-    else:
-        weight_vec = flat
-        weight_bits = comp.bit_cost(flat)
-
-    f = agg._client_fisher(method, model, cx, cfg.loss, cfg.fisher_mode, cfg.draws, seed_tag)
-    fisher_bits = 0
-    if isinstance(f, fisher.DiagFisher):
-        if quantize_payloads:
-            q_diag = comp.quantize_blocks(f.diag, block_sizes, s_q_diag)
-            f = fisher.DiagFisher(comp.dequantize_blocks(q_diag))
-            fisher_bits = comp.bit_cost(q_diag)
-        else:
-            fisher_bits = comp.bit_cost(f.diag)
-    elif isinstance(f, fisher.KFACFisher):
-        if quantize_payloads:
-            layer_dims = [(layer.a.shape[0], layer.b.shape[0]) for layer in f.layers]
-            plan = comp.kfac_budget_plan(layer_dims, flat.size, s_q_factors)
-            packed = comp.compress_kfac(f, s_q_factors, plan.l_v)
-            f = comp.decompress_kfac(packed)
-            fisher_bits = comp.bit_cost(packed)
-        else:
-            fisher_bits = sum(comp.bit_cost(layer.a) + comp.bit_cost(layer.b)
-                              for layer in f.layers)
-    elif isinstance(f, fisher.FullFisher):
-        fisher_bits = comp.bit_cost(f.matrix)
-
-    return agg.ClientUpdate(weight_vec, f, cx.shape[0]), weight_bits + fisher_bits
-
-
-@dataclass
-class _Prepared:
-    splits: _Splits
-    init: models.MLP
-    client_models: list
-    train_seconds: float
-
-
-def _prepare_one_shot(cfg: ExperimentConfig, seed: int, clock: _Clock) -> _Prepared:
+def _classification_start(cfg: ExperimentConfig, seed: int, clock: _Clock):
+    """The pipeline around the initial MLP and the first round trained from
+    it: (pipeline, round, training seconds)."""
     splits = _classification_data(cfg, seed)
-    in_dim = splits.train.x.shape[1]
-    dims = [in_dim] + list(cfg.hidden_dims) + [splits.train.num_classes]
+    dims = [splits.train.x.shape[1]] + list(cfg.hidden_dims) + [splits.train.num_classes]
     init = models.init_mlp(dims, [seed, 17], head=cfg.loss)
-    t0 = clock.now()
-    client_models, _ = _train_clients_classification(cfg, splits, init, seed, clock)
-    return _Prepared(splits, init, client_models, clock.now() - t0)
-
-
-def _one_shot_rows(cfg: ExperimentConfig, seed: int, sweep_value: float,
-                   s_q_weights: int, s_q_diag: int, s_q_factors: int,
-                   quantize_payloads: bool, methods: list[str],
-                   prepared: _Prepared | None = None) -> list[ResultRow]:
-    clock = _Clock(cfg.timing)
-    if prepared is None:
-        prepared = _prepare_one_shot(cfg, seed, clock)
-    splits, init = prepared.splits, prepared.init
-    client_models, train_seconds = prepared.client_models, prepared.train_seconds
 
     def val_fn(weights: np.ndarray) -> float:
         return models.accuracy_eval(models.with_flat_params(init, weights),
                                     splits.val_x, splits.val_y)
 
+    run = _Pipeline(clock, init, _server_config(cfg, val_fn), (splits.test_x, splits.test_y))
+    t0 = clock.now()
+    first = train_round(cfg, splits.train, [init] * splits.train.num_clients,
+                        _local_config(cfg, splits.train.x.shape[0]), seed, 0)
+    return run, first, clock.now() - t0
+
+
+def _run_rounds(cfg: ExperimentConfig, rounds: int, sweep_of_round) -> list[ResultRow]:
+    """The classification runner: ``rounds`` broadcast rounds per method.
+
+    The first round trains once from the initial model and is merged with
+    every method; each later round trains the clients from that method's
+    merged model. A row's time is its round's measured training plus merge;
+    its bits sum the uplink over the rounds so far.
+    """
+    clock = _Clock(cfg.timing)
     rows = []
-    for method in methods:
-        t1 = clock.now()
-        updates = []
-        bits = 0
-        quantized = quantize_payloads and method != agg.METHOD_FEDAVG
-        for i, model in enumerate(client_models):
-            cx, _ = splits.train.client_data(i)
-            update, client_bits = _compressed_update(
-                cfg, method, model, cx, [seed, 0, i, 99],
-                s_q_weights, s_q_diag, s_q_factors, quantized)
-            updates.append(update)
-            bits += client_bits
-        merged, result = agg.merge_updates(method, updates, _server_config(cfg, val_fn))
-        if result is not None and result.diverged:
-            raise DivergenceError(f"server merge diverged for method {method}")
-        merged_model = models.with_flat_params(init, merged)
-        rows.append(ResultRow(
-            seed, method, sweep_value,
-            models.loss_eval(merged_model, splits.train.x, splits.train.y, cfg.loss),
-            models.accuracy_eval(merged_model, splits.test_x, splits.test_y),
-            train_seconds + (clock.now() - t1), bits))
+    for seed in cfg.seeds:
+        run, first, first_seconds = _classification_start(cfg, seed, clock)
+        data = first.data
+        train_cfg = _local_config(cfg, data.x.shape[0])
+        for method in cfg.methods:
+            rnd, train_seconds, bits = first, first_seconds, 0
+            for r in range(rounds):
+                if r > 0:
+                    t0 = clock.now()
+                    start = models.with_flat_params(run.init, merged)
+                    rnd = train_round(cfg, data, [start] * data.num_clients, train_cfg, seed, r)
+                    train_seconds = clock.now() - t0
+                row, merged = run.row(rnd, method, _codec(cfg), sweep_of_round(r),
+                                      train_seconds, bits)
+                bits = row.comm_bits
+                rows.append(row)
     return rows
 
 
 def run_one_shot(cfg: ExperimentConfig) -> list[ResultRow]:
-    rows = []
-    for seed in cfg.seeds:
-        rows.extend(_one_shot_rows(cfg, seed, 0.0, _WEIGHT_SQ, _DIAG_SQ, cfg.s_q,
-                                   cfg.compress, cfg.methods))
-    return rows
+    return _run_rounds(cfg, 1, lambda r: 0.0)
 
 
 def run_few_shot(cfg: ExperimentConfig) -> list[ResultRow]:
     """Multi-round variant; the sweep column is the 1-based round index and
-    communication bits accumulate over rounds (uncompressed payloads)."""
-    clock = _Clock(cfg.timing)
-    rows = []
-    for seed in cfg.seeds:
-        splits = _classification_data(cfg, seed)
-        in_dim = splits.train.x.shape[1]
-        dims = [in_dim] + list(cfg.hidden_dims) + [splits.train.num_classes]
-        init = models.init_mlp(dims, [seed, 17], head=cfg.loss)
-
-        def val_fn(weights: np.ndarray) -> float:
-            return models.accuracy_eval(models.with_flat_params(init, weights),
-                                        splits.val_x, splits.val_y)
-
-        n_union = splits.train.x.shape[0]
-        for method in cfg.methods:
-            t0 = clock.now()
-            result = agg.few_shot_rounds(
-                splits.train, init, cfg.rounds, _local_config(cfg, n_union),
-                _server_config(cfg, val_fn), method, loss=cfg.loss, seed=seed,
-                eval_x=splits.test_x, eval_y=splits.test_y,
-                fisher_mode=cfg.fisher_mode, draws=cfg.draws)
-            if result.diverged:
-                raise DivergenceError(f"few-shot diverged for method {method}")
-            elapsed = clock.now() - t0
-            per_round_bits = _few_shot_round_bits(method, init, splits.train)
-            for r, record in enumerate(result.rounds, start=1):
-                rows.append(ResultRow(seed, method, float(r), record.train_loss,
-                                      record.eval_accuracy,
-                                      elapsed / len(result.rounds), per_round_bits * r))
-    return rows
-
-
-def _few_shot_round_bits(method: str, init, train) -> int:
-    d = models.param_count(init)
-    if method == agg.METHOD_FEDAVG:
-        per_client = 32 * d
-    elif method in (agg.METHOD_DIAG, agg.METHOD_FISHERMERGE):
-        per_client = 64 * d
-    elif method == agg.METHOD_KFAC:
-        factor_entries = 0
-        for (_, rows_, cols_) in models.layer_slices(init):
-            factor_entries += cols_ * cols_ + rows_ * rows_
-        per_client = 32 * (d + factor_entries)
-    else:  # fedfisher-full
-        per_client = 32 * (d + d * d)
-    return per_client * train.num_clients
+    communication bits accumulate over rounds."""
+    return _run_rounds(cfg, cfg.rounds, lambda r: float(r + 1))
 
 
 def run_compress_bench(cfg: ExperimentConfig) -> list[ResultRow]:
     """Sweep the quantization factor; s_q = 1 is the uncompressed baseline.
 
-    Local training is shared across sweep points (the codec only touches the
-    uplink payloads, never the training trajectory)."""
+    One round of local training per seed serves every sweep point (the
+    codec only touches the uplink, never the training trajectory), and each
+    client builds each curvature variant once and encodes it once per point.
+    """
     clock = _Clock(cfg.timing)
     rows = []
     for seed in cfg.seeds:
-        prepared = _prepare_one_shot(cfg, seed, clock)
+        run, rnd, train_seconds = _classification_start(cfg, seed, clock)
         for s_q in cfg.s_q_list:
-            rows.extend(_one_shot_rows(cfg, seed, float(s_q), s_q, s_q, s_q,
-                                       s_q > 1, cfg.methods, prepared))
+            codec = Codec(s_q, s_q) if s_q > 1 else None
+            rows.extend(run.row(rnd, method, codec, float(s_q), train_seconds)[0]
+                        for method in cfg.methods)
     return rows
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import KFACFisher, KFACLayer
-from .numerics import LowRankFactors, top_k_svd
+from .numerics import top_k_svd
 
 MIN_SQ, MAX_SQ = 1, 16
 
@@ -167,8 +167,6 @@ def bit_cost(obj) -> int:
     """
     if isinstance(obj, QuantizedVector):
         return obj.n * _element_bits(obj.s_q) + 32
-    if isinstance(obj, LowRankFactors):
-        return 32 * (obj.u.size + obj.s.size + obj.vt.size)
     if isinstance(obj, CompressedFactor):
         return bit_cost(obj.qu) + bit_cost(obj.qs) + bit_cost(obj.qvt)
     if isinstance(obj, CompressedKFACLayer):
@@ -180,21 +178,6 @@ def bit_cost(obj) -> int:
     if isinstance(obj, (list, tuple)):
         return sum(bit_cost(item) for item in obj)
     raise ValueError(f"no bit accounting for {type(obj).__name__}")
-
-
-def svd_compress(a: np.ndarray, s_v: int) -> LowRankFactors:
-    """Keep the top floor(m / (2 s_v)) singular triples of a square matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"svd_compress expects a square matrix, got {a.shape}")
-    if s_v < 1:
-        raise ValueError(f"s_v must be >= 1, got {s_v}")
-    l_v = a.shape[0] // (2 * s_v)
-    if l_v < 1:
-        raise ValueError(
-            f"s_v={s_v} leaves no singular triples for a {a.shape[0]}x{a.shape[0]} matrix"
-        )
-    return top_k_svd(a, l_v)
 
 
 def _quantize_factor(mat: np.ndarray, l_v: int, s_q: int) -> CompressedFactor:

@@ -21,31 +21,18 @@ Variants:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
-from .models import (
-    LOSS_SOFTMAX,
-    LOSS_SQUARED,
-    MLP,
-    Model,
-    TwoLayerReLU,
-    _pack_text,
-    _read_exact,
-    _read_f64,
-    _read_text,
-    _write_f64,
-)
+from .models import LOSS_SOFTMAX, LOSS_SQUARED, MLP, Model, TwoLayerReLU
 from .numerics import kron_matvec
 
 MAX_FULL_DIM = 2000
 DEFAULT_KFAC_DAMPING = 1e-4
 
 _MODES = ("expected", "sampled")
-_TAG_FULL, _TAG_DIAG, _TAG_KFAC = 0, 1, 2
 
 
 @dataclass
@@ -299,49 +286,3 @@ def fisher_matvec(f: FisherApprox, v: np.ndarray) -> np.ndarray:
         out[offset : offset + size] = kron_matvec(layer.a, layer.b, v[offset : offset + size])
         offset += size
     return out
-
-
-def save_fisher(f: FisherApprox, path: str) -> None:
-    """Serialize with a variant tag byte and per-layer dimension headers."""
-    with open(path, "wb") as out:
-        out.write(_pack_text("fisher"))
-        if isinstance(f, FullFisher):
-            out.write(struct.pack("<BI", _TAG_FULL, f.dim))
-            _write_f64(out, f.matrix.ravel())
-        elif isinstance(f, DiagFisher):
-            out.write(struct.pack("<BI", _TAG_DIAG, f.dim))
-            _write_f64(out, f.diag)
-        elif isinstance(f, KFACFisher):
-            out.write(struct.pack("<BI", _TAG_KFAC, len(f.layers)))
-            for layer in f.layers:
-                out.write(struct.pack("<II", layer.a.shape[0], layer.b.shape[0]))
-                _write_f64(out, layer.a.ravel())
-                _write_f64(out, layer.b.ravel())
-        else:
-            raise ValueError(f"unknown curvature variant {type(f).__name__}")
-
-
-def load_fisher(path: str) -> FisherApprox:
-    with open(path, "rb") as inp:
-        header = _read_text(inp)
-        if header != "fisher":
-            raise ValueError(f"not a curvature payload: descriptor {header!r}")
-        tag, count = struct.unpack("<BI", _read_exact(inp, 5, "variant tag"))
-        if tag == _TAG_FULL:
-            matrix = _read_f64(inp, count * count, "dense matrix").reshape(count, count)
-            result: FisherApprox = FullFisher(matrix)
-        elif tag == _TAG_DIAG:
-            result = DiagFisher(_read_f64(inp, count, "diagonal"))
-        elif tag == _TAG_KFAC:
-            layers = []
-            for _ in range(count):
-                p, q = struct.unpack("<II", _read_exact(inp, 8, "layer dims"))
-                a = _read_f64(inp, p * p, "input factor").reshape(p, p)
-                b = _read_f64(inp, q * q, "output factor").reshape(q, q)
-                layers.append(KFACLayer(a, b))
-            result = KFACFisher(layers)
-        else:
-            raise ValueError(f"unknown curvature variant tag {tag}")
-        if inp.read(1):
-            raise ValueError("trailing bytes after curvature payload")
-        return result

@@ -21,7 +21,6 @@ at zero (> 0).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,76 +398,3 @@ def sgd_train(
         current = with_flat_params(current, flat)
         steps += 1
     return TrainResult(current, False, steps, loss_eval(current, x, y, loss))
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint binary format: a 32-bit little-endian length, a UTF-8
-# architecture descriptor, then the payload as little-endian float64. The
-# curvature payloads reuse the same primitives with their own headers.
-# ---------------------------------------------------------------------------
-
-
-def _pack_text(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise ValueError(f"truncated checkpoint: expected {count} bytes for {what}")
-    return buf
-
-
-def _read_text(f) -> str:
-    (length,) = struct.unpack("<I", _read_exact(f, 4, "descriptor length"))
-    return _read_exact(f, length, "descriptor").decode("utf-8")
-
-
-def _write_f64(f, arr: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_f64(f, count: int, what: str) -> np.ndarray:
-    return np.frombuffer(_read_exact(f, count * 8, what), dtype="<f8").astype(np.float64)
-
-
-def save_checkpoint(model: Model, path: str) -> None:
-    """Write architecture descriptor + parameters (little-endian float64)."""
-    with open(path, "wb") as f:
-        if isinstance(model, TwoLayerReLU):
-            f.write(_pack_text(f"two-layer-relu m={model.m} dim={model.dim}"))
-            _write_f64(f, model.weights.ravel())
-            _write_f64(f, model.signs)
-        else:
-            dims = ",".join(str(d) for d in model.dims)
-            f.write(_pack_text(f"mlp dims={dims} head={model.head}"))
-            _write_f64(f, get_flat_params(model))
-
-
-def load_checkpoint(path: str) -> Model:
-    with open(path, "rb") as f:
-        descriptor = _read_text(f)
-        fields = descriptor.split()
-        kind = fields[0] if fields else ""
-        kv = dict(part.split("=", 1) for part in fields[1:] if "=" in part)
-        if kind == "two-layer-relu":
-            m, dim = int(kv["m"]), int(kv["dim"])
-            weights = _read_f64(f, m * dim, "weights").reshape(m, dim)
-            signs = _read_f64(f, m, "signs")
-            if f.read(1):
-                raise ValueError("trailing bytes after checkpoint payload")
-            return TwoLayerReLU(weights, signs)
-        if kind == "mlp":
-            dims = [int(d) for d in kv["dims"].split(",")]
-            head = kv.get("head", LOSS_SOFTMAX)
-            template = MLP(
-                [np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])],
-                [np.zeros(o) for o in dims[1:]],
-                head,
-            )
-            flat = _read_f64(f, param_count(template), "parameters")
-            if f.read(1):
-                raise ValueError("trailing bytes after checkpoint payload")
-            return with_flat_params(template, flat)
-        raise ValueError(f"unknown architecture descriptor {descriptor!r}")

@@ -2,13 +2,15 @@
 
 Each test prints a single ``criterion N: PASS/FAIL`` line (visible with -s;
 under plain pytest the per-test verdict carries the same information) and
-enforces the stated tolerance and runtime budget.
+enforces the stated tolerance and runtime budget. Criteria 4, 5 and 6 run
+the full-size experiments and are marked ``slow``.
 """
 
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from oneshot_fl import cli, datasets, fisher, models, numerics, oracle
 from oneshot_fl import aggregate as agg
@@ -101,6 +103,7 @@ def test_criterion_3_gradients_match_finite_differences():
     _report(3, ok, f"20 instances, worst rel {worst:.2e}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_4_loss_decreases_with_width():
     t0 = time.perf_counter()
     cfg = replace(cli.default_config("synthetic-width"),
@@ -117,6 +120,7 @@ def test_criterion_4_loss_decreases_with_width():
                    f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_loss_has_interior_minimum_in_local_steps():
     t0 = time.perf_counter()
     # The auto server step converges to the constrained merge; the small
@@ -138,6 +142,7 @@ def test_criterion_5_loss_has_interior_minimum_in_local_steps():
                    f"ends {means[0] / lo:.2f}x / {means[-1] / lo:.2f}x min, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_curvature_merging_beats_plain_averaging():
     t0 = time.perf_counter()
     cfg = replace(cli.default_config("one-shot"), seeds=list(range(5)),

@@ -1,9 +1,11 @@
-"""Tests for server-side merging and the few-shot driver."""
+"""Tests for server-side merging, alone and inside client rounds."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oneshot_fl import models
+from oneshot_fl import cli, models
 from oneshot_fl.aggregate import (
     ClientUpdate,
     METHOD_FEDAVG,
@@ -13,7 +15,6 @@ from oneshot_fl.aggregate import (
     fedavg,
     fedfisher_adam,
     fedfisher_gd,
-    few_shot_rounds,
     fisher_merge_diag,
     merge_updates,
 )
@@ -317,16 +318,29 @@ class TestMergeUpdates:
 
 
 class TestFewShotRounds:
+    """Broadcast rounds built from ``cli.train_round`` and ``cli.merge_round``."""
+
+    _CFG = cli.default_config("synthetic-width")  # squared loss, expected curvature
+
     def _tiny_dataset(self, seed=0):
         return gen_synthetic(clients=2, per_client=25, dim=2, seed=seed)
+
+    def _rounds(self, ds, model, rounds, local, server, method, seed):
+        weights = []
+        start = model
+        for r in range(rounds):
+            rnd = cli.train_round(self._CFG, ds, [start] * ds.num_clients, local, seed, r)
+            merged, _ = cli.merge_round(rnd, method, None, server)
+            weights.append(merged)
+            start = models.with_flat_params(model, merged)
+        return weights
 
     def test_single_round_equals_one_shot(self):
         ds = self._tiny_dataset()
         model = init_two_layer(16, 2, kappa=0.5, seed=1)
         local = TrainConfig(eta=0.1, epochs_or_steps=64, batch_size=10_000)
         server = ServerConfig(stop_tol=1e-12)
-        few = few_shot_rounds(ds, model, 1, local, server, METHOD_FULL, seed=9)
-        assert len(few.rounds) == 1
+        (got,) = self._rounds(ds, model, 1, local, server, METHOD_FULL, seed=9)
 
         # Replicate the round by hand with the same substreams.
         updates = []
@@ -338,17 +352,17 @@ class TestFewShotRounds:
             f = full_fisher_two_layer(trained.model, cx, seed=[9, 0, i, 99])
             updates.append(ClientUpdate(models.get_flat_params(trained.model), f, cx.shape[0]))
         want = fedfisher_gd(updates, server).weights
-        assert np.allclose(few.rounds[0].weights, want, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12)
 
     def test_metrics_length_matches_rounds(self):
-        ds = self._tiny_dataset(1)
-        model = init_two_layer(8, 2, kappa=0.5, seed=2)
-        local = TrainConfig(eta=0.05, epochs_or_steps=16, batch_size=10_000)
-        few = few_shot_rounds(ds, model, 3, local, ServerConfig(), METHOD_FEDAVG, seed=3)
-        assert len(few.rounds) == 3
-        assert not few.diverged
-        for rec in few.rounds:
-            assert np.isfinite(rec.train_loss)
+        cfg = replace(cli.default_config("few-shot"), n_train=90, n_test=30, classes=3,
+                      side=6, clients=2, alpha=100.0, epochs_or_steps=2, batch_size=16,
+                      hidden_dims=[8], seeds=[3], rounds=3, timing=False,
+                      methods=[METHOD_FEDAVG])
+        rows = cli.run_few_shot(cfg)
+        assert [r.sweep for r in rows] == [1.0, 2.0, 3.0]
+        for row in rows:
+            assert np.isfinite(row.train_loss)
 
     def test_homogeneous_fedavg_is_centralized_continuation(self):
         # All clients hold identical data; full-batch fedavg rounds must
@@ -365,24 +379,27 @@ class TestFewShotRounds:
         model = init_two_layer(32, 2, kappa=0.5, seed=7)
         k = 20
         local = TrainConfig(eta=0.05, epochs_or_steps=k, batch_size=10_000)
-        few = few_shot_rounds(ds, model, 2, local, ServerConfig(), METHOD_FEDAVG, seed=8)
+        weights = self._rounds(ds, model, 2, local, ServerConfig(), METHOD_FEDAVG, seed=8)
         central = models.sgd_train(
             model, x, y, TrainConfig(eta=0.05, epochs_or_steps=2 * k, batch_size=10_000)
         )
-        assert np.allclose(
-            few.rounds[-1].weights, models.get_flat_params(central.model), atol=1e-9
-        )
+        assert np.allclose(weights[-1], models.get_flat_params(central.model), atol=1e-9)
 
-    def test_divergent_client_flags_result(self):
+    def test_divergent_client_flags_result(self, tmp_path):
         ds = self._tiny_dataset(2)
         model = init_two_layer(8, 2, kappa=0.5, seed=10)
         local = TrainConfig(eta=1e9, epochs_or_steps=50, batch_size=10_000)
-        few = few_shot_rounds(ds, model, 2, local, ServerConfig(), METHOD_FEDAVG, seed=11)
-        assert few.diverged
-        assert len(few.rounds) == 0
+        with pytest.raises(cli.DivergenceError, match="diverged"):
+            self._rounds(ds, model, 2, local, ServerConfig(), METHOD_FEDAVG, seed=11)
+        out = tmp_path / "d.csv"
+        code = cli.main(["few-shot", "--n-train", "90", "--n-test", "30", "--seed-list", "0",
+                         "--eta", "1e9", "--epochs", "2", "--methods", "fedavg",
+                         "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_DIVERGED
+        assert not out.exists()
 
-    def test_rounds_validated(self):
-        ds = self._tiny_dataset(3)
-        model = init_two_layer(4, 2, kappa=0.5, seed=12)
-        with pytest.raises(ValueError):
-            few_shot_rounds(ds, model, 0, TrainConfig(0.1, 1, 10), ServerConfig(), METHOD_FEDAVG)
+    def test_rounds_validated(self, tmp_path, capsys):
+        code = cli.main(["few-shot", "--rounds", "0", "--no-timing",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert "rounds" in capsys.readouterr().err

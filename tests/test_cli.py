@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oneshot_fl import aggregate as agg
-from oneshot_fl import cli, datasets, models
+from oneshot_fl import cli, datasets, fisher, models
 from oneshot_fl.cli import (
     ConfigError,
     ExperimentConfig,
@@ -115,6 +115,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="cannot read config file"):
             load_config_file(default_config("one-shot"), str(tmp_path / "nope.ini"))
 
+    def test_model_kind_key_is_gone(self, tmp_path):
+        # The task decides the architecture; there is no [model] kind.
+        path = tmp_path / "run.ini"
+        path.write_text("[model]\nkind = mlp\n")
+        with pytest.raises(ConfigError, match=r"unknown config key \[model\] kind"):
+            load_config_file(default_config("one-shot"), str(path))
+
     def test_bad_boolean_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[run]\ntiming = maybe\n")
@@ -188,6 +195,26 @@ class TestValidation:
             validate_config(replace(default_config("synthetic-steps"), steps_list=[]))
         with pytest.raises(ConfigError, match="s_q"):
             validate_config(replace(default_config("compress-bench"), s_q_list=[]))
+
+    def test_dense_curvature_rejected_on_classification(self, tmp_path, capsys):
+        for task in ("one-shot", "few-shot", "compress-bench"):
+            cfg = replace(default_config(task), methods=[agg.METHOD_FULL])
+            with pytest.raises(ConfigError, match="fedfisher-full does not apply"):
+                validate_config(cfg)
+        code = cli.main(["one-shot", "--methods", "fedfisher-full", "--out",
+                         str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert "MLP" in capsys.readouterr().err
+
+    def test_kfac_rejected_on_synthetic(self, tmp_path, capsys):
+        for task in ("synthetic-width", "synthetic-steps"):
+            cfg = replace(default_config(task), methods=[agg.METHOD_KFAC])
+            with pytest.raises(ConfigError, match="fedfisher-kfac does not apply"):
+                validate_config(cfg)
+        code = cli.main(["synthetic-width", "--methods", "fedfisher-kfac", "--out",
+                         str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert "two-layer net" in capsys.readouterr().err
 
     def test_dense_curvature_size_cap(self):
         cfg = replace(default_config("synthetic-width"), widths=[1024], dim=4)
@@ -315,6 +342,39 @@ class TestWidthSweepCommand:
         assert not out.exists()
 
 
+    def test_sampled_curvature_is_seeded_by_run_seed(self):
+        cfg = replace(default_config("synthetic-width"), widths=[8], seeds=[1],
+                      epochs_or_steps=8, t_max=300, timing=False,
+                      fisher_mode="sampled", methods=[agg.METHOD_FULL])
+        (row,) = cli.run_width_sweep(cfg)
+        data = datasets.gen_synthetic(2, 100, 2, 1)
+        init = models.init_two_layer(8, 2, 0.5, [1, 8, 7])
+        local = models.TrainConfig(eta=0.1, epochs_or_steps=8, batch_size=100)
+        updates = []
+        for i in range(2):
+            cx, cy = data.client_data(i)
+            trained = models.sgd_train(init, cx, cy, local, loss=models.LOSS_SQUARED,
+                                       seed=[1, 0, i]).model
+            f = fisher.full_fisher_two_layer(trained, cx, mode="sampled", draws=1,
+                                             seed=[1, 0, i, 99])
+            updates.append(agg.ClientUpdate(models.get_flat_params(trained), f, 100))
+        server = agg.ServerConfig(eta_s=0.001, t_max=300, stop_tol=cfg.stop_tol)
+        merged = agg.fedfisher_gd(updates, server).weights
+        want = models.loss_eval(models.with_flat_params(init, merged), data.x, data.y,
+                                models.LOSS_SQUARED)
+        assert row.train_loss == pytest.approx(want, rel=1e-12)
+
+    def test_compress_quantizes_synthetic_payloads(self):
+        cfg = replace(default_config("synthetic-width"), widths=[8], seeds=[0],
+                      epochs_or_steps=8, t_max=300, timing=False, compress=True,
+                      methods=[agg.METHOD_FEDAVG, agg.METHOD_DIAG, agg.METHOD_FULL])
+        rows = {r.method: r for r in cli.run_width_sweep(cfg)}
+        d = 8 * 2  # one weight block
+        assert rows[agg.METHOD_FEDAVG].comm_bits == 2 * 32 * d  # never quantized
+        assert rows[agg.METHOD_DIAG].comm_bits == 2 * 2 * (16 * d + 32)
+        assert rows[agg.METHOD_FULL].comm_bits == 2 * (16 * d + 32 + 32 * d * d)
+
+
 class TestStepsSweepCommand:
     def test_zero_steps_returns_init(self):
         cfg = replace(default_config("synthetic-steps"), seeds=[0], width=8,
@@ -365,18 +425,19 @@ class TestOneShotCommand:
         cfg = _tiny_image_cfg(methods=[agg.METHOD_FEDAVG])
         rows = cli.run_one_shot(cfg)
         assert len(rows) == 1
-        prepared = cli._prepare_one_shot(cfg, 0, cli._Clock(False))
+        splits = cli._classification_data(cfg, 0)
+        init = models.init_mlp([36, 16, 3], [0, 17], head=cfg.loss)
+        local = models.TrainConfig(cfg.eta, cfg.epochs_or_steps, cfg.batch_size, cfg.momentum)
         updates = []
-        for i, model in enumerate(prepared.client_models):
-            cx, _ = prepared.splits.train.client_data(i)
-            updates.append(agg.ClientUpdate(models.get_flat_params(model), None,
+        for i in range(cfg.clients):
+            cx, cy = splits.train.client_data(i)
+            trained = models.sgd_train(init, cx, cy, local, loss=cfg.loss, seed=[0, 0, i])
+            updates.append(agg.ClientUpdate(models.get_flat_params(trained.model), None,
                                             cx.shape[0]))
         merged = agg.fedavg(updates)
-        model = models.with_flat_params(prepared.init, merged)
-        want_loss = models.loss_eval(model, prepared.splits.train.x,
-                                     prepared.splits.train.y, cfg.loss)
-        want_acc = models.accuracy_eval(model, prepared.splits.test_x,
-                                        prepared.splits.test_y)
+        model = models.with_flat_params(init, merged)
+        want_loss = models.loss_eval(model, splits.train.x, splits.train.y, cfg.loss)
+        want_acc = models.accuracy_eval(model, splits.test_x, splits.test_y)
         assert rows[0].train_loss == want_loss
         assert rows[0].test_accuracy == want_acc
 
@@ -499,6 +560,31 @@ class TestFewShotCommand:
             assert [r.comm_bits for r in per_seed] == [base, 2 * base, 3 * base]
 
 
+    def test_curvature_bits_match_uncompressed_formula(self):
+        cfg = replace(_tiny_image_cfg(task="few-shot"), rounds=2, compress=False,
+                      methods=[agg.METHOD_KFAC, agg.METHOD_FISHERMERGE])
+        rows = cli.run_few_shot(cfg)
+        assert len(rows) == 2 * 2
+        dims = [36, 16, 3]
+        d = sum((i + 1) * o for i, o in zip(dims, dims[1:]))
+        factors = sum((i + 1) ** 2 + o ** 2 for i, o in zip(dims, dims[1:]))
+        per_client = {agg.METHOD_KFAC: 32 * (d + factors), agg.METHOD_FISHERMERGE: 64 * d}
+        for row in rows:
+            assert row.comm_bits == cfg.clients * per_client[row.method] * int(row.sweep)
+
+    def test_compress_applies_every_round(self):
+        methods = [agg.METHOD_FEDAVG, agg.METHOD_DIAG, agg.METHOD_KFAC]
+        few = replace(_tiny_image_cfg(task="few-shot"), rounds=2, compress=True,
+                      methods=methods)
+        one = replace(_tiny_image_cfg(), compress=True, methods=methods)
+        few_rows = {(r.method, r.sweep): r for r in cli.run_few_shot(few)}
+        for row in cli.run_one_shot(one):
+            first = few_rows[(row.method, 1.0)]
+            assert first.train_loss == row.train_loss
+            assert first.comm_bits == row.comm_bits
+            assert few_rows[(row.method, 2.0)].comm_bits == 2 * row.comm_bits
+
+
 class TestCompressBenchCommand:
     def test_sq_one_matches_uncompressed_baseline(self):
         cfg = replace(_tiny_image_cfg(task="compress-bench"),
@@ -523,6 +609,28 @@ class TestCompressBenchCommand:
             assert rows[float(s_q)].comm_bits == want
         assert rows[8.0].comm_bits < rows[2.0].comm_bits < rows[1.0].comm_bits
 
+    def test_each_curvature_built_once(self, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("diag_fisher", "kfac_fisher"):
+            counted(fisher, name)
+        counted(cli.comp, "compress_kfac")
+        cfg = replace(_tiny_image_cfg(task="compress-bench"), s_q_list=[1, 2, 4],
+                      methods=[agg.METHOD_DIAG, agg.METHOD_FISHERMERGE, agg.METHOD_KFAC])
+        assert len(cli.run_compress_bench(cfg)) == 3 * 3
+        clients, points = cfg.clients, 2  # s_q = 1 sends raw payloads
+        assert calls == {"diag_fisher": clients, "kfac_fisher": clients,
+                         "compress_kfac": clients * points}
+
     def test_main_row_count(self, tmp_path):
         out = tmp_path / "cb.csv"
         ini = tmp_path / "run.ini"
@@ -536,6 +644,60 @@ class TestCompressBenchCommand:
         assert cli.main(["compress-bench", "--config", str(ini), "--no-timing",
                         "--out", str(out)]) == cli.EXIT_OK
         assert len(_read_rows(out)) == 2
+
+
+class _CountingClock:
+    """Stands in for time.perf_counter: every read is one second later."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+class TestMeasuredTimes:
+    """Each read pair brackets one measured phase, so under the counting clock
+    a phase lasts one second: a row holds its training plus its merge."""
+
+    def _rows(self, monkeypatch, runner, cfg):
+        monkeypatch.setattr(cli.time, "perf_counter", _CountingClock())
+        return runner(replace(cfg, timing=True))
+
+    def test_few_shot_rows_hold_their_own_round(self, monkeypatch):
+        cfg = replace(_tiny_image_cfg(task="few-shot"), rounds=3,
+                      methods=[agg.METHOD_FEDAVG, agg.METHOD_DIAG])
+        rows = self._rows(monkeypatch, cli.run_few_shot, cfg)
+        assert len(rows) == 2 * 3
+        assert [r.wall_time_s for r in rows] == [2.0] * 6
+
+    def test_steps_rows_hold_training_up_to_their_snapshot(self, monkeypatch):
+        cfg = replace(default_config("synthetic-steps"), seeds=[0], width=8,
+                      steps_list=[4, 16, 8], t_max=50, methods=[agg.METHOD_FEDAVG])
+        rows = self._rows(monkeypatch, cli.run_local_steps_sweep, cfg)
+        assert {r.sweep: r.wall_time_s for r in rows} == {4.0: 2.0, 8.0: 3.0, 16.0: 4.0}
+        # With momentum each snapshot trains anew from the initial model.
+        rows = self._rows(monkeypatch, cli.run_local_steps_sweep, replace(cfg, momentum=0.5))
+        assert [r.wall_time_s for r in rows] == [2.0] * 3
+
+    def test_one_round_runners(self, monkeypatch):
+        width = replace(default_config("synthetic-width"), widths=[4, 8], seeds=[0],
+                        epochs_or_steps=4, t_max=50)
+        one = _tiny_image_cfg(methods=[agg.METHOD_FEDAVG, agg.METHOD_DIAG])
+        bench = replace(one, task="compress-bench", s_q_list=[1, 4])
+        for runner, cfg in ((cli.run_width_sweep, width), (cli.run_one_shot, one),
+                            (cli.run_compress_bench, bench)):
+            rows = self._rows(monkeypatch, runner, cfg)
+            assert {r.wall_time_s for r in rows} == {2.0}
+
+    def test_no_timing_writes_zero(self, monkeypatch):
+        monkeypatch.setattr(cli.time, "perf_counter", _CountingClock())
+        cfg = replace(_tiny_image_cfg(task="few-shot"), rounds=2, methods=[agg.METHOD_DIAG])
+        assert {r.wall_time_s for r in cli.run_few_shot(cfg)} == {0.0}
+        steps = replace(default_config("synthetic-steps"), seeds=[0], width=8,
+                        steps_list=[4, 8], t_max=50, timing=False)
+        assert {r.wall_time_s for r in cli.run_local_steps_sweep(steps)} == {0.0}
 
 
 class TestClientTimeOverhead:
@@ -555,8 +717,8 @@ class TestClientTimeOverhead:
 
         def fisher_once():
             t0 = time.perf_counter()
-            agg._client_fisher(agg.METHOD_DIAG, trained, x, models.LOSS_SOFTMAX,
-                               "expected", 1, [0, 0, 0, 99])
+            cli.client_update(trained, x, agg.METHOD_DIAG, default_config("one-shot"),
+                              seed_tag=[0, 0, 0, 99])
             return time.perf_counter() - t0
 
         t_fisher = min(fisher_once() for _ in range(3))

@@ -14,7 +14,6 @@ from oneshot_fl.compress import (
     level_count,
     quantize,
     quantize_blocks,
-    svd_compress,
     to_bytes,
 )
 from oneshot_fl.fisher import KFACFisher, KFACLayer
@@ -164,40 +163,6 @@ class TestBitCost:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             bit_cost("weights")
-
-
-class TestSvdCompress:
-    def test_rank_one_exact(self):
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal(8)
-        a = np.outer(u, u)
-        fac = svd_compress(a, 4)  # l_v = 8 // 8 = 1
-        assert fac.s.shape == (1,)
-        assert np.allclose(fac.reconstruct(), a, atol=1e-10)
-
-    def test_identity_error(self):
-        fac = svd_compress(np.eye(2), 1)
-        assert fac.error == pytest.approx(1.0)
-
-    def test_kept_rank_formula(self):
-        rng = np.random.default_rng(6)
-        a = _psd(rng, 12)
-        assert svd_compress(a, 2).s.shape == (3,)
-        assert svd_compress(a, 6).s.shape == (1,)
-
-    def test_rejects_empty_truncation(self):
-        with pytest.raises(ValueError):
-            svd_compress(np.eye(3), 2)  # 3 // 4 = 0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            svd_compress(np.zeros((2, 3)), 1)
-        with pytest.raises(ValueError):
-            svd_compress(np.eye(4), 0)
-
-    def test_low_rank_factor_bits(self):
-        fac = svd_compress(np.eye(8), 2)  # l_v = 2
-        assert bit_cost(fac) == 32 * (8 * 2 + 2 + 2 * 8)
 
 
 class TestCompressKfac:

@@ -1,4 +1,4 @@
-"""Tests for the curvature approximations and their serialization."""
+"""Tests for the curvature approximations."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from oneshot_fl.fisher import (
     fisher_matvec,
     full_fisher_two_layer,
     kfac_fisher,
-    load_fisher,
-    save_fisher,
 )
 from oneshot_fl.models import (
     LOSS_SOFTMAX,
@@ -290,66 +288,3 @@ class TestFisherMatvec:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fisher_matvec(DiagFisher(np.ones(3)), np.ones(4))
-
-
-class TestFisherSerialization:
-    def test_full_round_trip(self, tmp_path):
-        rng = np.random.default_rng(36)
-        a = rng.standard_normal((5, 5))
-        f = FullFisher(a @ a.T)
-        p = str(tmp_path / "f.bin")
-        save_fisher(f, p)
-        back = load_fisher(p)
-        assert isinstance(back, FullFisher)
-        assert np.array_equal(back.matrix, f.matrix)
-
-    def test_diag_round_trip(self, tmp_path):
-        f = DiagFisher(np.array([0.5, 0.0, 2.5]))
-        p = str(tmp_path / "f.bin")
-        save_fisher(f, p)
-        back = load_fisher(p)
-        assert isinstance(back, DiagFisher)
-        assert np.array_equal(back.diag, f.diag)
-
-    def test_kfac_round_trip(self, tmp_path):
-        rng = np.random.default_rng(37)
-        layers = []
-        for p_dim, q_dim in ((4, 3), (3, 2)):
-            ga = rng.standard_normal((p_dim, p_dim))
-            gb = rng.standard_normal((q_dim, q_dim))
-            layers.append(KFACLayer(ga @ ga.T, gb @ gb.T))
-        f = KFACFisher(layers)
-        path = str(tmp_path / "f.bin")
-        save_fisher(f, path)
-        back = load_fisher(path)
-        assert isinstance(back, KFACFisher)
-        assert len(back.layers) == 2
-        for la, lb in zip(back.layers, f.layers):
-            assert np.array_equal(la.a, lb.a)
-            assert np.array_equal(la.b, lb.b)
-
-    def test_wrong_descriptor(self, tmp_path):
-        from oneshot_fl.models import init_two_layer, save_checkpoint
-
-        p = str(tmp_path / "m.ckpt")
-        save_checkpoint(init_two_layer(2, 2, kappa=1.0, seed=0), p)
-        with pytest.raises(ValueError, match="not a curvature payload"):
-            load_fisher(p)
-
-    def test_trailing_bytes(self, tmp_path):
-        f = DiagFisher(np.ones(2))
-        p = tmp_path / "f.bin"
-        save_fisher(f, str(p))
-        p.write_bytes(p.read_bytes() + b"\x01")
-        with pytest.raises(ValueError, match="trailing"):
-            load_fisher(str(p))
-
-    def test_unknown_tag(self, tmp_path):
-        import struct
-
-        from oneshot_fl.models import _pack_text
-
-        p = tmp_path / "f.bin"
-        p.write_bytes(_pack_text("fisher") + struct.pack("<BI", 9, 1))
-        with pytest.raises(ValueError, match="tag"):
-            load_fisher(str(p))

@@ -1,4 +1,4 @@
-"""Tests for network definitions, analytic gradients, training, checkpoints."""
+"""Tests for network definitions, analytic gradients, and training."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,8 @@ from oneshot_fl.models import (
     init_mlp,
     init_two_layer,
     layer_slices,
-    load_checkpoint,
     loss_eval,
     param_count,
-    save_checkpoint,
     sgd_train,
     with_flat_params,
 )
@@ -367,50 +365,3 @@ class TestSgdTrain:
             sgd_train(model, x, y, TrainConfig(0.1, -1, 1))
         with pytest.raises(ValueError):
             sgd_train(model, x, y, TrainConfig(0.1, 1, 1, momentum=1.0))
-
-
-class TestCheckpoint:
-    def test_two_layer_round_trip(self, tmp_path):
-        model = init_two_layer(5, 3, kappa=1.0, seed=38)
-        p = str(tmp_path / "m.ckpt")
-        save_checkpoint(model, p)
-        back = load_checkpoint(p)
-        assert isinstance(back, TwoLayerReLU)
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.signs, model.signs)
-
-    def test_mlp_round_trip(self, tmp_path):
-        model = init_mlp([4, 6, 2], seed=39, head=LOSS_SQUARED)
-        p = str(tmp_path / "m.ckpt")
-        save_checkpoint(model, p)
-        back = load_checkpoint(p)
-        assert isinstance(back, MLP)
-        assert back.dims == [4, 6, 2]
-        assert back.head == LOSS_SQUARED
-        assert np.allclose(get_flat_params(back), get_flat_params(model))
-
-    def test_unknown_descriptor(self, tmp_path):
-        import struct
-
-        p = tmp_path / "bad.ckpt"
-        desc = b"transformer big=1"
-        p.write_bytes(struct.pack("<I", len(desc)) + desc)
-        with pytest.raises(ValueError, match="descriptor"):
-            load_checkpoint(str(p))
-
-    def test_truncated_payload(self, tmp_path):
-        model = init_two_layer(4, 3, kappa=1.0, seed=40)
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(model, str(p))
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(str(p))
-
-    def test_trailing_bytes(self, tmp_path):
-        model = init_two_layer(4, 3, kappa=1.0, seed=41)
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(model, str(p))
-        p.write_bytes(p.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            load_checkpoint(str(p))
