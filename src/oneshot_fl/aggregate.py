@@ -6,21 +6,23 @@ iterations whose gradient is sum_i c_i * F_i @ (W - W_i). Client coefficients
 c_i = M * n_i / N reduce to 1 for equal sample counts, so the equal case is
 the plain unweighted sum of curvature matvecs.
 
-The gradient-descent server auto-sizes its step to 1 / (1.01 * lambda_max)
-using power iteration on the summed operator; with that step the quadratic
-objective is non-increasing and the iterates converge to the minimum-norm
-projection of the mean onto the stationary set.
+One loop (``fedfisher_solve``) runs from the weighted mean with one of two
+step rules: gradient descent or Adam. Both keep the best-validation iterate
+when given a validation score. Only gradient descent estimates lambda_max,
+by power iteration on the summed operator: its auto step 1 / (1.01 *
+lambda_max) makes the quadratic objective non-increasing, and the iterates
+converge to the minimum-norm projection of the mean onto the stationary set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .fisher import DiagFisher, FisherApprox, FullFisher, KFACFisher, fisher_matvec
-from .numerics import PowerIterResult, power_iteration_max_eig
+from .numerics import power_iteration_max_eig
 
 METHOD_FEDAVG = "fedavg"
 METHOD_FULL = "fedfisher-full"
@@ -30,6 +32,11 @@ METHOD_FISHERMERGE = "fishermerge"
 VALID_METHODS = (METHOD_FEDAVG, METHOD_FULL, METHOD_DIAG, METHOD_KFAC, METHOD_FISHERMERGE)
 
 DEFAULT_FISHER_FLOOR = 1e-6
+
+# Adam server's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
+ADAM_EPS = 0.01
 
 
 @dataclass
@@ -45,9 +52,6 @@ class ServerConfig:
     eta_s: float | None = None  # None: auto 1/(1.01*lambda_max) for gd, 0.01 for adam
     t_max: int = 100_000
     stop_tol: float = 1e-10
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 0.01
     val_every: int = 100
     val_fn: Callable[[np.ndarray], float] | None = None  # weights -> score, higher wins
 
@@ -60,7 +64,7 @@ class MergeResult:
     diverged: bool = False
     step_warning: bool = False
     residual: float = float("nan")
-    lambda_max: float = float("nan")
+    lambda_max: float = float("nan")  # stays NaN under Adam: no power iteration
     objective_trace: list[float] | None = None
 
 
@@ -134,18 +138,6 @@ class _SummedCurvature:
         return out
 
 
-def estimate_lmax(
-    updates: list[ClientUpdate],
-    tol: float = 1e-8,
-    max_iters: int = 5000,
-) -> PowerIterResult:
-    """Largest eigenvalue of the coefficient-weighted curvature sum."""
-    d = _check_updates(updates, need_fisher=True)
-    coeffs = _coefficients(updates)
-    op = _SummedCurvature(list(zip(coeffs, [u.fisher for u in updates])), d)
-    return power_iteration_max_eig(op.matvec, d, tol=tol, max_iters=max_iters)
-
-
 def _merge_problem(updates: list[ClientUpdate]):
     d = _check_updates(updates, need_fisher=True)
     coeffs = _coefficients(updates)
@@ -160,112 +152,97 @@ def _merge_problem(updates: list[ClientUpdate]):
     return d, op, b, const
 
 
+def fedfisher_solve(
+    updates: list[ClientUpdate],
+    cfg: ServerConfig | None = None,
+    record_objective: bool = False,
+) -> MergeResult:
+    """Curvature-weighted merge by first-order steps from the weighted mean.
+
+    One loop serves both step rules of ``cfg.optimizer``: ``"gd"`` steps by
+    eta * g, ``"adam"`` by the bias-corrected Adam update. Stops when the
+    step norm falls below stop_tol * (1 + |W|) or after t_max steps. GD with
+    cfg.eta_s=None steps by 1 / (1.01 * lambda_max); a manual GD step larger
+    than 1 / lambda_max sets ``step_warning``. Adam runs no power iteration,
+    so its ``lambda_max`` stays NaN. With ``cfg.val_fn`` (flat weights to a
+    score, higher is better) the iterate is scored at the start, every
+    ``cfg.val_every`` steps and at the end, and the best one is returned.
+    ``objective_trace`` holds the objective before every step and at the
+    returned weights.
+    """
+    cfg = cfg or ServerConfig()
+    d, op, b, const = _merge_problem(updates)
+    w = fedavg(updates)
+    trace: list[float] | None = [] if record_objective else None
+
+    lam = float("nan")
+    warning = False
+    if cfg.optimizer == "gd":
+        lam = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000).value
+        if cfg.eta_s is None and lam <= 0.0:
+            # No curvature anywhere: every point is stationary, keep the mean.
+            return MergeResult(w, 0, True, residual=float(np.linalg.norm(op.matvec(w) - b)),
+                               lambda_max=lam, objective_trace=trace)
+        eta = 1.0 / (1.01 * lam) if cfg.eta_s is None else cfg.eta_s
+        warning = lam > 0 and eta * lam > 1.0 + 1e-9
+    elif cfg.optimizer == "adam":
+        eta = 0.01 if cfg.eta_s is None else cfg.eta_s
+        m = np.zeros(d)
+        v = np.zeros(d)
+    else:
+        raise ValueError(f"unknown server optimizer {cfg.optimizer!r}")
+    if eta <= 0:
+        raise ValueError(f"eta_s must be positive, got {eta}")
+
+    best_w = w
+    best_score = cfg.val_fn(w) if cfg.val_fn is not None else None
+    iterations = 0
+    converged = diverged = False
+    for t in range(1, cfg.t_max + 1):
+        g = op.matvec(w) - b
+        if trace is not None:
+            trace.append(float(w @ g) - float(w @ b) + const)
+        if cfg.optimizer == "adam":
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            step = eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        else:
+            step = eta * g
+        w_next = w - step
+        if not np.all(np.isfinite(w_next)):
+            diverged = True
+            break
+        w = w_next
+        iterations = t
+        if best_score is not None and t % cfg.val_every == 0:
+            score = cfg.val_fn(w)
+            if score > best_score:
+                best_score, best_w = score, w
+        if np.linalg.norm(step) <= cfg.stop_tol * (1.0 + np.linalg.norm(w)):
+            converged = True
+            break
+    if best_score is not None and not diverged and iterations % cfg.val_every:
+        # The last iterate was not scored inside the loop.
+        if cfg.val_fn(w) > best_score:
+            best_w = w
+    final = w if best_score is None else best_w
+    g = op.matvec(final) - b
+    if trace is not None and not diverged:
+        trace.append(float(final @ g) - float(final @ b) + const)
+    return MergeResult(final, iterations, converged, diverged=diverged, step_warning=warning,
+                       residual=float(np.linalg.norm(g)), lambda_max=lam,
+                       objective_trace=trace)
+
+
 def fedfisher_gd(
     updates: list[ClientUpdate],
     cfg: ServerConfig | None = None,
     record_objective: bool = False,
 ) -> MergeResult:
-    """Curvature-weighted merge by gradient descent from the weighted mean.
-
-    Stops when the update norm falls below stop_tol * (1 + |W|) or after
-    t_max steps. With cfg.eta_s=None the step is 1 / (1.01 * lambda_max);
-    a manual step larger than 1 / lambda_max sets ``step_warning``.
-    """
-    cfg = cfg or ServerConfig()
-    d, op, b, const = _merge_problem(updates)
-    lam = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000)
-
-    w = fedavg(updates)
-    trace: list[float] | None = [] if record_objective else None
-
-    if cfg.eta_s is None:
-        if lam.value <= 0.0:
-            # No curvature anywhere: every point is stationary, keep the mean.
-            return MergeResult(w, 0, True, residual=float(np.linalg.norm(op.matvec(w) - b)),
-                               lambda_max=lam.value, objective_trace=trace)
-        eta = 1.0 / (1.01 * lam.value)
-        warning = False
-    else:
-        if cfg.eta_s <= 0:
-            raise ValueError(f"eta_s must be positive, got {cfg.eta_s}")
-        eta = cfg.eta_s
-        warning = lam.value > 0 and eta * lam.value > 1.0 + 1e-9
-
-    iterations = 0
-    converged = False
-    for _ in range(cfg.t_max):
-        g = op.matvec(w) - b
-        if trace is not None:
-            trace.append(float(w @ g) - float(w @ b) + const)
-        step = eta * g
-        w_next = w - step
-        if not np.all(np.isfinite(w_next)):
-            return MergeResult(w, iterations, False, diverged=True, step_warning=warning,
-                               residual=float(np.linalg.norm(g)), lambda_max=lam.value,
-                               objective_trace=trace)
-        w = w_next
-        iterations += 1
-        if np.linalg.norm(step) <= cfg.stop_tol * (1.0 + np.linalg.norm(w)):
-            converged = True
-            break
-    g = op.matvec(w) - b
-    if trace is not None:
-        trace.append(float(w @ g) - float(w @ b) + const)
-    return MergeResult(w, iterations, converged, step_warning=warning,
-                       residual=float(np.linalg.norm(g)), lambda_max=lam.value,
-                       objective_trace=trace)
-
-
-def fedfisher_adam(updates: list[ClientUpdate], cfg: ServerConfig | None = None) -> MergeResult:
-    """Curvature-weighted merge by Adam, keeping the best-validation iterate.
-
-    ``cfg.val_fn`` maps flat weights to a score (higher is better); it is
-    evaluated at the start, every ``cfg.val_every`` steps, and at the end.
-    Without a val_fn the final iterate is returned.
-    """
-    cfg = cfg or ServerConfig(optimizer="adam", t_max=2000)
-    d, op, b, _ = _merge_problem(updates)
-    eta = 0.01 if cfg.eta_s is None else cfg.eta_s
-    if eta <= 0:
-        raise ValueError(f"eta_s must be positive, got {eta}")
-
-    w = fedavg(updates)
-    best_w = w.copy()
-    best_score = cfg.val_fn(w) if cfg.val_fn is not None else None
-
-    m = np.zeros(d)
-    v = np.zeros(d)
-    iterations = 0
-    converged = False
-    for t in range(1, cfg.t_max + 1):
-        g = op.matvec(w) - b
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        step = eta * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        w_next = w - step
-        if not np.all(np.isfinite(w_next)):
-            return MergeResult(best_w if best_score is not None else w, iterations, False,
-                               diverged=True, residual=float(np.linalg.norm(g)))
-        w = w_next
-        iterations += 1
-        if best_score is not None and t % cfg.val_every == 0:
-            score = cfg.val_fn(w)
-            if score > best_score:
-                best_score, best_w = score, w.copy()
-        if np.linalg.norm(step) <= cfg.stop_tol * (1.0 + np.linalg.norm(w)):
-            converged = True
-            break
-    if best_score is not None:
-        score = cfg.val_fn(w)
-        if score > best_score:
-            best_score, best_w = score, w.copy()
-        final = best_w
-    else:
-        final = w
-    return MergeResult(final, iterations, converged,
-                       residual=float(np.linalg.norm(op.matvec(final) - b)))
+    """:func:`fedfisher_solve` with the gradient-descent step rule."""
+    return fedfisher_solve(updates, replace(cfg or ServerConfig(), optimizer="gd"), record_objective)
 
 
 def fisher_merge_diag(updates: list[ClientUpdate], floor: float = DEFAULT_FISHER_FLOOR) -> np.ndarray:
@@ -296,11 +273,6 @@ def merge_updates(method: str, updates: list[ClientUpdate], cfg: ServerConfig) -
     if method == METHOD_FISHERMERGE:
         return fisher_merge_diag(updates), None
     if method in (METHOD_FULL, METHOD_DIAG, METHOD_KFAC):
-        if cfg.optimizer == "adam":
-            result = fedfisher_adam(updates, cfg)
-        elif cfg.optimizer == "gd":
-            result = fedfisher_gd(updates, cfg)
-        else:
-            raise ValueError(f"unknown server optimizer {cfg.optimizer!r}")
+        result = fedfisher_solve(updates, cfg)
         return result.weights, result
     raise ValueError(f"unknown method {method!r}, expected one of {VALID_METHODS}")

@@ -93,7 +93,7 @@ class ExperimentConfig:
     eta: float = 0.01
     momentum: float = 0.9
     epochs_or_steps: int = 30
-    batch_size: int = 64  # 0 means full batch
+    batch_size: int = 64  # 0 means full batch; the synthetic tasks allow only 0
     # [server]
     optimizer: str = "adam"
     eta_s: float | None = 0.01  # None: auto step for gd
@@ -266,6 +266,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
     # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
     synthetic = cfg.task in ("synthetic-width", "synthetic-steps")
+    if synthetic and cfg.batch_size != 0:
+        raise ConfigError(f"task {cfg.task} trains full batch: batch_size must be 0, "
+                          f"got {cfg.batch_size}")
     misfit = agg.METHOD_KFAC if synthetic else agg.METHOD_FULL
     if misfit in cfg.methods:
         net = "two-layer net" if synthetic else "MLP"

@@ -48,6 +48,10 @@ def _element_bits(s_q: int) -> int:
     return 32 // int(s_q)
 
 
+def _quantized_bits(n: int, s_q: int) -> int:
+    return n * _element_bits(s_q) + 32
+
+
 def level_count(s_q: int) -> int:
     """Number of positive quantization levels l_q for a compression factor."""
     return 2 ** (_element_bits(s_q) - 1) - 1
@@ -166,7 +170,7 @@ def bit_cost(obj) -> int:
     parts.
     """
     if isinstance(obj, QuantizedVector):
-        return obj.n * _element_bits(obj.s_q) + 32
+        return _quantized_bits(obj.n, obj.s_q)
     if isinstance(obj, CompressedFactor):
         return bit_cost(obj.qu) + bit_cost(obj.qs) + bit_cost(obj.qvt)
     if isinstance(obj, CompressedKFACLayer):
@@ -218,12 +222,11 @@ def decompress_kfac(c: CompressedKFAC) -> KFACFisher:
 
 
 def _plan_bits(layer_dims: list[tuple[int, int]], l_v: list[int], s_q: int) -> int:
-    eb = _element_bits(s_q)
-    total = 0
-    for (da, db), l in zip(layer_dims, l_v):
-        total += eb * (2 * da * l + l) + 3 * 32  # factor A: u, s, vt payloads
-        total += eb * (2 * db * l + l) + 3 * 32  # factor B
-    return total
+    # Every factor (A and B of each layer) sends its u, s and vt payloads.
+    return sum(_quantized_bits(n, s_q)
+               for (da, db), l in zip(layer_dims, l_v)
+               for dim in (da, db)
+               for n in (dim * l, l, l * dim))
 
 
 def kfac_budget_plan(layer_dims: list[tuple[int, int]], d: int, s_q: int) -> BudgetPlan:

@@ -5,16 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oneshot_fl import cli, models
+from oneshot_fl import aggregate, cli, models
 from oneshot_fl.aggregate import (
     ClientUpdate,
     METHOD_FEDAVG,
     METHOD_FULL,
     ServerConfig,
-    estimate_lmax,
     fedavg,
-    fedfisher_adam,
     fedfisher_gd,
+    fedfisher_solve,
     fisher_merge_diag,
     merge_updates,
 )
@@ -59,28 +58,30 @@ class TestFedavg:
 
 
 class TestEstimateLmax:
+    """lambda_max of the coefficient-weighted curvature sum, as the GD server
+    estimates it for its auto step."""
+
     def test_diag_hand_example(self):
         updates = [
             ClientUpdate(np.zeros(2), DiagFisher(np.array([1.0, 2.0]))),
             ClientUpdate(np.zeros(2), DiagFisher(np.array([3.0, 0.0]))),
         ]
-        res = estimate_lmax(updates)
-        assert res.value == pytest.approx(4.0, rel=1e-8)
+        assert fedfisher_gd(updates).lambda_max == pytest.approx(4.0, rel=1e-8)
 
     def test_all_zero(self):
         updates = [ClientUpdate(np.zeros(3), DiagFisher(np.zeros(3)))]
-        assert estimate_lmax(updates).value == 0.0
+        assert fedfisher_gd(updates).lambda_max == 0.0
 
     def test_matches_dense_oracle(self):
         for seed in range(10):
             updates, dense = _rand_instance(seed)
             want = np.linalg.eigvalsh(sum(dense))[-1]
-            got = estimate_lmax(updates).value
+            got = fedfisher_gd(updates, ServerConfig(t_max=0)).lambda_max
             assert got == pytest.approx(want, rel=1e-3)
 
     def test_missing_fisher_rejected(self):
         with pytest.raises(ValueError):
-            estimate_lmax([ClientUpdate(np.zeros(2))])
+            fedfisher_gd([ClientUpdate(np.zeros(2))])
 
 
 class TestFedfisherGd:
@@ -191,6 +192,9 @@ class TestFedfisherGd:
 
 
 class TestFedfisherAdam:
+    """The Adam step rule of the server loop, and the validation choice it
+    shares with GD."""
+
     def test_agrees_with_gd_on_determined_instance(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal((2, 2))
@@ -200,7 +204,7 @@ class TestFedfisherAdam:
             ClientUpdate(rng.standard_normal(2), FullFisher(f)),
         ]
         gd = fedfisher_gd(updates, ServerConfig(stop_tol=1e-13))
-        adam = fedfisher_adam(updates, ServerConfig(optimizer="adam", t_max=20_000, stop_tol=1e-13))
+        adam = fedfisher_solve(updates, ServerConfig(optimizer="adam", t_max=20_000, stop_tol=1e-13))
         assert np.linalg.norm(adam.weights - gd.weights) <= 1e-3
 
     def test_zero_fishers_stay_at_mean(self):
@@ -208,27 +212,30 @@ class TestFedfisherAdam:
             ClientUpdate(np.array([1.0, 3.0]), DiagFisher(np.zeros(2))),
             ClientUpdate(np.array([3.0, 5.0]), DiagFisher(np.zeros(2))),
         ]
-        res = fedfisher_adam(updates, ServerConfig(optimizer="adam", t_max=100))
+        res = fedfisher_solve(updates, ServerConfig(optimizer="adam", t_max=100))
         assert np.allclose(res.weights, [2.0, 4.0])
 
     def test_no_val_fn_returns_final_iterate(self):
         updates, _ = _rand_instance(31)
         cfg = ServerConfig(optimizer="adam", t_max=50, stop_tol=0.0 + 1e-300)
-        res = fedfisher_adam(updates, cfg)
+        res = fedfisher_solve(updates, cfg)
         assert res.iterations == 50
 
-    def test_val_fn_keeps_best_iterate(self):
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    def test_val_fn_keeps_best_iterate(self, optimizer):
         # A validation score that prefers the starting mean must win over
-        # every later iterate.
-        updates, _ = _rand_instance(32)
+        # every later iterate. Two clients, so the iterates do leave the mean.
+        updates, _ = _rand_instance(35)
         mean = fedavg(updates)
         cfg = ServerConfig(
-            optimizer="adam",
+            optimizer=optimizer,
             t_max=30,
             val_every=10,
             val_fn=lambda w: -float(np.linalg.norm(w - mean)),
         )
-        res = fedfisher_adam(updates, cfg)
+        moved = fedfisher_solve(updates, replace(cfg, val_fn=None)).weights
+        assert not np.allclose(moved, mean)
+        res = fedfisher_solve(updates, cfg)
         assert np.allclose(res.weights, mean)
 
     def test_val_fn_can_select_late_iterate(self):
@@ -241,9 +248,20 @@ class TestFedfisherAdam:
             val_every=100,
             val_fn=lambda w: -float(np.linalg.norm(f_sum @ w - b)),
         )
-        res = fedfisher_adam(updates, cfg)
+        res = fedfisher_solve(updates, cfg)
         start = np.linalg.norm(f_sum @ fedavg(updates) - b)
         assert np.linalg.norm(f_sum @ res.weights - b) < start
+
+    def test_runs_no_power_iteration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Adam server must not estimate lambda_max")
+
+        monkeypatch.setattr(aggregate, "power_iteration_max_eig", forbidden)
+        updates, _ = _rand_instance(31)
+        cfg = ServerConfig(optimizer="adam", t_max=20, stop_tol=1e-300)
+        _, res = merge_updates("fedfisher-diag", updates, cfg)
+        assert res.iterations == 20
+        assert np.isnan(res.lambda_max)
 
 
 class TestFisherMergeDiag:

@@ -216,6 +216,17 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert "two-layer net" in capsys.readouterr().err
 
+    def test_batch_size_rejected_on_synthetic(self, tmp_path, capsys):
+        # The synthetic sweeps always train full batch; a batch size would do nothing.
+        out = tmp_path / "x.csv"
+        for task in ("synthetic-width", "synthetic-steps"):
+            code = cli.main([task, "--batch-size", "10", "--seed-list", "0", "--widths", "8",
+                             "--steps-list", "4", "--methods", "fedavg", "--no-timing",
+                             "--out", str(out)])
+            assert code == cli.EXIT_CONFIG
+            assert "batch_size must be 0" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_dense_curvature_size_cap(self):
         cfg = replace(default_config("synthetic-width"), widths=[1024], dim=4)
         with pytest.raises(ConfigError, match="width\\*dim"):

@@ -1,0 +1,54 @@
+"""Code outside the package that calls into it: the benchmark and the demos.
+
+``bench/`` wraps package functions by name for its per-layer trace and builds
+its configs through the CLI; the demos import the public API directly.
+Nothing else in the suite runs them, so a refactor that renames or drops a
+name they use would break ``--trace 1`` or a demo silently. These tests only
+read ``bench/`` and ``demos/``.
+"""
+
+import importlib.util
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+import oneshot_fl
+from oneshot_fl import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_resolves():
+    tracing = _bench_module("tracing")
+    for module, function in tracing.SPANS:
+        fn = getattr(getattr(oneshot_fl, module), function, None)
+        assert callable(fn), f"bench traces oneshot_fl.{module}.{function}, which is gone"
+    with tracing.Tracer().installed():
+        for module, function in tracing.SPANS:
+            wrapped = getattr(getattr(oneshot_fl, module), function)
+            assert hasattr(wrapped, "__wrapped__"), f"{module}.{function} was not wrapped"
+
+
+def test_every_workload_config_validates():
+    workloads = _bench_module("workloads")
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        assert callable(getattr(cli, workload.runner))
+        cfg = workloads.build_config(cli, workload, 0)
+        assert cfg.seeds == [0]
+
+
+@pytest.mark.parametrize("demo", ["01_merge_two_quadratics.py", "04_payload_compression.py"])
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    assert capsys.readouterr().out
