@@ -6,12 +6,33 @@ iterations whose gradient is sum_i c_i * F_i @ (W - W_i). Client coefficients
 c_i = M * n_i / N reduce to 1 for equal sample counts, so the equal case is
 the plain unweighted sum of curvature matvecs.
 
-One loop (``fedfisher_solve``) runs from the weighted mean with one of two
+One solver (``fedfisher_solve``) runs from the weighted mean with one of two
 step rules: gradient descent or Adam. Both keep the best-validation iterate
 when given a validation score. Only gradient descent estimates lambda_max,
 by power iteration on the summed operator: its auto step 1 / (1.01 *
 lambda_max) makes the quadratic objective non-increasing, and the iterates
 converge to the minimum-norm projection of the mean onto the stationary set.
+
+Fixed-step gradient descent from the mean W0 is a spectral filter (the
+Landweber iteration): with F the summed curvature and g0 = F W0 - b, the
+iterate after t steps is W_t = W0 - filt_t(F) g0 with
+filt_t(lambda) = (1 - (1 - eta * lambda)^t) / lambda. Directions with
+eta * lambda * t >> 1 reach the minimizer; flat ones keep the mean. So
+(eta_s, t_max) act as a regularizer, and on ill-conditioned curvature the
+returned merge is this filtered mean, not the minimizer of the objective.
+The loss trend over width in the synthetic sweep comes from it.
+
+When the summed curvature has a dense part, gradient descent does not step
+at all: W_t lies in the Krylov space of F and g0, whose dimension is at most
+the rank of F, so a Lanczos basis of that space gives every W_t, the stop
+test, the objective and the validation iterates from the Ritz pairs of a
+small tridiagonal matrix (at most min(t_max, d) matvecs instead of t_max).
+On trained width-sweep merges (widths 32-512, seed 0) the weights differ
+from the step-by-step loop's by at most 1.5e-15 relative at eta_s = 0.001,
+t_max = 1000 and 9.4e-13 at the auto step with t_max = 10 000. Adam, and
+gradient descent on diagonal or K-FAC curvature, run the step-by-step loop:
+a basis of up to t_max vectors of length d would outgrow their O(d)
+payloads, while a dense payload already holds d * d numbers.
 """
 
 from __future__ import annotations
@@ -37,6 +58,18 @@ DEFAULT_FISHER_FLOOR = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.99
 ADAM_EPS = 0.01
+
+# The Lanczos basis ends at an invariant subspace once a new direction's norm
+# falls below this fraction of the largest recurrence coefficient so far.
+# Once the Krylov space is exhausted, the reorthogonalized remainder is
+# rounding noise, 1e-17 to 1e-16 of that scale on trained width-sweep merges,
+# while their last genuine directions measured 1e-11 and above. Dropping a
+# coupling beta moves the t-step iterate by at most eta * t * beta times its
+# distance from the mean.
+LANCZOS_BREAKDOWN = 1e-14
+# Steps times Ritz values evaluated at once when sweeping t = 1 .. t_max;
+# bounds the sweep's scratch memory at a few 256 KiB blocks.
+_SWEEP_BLOCK = 1 << 15
 
 
 @dataclass
@@ -152,6 +185,98 @@ def _merge_problem(updates: list[ClientUpdate]):
     return d, op, b, const
 
 
+def _landweber(theta: np.ndarray, eta: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - eta*theta)^t and filt_t(theta) = (1 - (1 - eta*theta)^t) / theta.
+
+    ``t`` broadcasts against ``theta``. Below eta*theta = 1/2 both come from
+    log1p/expm1, accurate for tiny |theta|; filt_t(0) = eta * t. Above it
+    the power is taken directly, which also covers a negative base.
+    """
+    x = eta * theta
+    with np.errstate(all="ignore"):
+        log_q = t * np.log1p(-np.minimum(x, 0.5))
+        smooth = x < 0.5
+        decay = np.where(smooth, np.exp(log_q), np.power(1.0 - x, t))
+        filt = np.where(smooth, -np.expm1(log_q), 1.0 - decay) / theta
+    return decay, np.where(theta == 0.0, eta * t, filt)
+
+
+class _KrylovGD:
+    """Every fixed-step GD iterate W_t = W0 - filt_t(F) g0, t <= t_max, from
+    a Lanczos basis of the Krylov space of F and g0 = F W0 - b.
+
+    The basis (rows of ``q``, fully reorthogonalized) has at most
+    min(t_max, d) vectors, enough for the degree t_max - 1 polynomials that
+    give W_t and the gradient before step t. With T = S diag(theta) S^T the
+    projected operator and z = |g0| S^T e1, W_t = W0 - q^T S (filt_t(theta) z)
+    and the objective at W_t is f(W0) - sum_j filt_2t(theta_j) z_j^2.
+    """
+
+    def __init__(self, matvec, g0: np.ndarray, w0: np.ndarray, eta: float, t_max: int):
+        self.w0, self.eta, self.t_max = w0, eta, t_max
+        beta0 = float(np.linalg.norm(g0))
+        k_max = min(t_max, w0.size) if beta0 > 0.0 else 0
+        q = np.empty((k_max, w0.size))
+        alpha: list[float] = []
+        beta: list[float] = []
+        scale = 0.0
+        if k_max:
+            q[0] = g0 / beta0
+        for j in range(k_max):
+            v = matvec(q[j])
+            alpha.append(float(q[j] @ v))
+            if j + 1 == k_max:
+                break
+            v -= alpha[-1] * q[j] + (beta[-1] * q[j - 1] if j else 0.0)
+            v -= q[: j + 1].T @ (q[: j + 1] @ v)  # full reorthogonalization
+            b = float(np.linalg.norm(v))
+            scale = max(scale, abs(alpha[-1]), b)
+            if b <= LANCZOS_BREAKDOWN * scale:
+                break
+            beta.append(b)
+            q[j + 1] = v / b
+        self.q = q[: len(alpha)]
+        tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        self.theta, self.ritz = np.linalg.eigh(tri)
+        self.z = beta0 * self.ritz[:1].reshape(-1)  # first row; empty with no basis
+        coords = self.q @ w0
+        self.a = self.ritz.T @ coords  # W0's part inside the basis, in Ritz coordinates
+        self.perp2 = float(np.sum((w0 - self.q.T @ coords) ** 2))
+
+    def _blocks(self, stop: int):
+        rows = max(1, _SWEEP_BLOCK // max(self.theta.size, 1))
+        for start in range(0, stop, rows):
+            yield np.arange(start, min(start + rows, stop), dtype=np.float64)[:, None]
+
+    def weights(self, t: int) -> np.ndarray:
+        filt = _landweber(self.theta, self.eta, t)[1]
+        return self.w0 - self.q.T @ (self.ritz @ (filt * self.z))
+
+    def run(self, stop_tol: float) -> tuple[int, bool, bool]:
+        """(iterations, converged, diverged) of the loop's stop test
+        |eta g_(t-1)| <= stop_tol (1 + |W_t|); divergence, as in the loop, is
+        the first step whose norm or iterate norm overflows."""
+        for s in self._blocks(self.t_max):
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = _landweber(self.theta, self.eta, s)[0] * self.z  # g_(t-1), Ritz coordinates
+                step = self.eta * np.sqrt(np.sum(grad**2, axis=1))
+                filt = _landweber(self.theta, self.eta, s + 1)[1]
+                norm_w = np.sqrt(self.perp2 + np.sum((self.a - filt * self.z) ** 2, axis=1))
+            finite = np.isfinite(step) & np.isfinite(norm_w)
+            hit = np.flatnonzero(~finite | (step <= stop_tol * (1.0 + norm_w)))
+            if hit.size:
+                i = hit[0]
+                t = int(s[i, 0]) + 1
+                return (t, True, False) if finite[i] else (t - 1, False, True)
+        return self.t_max, False, False
+
+    def objectives(self, count: int, f0: float) -> list[float]:
+        """The objective at W_0 .. W_(count-1)."""
+        z2 = self.z**2
+        return [f0 - float(v) for s in self._blocks(count)
+                for v in _landweber(self.theta, self.eta, 2 * s)[1] @ z2]
+
+
 def fedfisher_solve(
     updates: list[ClientUpdate],
     cfg: ServerConfig | None = None,
@@ -161,7 +286,9 @@ def fedfisher_solve(
 
     One loop serves both step rules of ``cfg.optimizer``: ``"gd"`` steps by
     eta * g, ``"adam"`` by the bias-corrected Adam update. Stops when the
-    step norm falls below stop_tol * (1 + |W|) or after t_max steps. GD with
+    step norm falls below stop_tol * (1 + |W|) or after t_max steps. GD on
+    curvature with a dense part takes no steps: :class:`_KrylovGD` evaluates
+    the same iterates, stop test, objectives and validation choice. GD with
     cfg.eta_s=None steps by 1 / (1.01 * lambda_max); a manual GD step larger
     than 1 / lambda_max sets ``step_warning``. Adam runs no power iteration,
     so its ``lambda_max`` stays NaN. With ``cfg.val_fn`` (flat weights to a
@@ -196,37 +323,53 @@ def fedfisher_solve(
 
     best_w = w
     best_score = cfg.val_fn(w) if cfg.val_fn is not None else None
+
+    def offer(w_t: np.ndarray) -> None:
+        nonlocal best_w, best_score
+        score = cfg.val_fn(w_t)
+        if score > best_score:
+            best_score, best_w = score, w_t
+
     iterations = 0
     converged = diverged = False
-    for t in range(1, cfg.t_max + 1):
+    if cfg.optimizer == "gd" and op.dense is not None:
         g = op.matvec(w) - b
+        path = _KrylovGD(op.matvec, g, w, eta, cfg.t_max)
+        iterations, converged, diverged = path.run(cfg.stop_tol)
         if trace is not None:
-            trace.append(float(w @ g) - float(w @ b) + const)
-        if cfg.optimizer == "adam":
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            step = eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        else:
-            step = eta * g
-        w_next = w - step
-        if not np.all(np.isfinite(w_next)):
-            diverged = True
-            break
-        w = w_next
-        iterations = t
-        if best_score is not None and t % cfg.val_every == 0:
-            score = cfg.val_fn(w)
-            if score > best_score:
-                best_score, best_w = score, w
-        if np.linalg.norm(step) <= cfg.stop_tol * (1.0 + np.linalg.norm(w)):
-            converged = True
-            break
+            trace.extend(path.objectives(iterations + diverged,
+                                         float(w @ g) - float(w @ b) + const))
+        if best_score is not None:
+            for t in range(cfg.val_every, iterations + 1, cfg.val_every):
+                offer(path.weights(t))
+        w = path.weights(iterations)
+    else:
+        for t in range(1, cfg.t_max + 1):
+            g = op.matvec(w) - b
+            if trace is not None:
+                trace.append(float(w @ g) - float(w @ b) + const)
+            if cfg.optimizer == "adam":
+                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+                m_hat = m / (1.0 - ADAM_BETA1**t)
+                v_hat = v / (1.0 - ADAM_BETA2**t)
+                step = eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            else:
+                step = eta * g
+            w_next = w - step
+            step_norm, w_norm = np.linalg.norm(step), np.linalg.norm(w_next)
+            if not np.isfinite(step_norm + w_norm):  # an entry or a norm overflowed
+                diverged = True
+                break
+            w = w_next
+            iterations = t
+            if best_score is not None and t % cfg.val_every == 0:
+                offer(w)
+            if step_norm <= cfg.stop_tol * (1.0 + w_norm):
+                converged = True
+                break
     if best_score is not None and not diverged and iterations % cfg.val_every:
-        # The last iterate was not scored inside the loop.
-        if cfg.val_fn(w) > best_score:
-            best_w = w
+        offer(w)  # the last iterate was not scored inside the loop
     final = w if best_score is None else best_w
     g = op.matvec(final) - b
     if trace is not None and not diverged:

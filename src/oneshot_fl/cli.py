@@ -103,7 +103,7 @@ class ExperimentConfig:
     # [run]
     methods: list[str] = field(default_factory=lambda: [agg.METHOD_FEDAVG, agg.METHOD_DIAG])
     seeds: list[int] = field(default_factory=lambda: list(range(5)))
-    widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256, 512])
+    widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256, 512])  # synthetic-width
     steps_list: list[int] = field(default_factory=lambda: [2**k for k in range(4, 13)])
     rounds: int = 3
     out: str = ""
@@ -127,7 +127,7 @@ def default_config(task: str) -> ExperimentConfig:
         )
     if task == "synthetic-steps":
         cfg = default_config("synthetic-width")
-        return replace(cfg, task=task, width=512, seeds=list(range(10)))
+        return replace(cfg, task=task, width=512, widths=[], seeds=list(range(10)))
     if task == "one-shot":
         return ExperimentConfig(task=task)
     if task == "few-shot":
@@ -257,10 +257,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
     if cfg.rounds < 1:
         raise ConfigError(f"rounds must be at least 1, got {cfg.rounds}")
+    if not cfg.eta > 0:
+        raise ConfigError(f"eta must be positive, got {cfg.eta}")
+    if cfg.eta_s is not None and not cfg.eta_s > 0:
+        raise ConfigError(f"eta_s must be positive or 'auto', got {cfg.eta_s}")
+    for name in ("epochs_or_steps", "t_max", "stop_tol"):
+        if not getattr(cfg, name) >= 0:
+            raise ConfigError(f"{name} must be nonnegative, got {getattr(cfg, name)}")
     if cfg.task == "synthetic-width" and not cfg.widths:
         raise ConfigError("width sweep needs at least one width")
     if cfg.task == "synthetic-steps" and not cfg.steps_list:
         raise ConfigError("step sweep needs at least one step count")
+    if cfg.task == "synthetic-steps" and cfg.widths:
+        raise ConfigError("synthetic-steps trains at [model] width; widths applies to "
+                          "synthetic-width only")
     if cfg.task == "compress-bench" and not cfg.s_q_list:
         raise ConfigError("compression sweep needs at least one s_q value")
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,

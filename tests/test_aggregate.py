@@ -185,6 +185,17 @@ class TestFedfisherGd:
         assert fedfisher_gd(base).weights[0] == pytest.approx(2.0, abs=1e-9)
         assert fedfisher_gd(skew).weights[0] == pytest.approx(3.0, abs=1e-9)
 
+    def test_divergence_is_not_convergence(self):
+        # Once the iterate's norm overflows, the stop test compares inf with
+        # inf; the step-by-step loop must report divergence, not convergence.
+        updates = [ClientUpdate(np.array([1.0, -1.0]), DiagFisher(np.array([2.0, 1.0]))),
+                   ClientUpdate(np.array([0.0, 1.0]), DiagFisher(np.array([1.0, 1.0])))]
+        # lambda_max = 3, so eta * lambda_max = 2.4 > 2.
+        res = fedfisher_gd(updates, ServerConfig(eta_s=0.8, t_max=5000), record_objective=True)
+        assert res.diverged and not res.converged
+        assert np.all(np.isfinite(res.weights))
+        assert len(res.objective_trace) == res.iterations + 1
+
     def test_invalid_eta_rejected(self):
         updates = [ClientUpdate(np.zeros(2), DiagFisher(np.ones(2)))]
         with pytest.raises(ValueError):
@@ -262,6 +273,193 @@ class TestFedfisherAdam:
         _, res = merge_updates("fedfisher-diag", updates, cfg)
         assert res.iterations == 20
         assert np.isnan(res.lambda_max)
+
+
+def _dense(f):
+    return f.matrix if isinstance(f, FullFisher) else np.diag(f.diag)
+
+
+def _stepwise_gd(updates, eta, t_max, stop_tol, val_fn=None, val_every=1):
+    """Reference for the Krylov evaluation: fixed-step GD from the weighted
+    mean on the dense summed curvature, one matvec per step, with the
+    solver's stop test, objective trace and validation choice."""
+    counts = np.array([u.n_examples for u in updates], dtype=np.float64)
+    coeffs = counts * len(updates) / counts.sum()
+    f_sum = sum(c * _dense(u.fisher) for c, u in zip(coeffs, updates))
+    b = sum(c * _dense(u.fisher) @ u.weights for c, u in zip(coeffs, updates))
+    const = sum(c * u.weights @ _dense(u.fisher) @ u.weights for c, u in zip(coeffs, updates))
+    w = fedavg(updates)
+    best_w, best = w, (val_fn(w) if val_fn else None)
+    trace, iterations, converged, diverged = [], 0, False, False
+    for t in range(1, t_max + 1):
+        g = f_sum @ w - b
+        trace.append(float(w @ g) - float(w @ b) + const)
+        step = eta * g
+        step_norm, w_norm = np.linalg.norm(step), np.linalg.norm(w - step)
+        if not np.isfinite(step_norm + w_norm):
+            diverged = True
+            break
+        w, iterations = w - step, t
+        if val_fn and t % val_every == 0 and val_fn(w) > best:
+            best, best_w = val_fn(w), w
+        if step_norm <= stop_tol * (1.0 + w_norm):
+            converged = True
+            break
+    if val_fn and not diverged and iterations % val_every and val_fn(w) > best:
+        best_w = w
+    final = best_w if val_fn else w
+    if not diverged:
+        trace.append(float(final @ (f_sum @ final - b)) - float(final @ b) + const)
+    return dict(weights=final, iterations=iterations, converged=converged,
+                diverged=diverged, trace=trace)
+
+
+def _rank_deficient(kind, count=3):
+    """The first ``count`` instances whose curvature is all dense or mixed."""
+    found = []
+    for seed in range(100):
+        updates, _ = _rand_instance(seed)
+        dense = [isinstance(u.fisher, FullFisher) for u in updates]
+        if (all(dense) and len(dense) > 1) if kind == "dense" else (any(dense) and not all(dense)):
+            found.append(updates)
+        if len(found) == count:
+            return found
+    raise AssertionError(f"no {kind} instances")
+
+
+@pytest.fixture(scope="module")
+def width_512_merge():
+    """Two clients of the width sweep at width 512 (d = 1024), trained 128 steps."""
+    cfg = replace(cli.default_config("synthetic-width"), epochs_or_steps=128)
+    data = gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, 0)
+    init = init_two_layer(512, cfg.dim, cfg.kappa, [0, 512, 7])
+    rnd = cli.train_round(cfg, data, [init] * 2, cli._full_batch(cfg, data, 128), 0, 0)
+    return [cli.client_update(m, data.client_data(i)[0], METHOD_FULL, cfg)[0]
+            for i, m in enumerate(rnd.trained)]
+
+
+def _lambda_max(updates):
+    return fedfisher_gd(updates, ServerConfig(t_max=0)).lambda_max
+
+
+class TestKrylovGd:
+    """GD on curvature with a dense part is evaluated in a Lanczos basis;
+    it must report what the step-by-step loop would have."""
+
+    def _assert_same(self, updates, cfg, record=True):
+        got = fedfisher_gd(updates, cfg, record_objective=record)
+        want = _stepwise_gd(updates, cfg.eta_s, cfg.t_max, cfg.stop_tol, cfg.val_fn,
+                            cfg.val_every)
+        scale = max(np.linalg.norm(want["weights"]), 1e-12)
+        assert np.linalg.norm(got.weights - want["weights"]) <= 1e-10 * scale
+        assert got.converged == want["converged"]
+        assert got.diverged == want["diverged"]
+        assert abs(got.iterations - want["iterations"]) <= 1
+        if record and got.iterations == want["iterations"]:
+            trace = np.array(want["trace"])
+            assert np.allclose(got.objective_trace, trace, rtol=1e-9,
+                               atol=1e-12 * max(1.0, np.abs(trace).max()))
+        return got, want
+
+    @pytest.mark.parametrize("kind", ["dense", "mixed"])
+    def test_matches_stepwise_loop_on_rank_deficient(self, kind):
+        for updates in _rank_deficient(kind):
+            lam = _lambda_max(updates)
+            got, _ = self._assert_same(updates, ServerConfig(eta_s=1 / (1.01 * lam),
+                                                             t_max=5000, stop_tol=1e-12))
+            assert got.converged
+            got, _ = self._assert_same(updates, ServerConfig(eta_s=0.3 / lam, t_max=40))
+            assert got.iterations == 40 and not got.converged
+
+    def test_matches_stepwise_loop_on_trained_width_512(self, width_512_merge):
+        got, _ = self._assert_same(width_512_merge, ServerConfig(eta_s=0.001, t_max=1000))
+        assert got.iterations == 1000
+        lam = _lambda_max(width_512_merge)
+        self._assert_same(width_512_merge, ServerConfig(eta_s=1 / (1.01 * lam), t_max=2000))
+
+    def test_same_validation_choice(self, width_512_merge):
+        # A score that peaks at the 40th iterate: both must return it.
+        lam = _lambda_max(width_512_merge)
+        eta = 1 / (1.01 * lam)
+        target = _stepwise_gd(width_512_merge, eta, 40, 0.0)["weights"]
+        cfg = ServerConfig(eta_s=eta, t_max=100, stop_tol=0.0, val_every=10,
+                           val_fn=lambda w: -float(np.linalg.norm(w - target)))
+        got, _ = self._assert_same(width_512_merge, cfg, record=False)
+        assert np.linalg.norm(got.weights - target) <= 1e-10 * np.linalg.norm(target)
+
+    @pytest.mark.parametrize("kind", ["dense", "mixed"])
+    def test_divergence_flagged_above_two_over_lambda(self, kind):
+        for updates in _rank_deficient(kind, count=2):
+            lam = _lambda_max(updates)
+            got = fedfisher_gd(updates, ServerConfig(eta_s=2.5 / lam, t_max=5000),
+                               record_objective=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _stepwise_gd(updates, 2.5 / lam, 5000, 1e-10)
+            assert got.diverged and want["diverged"]
+            assert abs(got.iterations - want["iterations"]) <= 1
+            assert len(got.objective_trace) == got.iterations + 1  # one per step tried
+            assert not got.converged and got.step_warning
+            assert np.all(np.isfinite(got.weights))
+
+
+class TestServerMatvecCount:
+    """The Krylov evaluation needs about rank(F) operator applications; the
+    step-by-step loop needs one per step."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = {"all": 0, "power": 0}
+        matvec = aggregate._SummedCurvature.matvec
+        power = aggregate.power_iteration_max_eig
+
+        def counted_matvec(self, v):
+            calls["all"] += 1
+            return matvec(self, v)
+
+        def counted_power(apply, *args, **kwargs):
+            before = calls["all"]
+            result = power(apply, *args, **kwargs)
+            calls["power"] += calls["all"] - before
+            return result
+
+        monkeypatch.setattr(aggregate._SummedCurvature, "matvec", counted_matvec)
+        monkeypatch.setattr(aggregate, "power_iteration_max_eig", counted_power)
+        return calls
+
+    def test_dense_merge_scales_with_rank_not_steps(self, count):
+        rng = np.random.default_rng(7)
+        d, n = 1024, 100
+        updates = []
+        for _ in range(2):  # rank <= n each, decaying spectrum like a trained net's
+            phi = rng.standard_normal((n, d)) / (1.0 + np.arange(n))[:, None]
+            updates.append(ClientUpdate(rng.standard_normal(d), FullFisher(phi.T @ phi / n), n))
+        res = fedfisher_gd(updates, ServerConfig(t_max=1000, stop_tol=0.0))
+        assert res.iterations == 1000
+        # The Lanczos basis spans range(F), rank <= 2n, plus a few directions
+        # of g0's rounding error outside it; then the start gradient and the
+        # final residual. The loop would take 1000 + 2.
+        assert count["all"] - count["power"] <= 2 * n + 10
+
+    @pytest.mark.parametrize("method, optimizer", [
+        ("fedfisher-diag", "gd"), ("fedfisher-kfac", "gd"), ("fedfisher-full", "adam"),
+    ])
+    def test_loop_paths_apply_operator_once_per_step(self, count, method, optimizer):
+        rng = np.random.default_rng(8)
+        if method == "fedfisher-kfac":
+            fishers = []
+            for _ in range(2):
+                ga, gb = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
+                fishers.append(KFACFisher([KFACLayer(ga @ ga.T, gb @ gb.T)]))
+        elif method == "fedfisher-diag":
+            fishers = [DiagFisher(rng.random(6)) for _ in range(2)]
+        else:
+            fishers = [FullFisher(np.diag(rng.random(6))) for _ in range(2)]
+        updates = [ClientUpdate(rng.standard_normal(6), f) for f in fishers]
+        _, res = merge_updates(method, updates, ServerConfig(optimizer=optimizer, t_max=50,
+                                                             stop_tol=0.0))
+        assert res.iterations == 50
+        assert count["all"] - count["power"] == 50 + 1  # one per step, one final residual
+        assert (count["power"] > 0) == (optimizer == "gd")
 
 
 class TestFisherMergeDiag:

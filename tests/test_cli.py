@@ -219,13 +219,53 @@ class TestValidation:
     def test_batch_size_rejected_on_synthetic(self, tmp_path, capsys):
         # The synthetic sweeps always train full batch; a batch size would do nothing.
         out = tmp_path / "x.csv"
-        for task in ("synthetic-width", "synthetic-steps"):
-            code = cli.main([task, "--batch-size", "10", "--seed-list", "0", "--widths", "8",
-                             "--steps-list", "4", "--methods", "fedavg", "--no-timing",
-                             "--out", str(out)])
+        for task, sweep in (("synthetic-width", "--widths"), ("synthetic-steps", "--steps-list")):
+            code = cli.main([task, "--batch-size", "10", "--seed-list", "0", sweep, "8",
+                             "--methods", "fedavg", "--no-timing", "--out", str(out)])
             assert code == cli.EXIT_CONFIG
             assert "batch_size must be 0" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--eta", "0"], ["--eta", "-0.1"], ["--eta-s", "0"], ["--eta-s", "-1"],
+        ["--epochs", "-1"], ["--t-max", "-5"],
+    ])
+    def test_nonpositive_steps_and_counts_rejected(self, flags, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(["synthetic-width", "--widths", "8", "--seed-list", "0",
+                         "--methods", "fedavg", "--no-timing", "--out", str(out), *flags])
+        assert code == cli.EXIT_CONFIG
+        name = {"--eta": "eta", "--eta-s": "eta_s", "--epochs": "epochs_or_steps",
+                "--t-max": "t_max"}[flags[0]]
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_stop_tol_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[server]\nstop_tol = -1e-10\n")
+        code = cli.main(["synthetic-width", "--config", str(path), "--widths", "8",
+                         "--seed-list", "0", "--no-timing", "--out", str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert "stop_tol must be nonnegative" in capsys.readouterr().err
+
+    def test_auto_and_zero_counts_accepted(self):
+        validate_config(replace(default_config("synthetic-width"), eta_s=None,
+                                epochs_or_steps=0, t_max=0, stop_tol=0.0))
+
+    def test_widths_rejected_on_steps_sweep(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(["synthetic-steps", "--widths", "8", "--steps-list", "4",
+                         "--seed-list", "0", "--methods", "fedavg", "--no-timing",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "widths applies to synthetic-width only" in capsys.readouterr().err
+        assert not out.exists()
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nwidths = 8\n")
+        code = cli.main(["synthetic-steps", "--config", str(path), "--no-timing",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "widths applies to synthetic-width only" in capsys.readouterr().err
 
     def test_dense_curvature_size_cap(self):
         cfg = replace(default_config("synthetic-width"), widths=[1024], dim=4)
@@ -413,9 +453,8 @@ class TestStepsSweepCommand:
     def test_row_count_and_sweep_column(self, tmp_path):
         out = tmp_path / "s.csv"
         code = cli.main(["synthetic-steps", "--steps-list", "4,8", "--seed-list",
-                        "0,1", "--widths", "8", "--no-timing", "--methods",
+                        "0,1", "--no-timing", "--methods",
                         "fedavg", "--t-max", "200", "--out", str(out)])
-        # --widths is accepted but inert here; width comes from config
         assert code == cli.EXIT_OK
         rows = _read_rows(out)
         assert len(rows) == 2 * 1 * 2
