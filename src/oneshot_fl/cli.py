@@ -14,21 +14,21 @@ and the server merges the uplinks once per method.
 - ``compress-bench``: the one-shot round under payload quantization,
   sweeping the compression factor.
 
-Each subcommand reads an optional INI-style config (flat key=value lines
-under [section] headers), applies command-line flag overrides, writes one CSV
-row per (seed, method, sweep point), and exits 0 on success, 2 on a config
-error, 3 on numerical divergence. Rows are sorted by (seed, method, sweep)
-and floats carry 17 significant digits, so identical configs (with wall-time
-measurement disabled via --no-timing) produce byte-identical CSVs.
+Each subcommand reads an optional INI config (key = value lines under
+[section] headers, inline ``;`` comments allowed), applies command-line flag
+overrides, writes one CSV row per (seed, method, sweep point), and exits 0 on
+success, 2 on a config error, 3 on numerical divergence. ``_CONFIG_KEYS``
+declares every key once: its attribute, parser, flag and the tasks that read
+it. It drives the flags, and a key set away from the task's default in a task
+that does not read it is a config error. Rows are sorted by (seed, method,
+sweep) and floats carry 17 significant digits, so identical configs (with
+wall-time measurement disabled via --no-timing) produce byte-identical CSVs.
 
 ``comm_bits`` is ``compress.bit_cost`` of the payloads the server receives
-from every client: flat weights plus curvature. Every runner honours
-``compress``: it quantizes weights per layer at s_q=2 and diagonal
-curvature likewise, and SVD-truncates Kronecker factors to the
-budget-planned ranks and quantizes them at the configured s_q, keeping every
-curvature-carrying method within 32 d + 64 L bits of the 32 d float32
-baseline. Plain averaging is never compressed. ``compress-bench`` sweeps
-the codec's s_q instead, with s_q = 1 meaning uncompressed.
+from every client: flat weights plus curvature. With ``compress`` on (see
+:class:`Codec`) every curvature-carrying method stays within 32 d + 64 L bits
+of the 32 d float32 baseline; plain averaging is never compressed.
+``compress-bench`` sweeps the codec's s_q instead, s_q = 1 being uncompressed.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import configparser
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,7 +94,7 @@ class ExperimentConfig:
     eta: float = 0.01
     momentum: float = 0.9
     epochs_or_steps: int = 30
-    batch_size: int = 64  # 0 means full batch; the synthetic tasks allow only 0
+    batch_size: int = 64  # 0 means full batch
     # [server]
     optimizer: str = "adam"
     eta_s: float | None = 0.01  # None: auto step for gd
@@ -103,7 +104,7 @@ class ExperimentConfig:
     # [run]
     methods: list[str] = field(default_factory=lambda: [agg.METHOD_FEDAVG, agg.METHOD_DIAG])
     seeds: list[int] = field(default_factory=lambda: list(range(5)))
-    widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256, 512])  # synthetic-width
+    widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256, 512])
     steps_list: list[int] = field(default_factory=lambda: [2**k for k in range(4, 13)])
     rounds: int = 3
     out: str = ""
@@ -165,58 +166,88 @@ def _parse_eta_s(text: str) -> float | None:
         raise ConfigError(f"expected a float or 'auto', got {text!r}") from None
 
 
-# (section, key) -> (attribute, parser). Config keys mirror attribute names.
+def _parse_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+_SYNTHETIC = ("synthetic-width", "synthetic-steps")
+_CLASSIFY = ("one-shot", "few-shot", "compress-bench")
+_ALL = _SYNTHETIC + _CLASSIFY
+_EPOCHS = ("synthetic-width",) + _CLASSIFY  # synthetic-steps trains for each of steps_list
+_CODEC = _SYNTHETIC + ("one-shot", "few-shot")  # compress-bench sweeps s_q_list instead
+_SWEEPS = {"synthetic-width": "widths", "synthetic-steps": "steps_list", "compress-bench": "s_q_list"}
+
+
+class _Key(NamedTuple):
+    """One config key: the attribute it sets, the parser of its text, the
+    tasks that read it, and its command-line flag (None: INI only). A flag
+    with a ``switch`` takes no value and stands for the text ``switch``."""
+
+    attr: str
+    parse: Callable[[str], object]
+    tasks: tuple[str, ...]
+    flag: str | None = None
+    switch: str | None = None
+
+
+# (section, key) -> _Key: the one declaration of every config key.
 _CONFIG_KEYS = {
-    ("data", "kind"): ("data_kind", str),
-    ("data", "clients"): ("clients", int),
-    ("data", "per_client"): ("per_client", int),
-    ("data", "dim"): ("dim", int),
-    ("data", "alpha"): ("alpha", float),
-    ("data", "n_train"): ("n_train", int),
-    ("data", "n_test"): ("n_test", int),
-    ("data", "classes"): ("classes", int),
-    ("data", "side"): ("side", int),
-    ("data", "pixel_noise"): ("pixel_noise", float),
-    ("data", "field_noise"): ("field_noise", float),
-    ("data", "images_path"): ("images_path", str),
-    ("data", "labels_path"): ("labels_path", str),
-    ("data", "test_images_path"): ("test_images_path", str),
-    ("data", "test_labels_path"): ("test_labels_path", str),
-    ("data", "csv_path"): ("csv_path", str),
-    ("data", "test_fraction"): ("test_fraction", float),
-    ("data", "val_fraction"): ("val_fraction", float),
-    ("model", "width"): ("width", int),
-    ("model", "kappa"): ("kappa", float),
-    ("model", "hidden_dims"): ("hidden_dims", _parse_int_list),
-    ("local", "loss"): ("loss", str),
-    ("local", "eta"): ("eta", float),
-    ("local", "momentum"): ("momentum", float),
-    ("local", "epochs_or_steps"): ("epochs_or_steps", int),
-    ("local", "batch_size"): ("batch_size", int),
-    ("server", "optimizer"): ("optimizer", str),
-    ("server", "eta_s"): ("eta_s", _parse_eta_s),
-    ("server", "t_max"): ("t_max", int),
-    ("server", "stop_tol"): ("stop_tol", float),
-    ("server", "val_every"): ("val_every", int),
-    ("run", "methods"): ("methods", lambda s: [m.strip() for m in s.split(",") if m.strip()]),
-    ("run", "seeds"): ("seeds", _parse_int_list),
-    ("run", "widths"): ("widths", _parse_int_list),
-    ("run", "steps_list"): ("steps_list", _parse_int_list),
-    ("run", "rounds"): ("rounds", int),
-    ("run", "out"): ("out", str),
-    ("run", "timing"): ("timing", _parse_bool),
-    ("run", "fisher_mode"): ("fisher_mode", str),
-    ("run", "draws"): ("draws", int),
-    ("run", "compress"): ("compress", _parse_bool),
-    ("run", "s_q"): ("s_q", int),
-    ("run", "s_q_list"): ("s_q_list", _parse_int_list),
+    ("data", "kind"): _Key("data_kind", str, _CLASSIFY, "--data-kind"),
+    ("data", "clients"): _Key("clients", int, _ALL, "--clients"),
+    ("data", "per_client"): _Key("per_client", int, _SYNTHETIC),
+    ("data", "dim"): _Key("dim", int, _SYNTHETIC),
+    ("data", "alpha"): _Key("alpha", float, _CLASSIFY, "--alpha"),
+    ("data", "n_train"): _Key("n_train", int, _CLASSIFY, "--n-train"),
+    ("data", "n_test"): _Key("n_test", int, _CLASSIFY, "--n-test"),
+    ("data", "classes"): _Key("classes", int, _CLASSIFY),
+    ("data", "side"): _Key("side", int, _CLASSIFY),
+    ("data", "pixel_noise"): _Key("pixel_noise", float, _CLASSIFY),
+    ("data", "field_noise"): _Key("field_noise", float, _CLASSIFY),
+    ("data", "images_path"): _Key("images_path", str, _CLASSIFY),
+    ("data", "labels_path"): _Key("labels_path", str, _CLASSIFY),
+    ("data", "test_images_path"): _Key("test_images_path", str, _CLASSIFY),
+    ("data", "test_labels_path"): _Key("test_labels_path", str, _CLASSIFY),
+    ("data", "csv_path"): _Key("csv_path", str, _CLASSIFY),
+    ("data", "test_fraction"): _Key("test_fraction", float, _CLASSIFY),
+    ("data", "val_fraction"): _Key("val_fraction", float, _CLASSIFY),
+    ("model", "width"): _Key("width", int, ("synthetic-steps",)),
+    ("model", "kappa"): _Key("kappa", float, _SYNTHETIC),
+    ("model", "hidden_dims"): _Key("hidden_dims", _parse_int_list, _CLASSIFY),
+    ("local", "loss"): _Key("loss", str, _ALL),
+    ("local", "eta"): _Key("eta", float, _ALL, "--eta"),
+    ("local", "momentum"): _Key("momentum", float, _ALL),
+    ("local", "epochs_or_steps"): _Key("epochs_or_steps", int, _EPOCHS, "--epochs"),
+    ("local", "batch_size"): _Key("batch_size", int, _CLASSIFY, "--batch-size"),
+    ("server", "optimizer"): _Key("optimizer", str, _ALL),
+    ("server", "eta_s"): _Key("eta_s", _parse_eta_s, _ALL, "--eta-s"),
+    ("server", "t_max"): _Key("t_max", int, _ALL, "--t-max"),
+    ("server", "stop_tol"): _Key("stop_tol", float, _ALL),
+    ("server", "val_every"): _Key("val_every", int, _CLASSIFY),
+    ("run", "methods"): _Key("methods", _parse_list, _ALL, "--methods"),
+    ("run", "seeds"): _Key("seeds", _parse_int_list, _ALL, "--seed-list"),
+    ("run", "widths"): _Key("widths", _parse_int_list, ("synthetic-width",), "--widths"),
+    ("run", "steps_list"): _Key("steps_list", _parse_int_list, ("synthetic-steps",), "--steps-list"),
+    ("run", "rounds"): _Key("rounds", int, ("few-shot",), "--rounds"),
+    ("run", "out"): _Key("out", str, _ALL, "--out"),
+    ("run", "timing"): _Key("timing", _parse_bool, _ALL, "--no-timing", switch="false"),
+    ("run", "fisher_mode"): _Key("fisher_mode", str, _ALL, "--fisher-mode"),
+    ("run", "draws"): _Key("draws", int, _ALL),
+    ("run", "compress"): _Key("compress", _parse_bool, _CODEC),
+    ("run", "s_q"): _Key("s_q", int, _CODEC),
+    ("run", "s_q_list"): _Key("s_q_list", _parse_int_list, ("compress-bench",), "--s-q-list"),
 }
 
 
+def _parse_value(spec: _Key, text, where: str):
+    try:
+        return spec.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {where}: {exc}") from None
+
+
 def load_config_file(cfg: ExperimentConfig, path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     values = {}
     for section in parser.sections():
@@ -224,17 +255,12 @@ def load_config_file(cfg: ExperimentConfig, path: str) -> ExperimentConfig:
             spec = _CONFIG_KEYS.get((section, key))
             if spec is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            attr, parse = spec
-            try:
-                values[attr] = parse(raw)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from None
+            values[spec.attr] = _parse_value(spec, raw, f"[{section}] {key}")
     return replace(cfg, **values)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    default = default_config(cfg.task)
     for method in cfg.methods:
         if method not in agg.VALID_METHODS:
             raise ConfigError(f"unknown method {method!r}, expected one of {agg.VALID_METHODS}")
@@ -242,43 +268,47 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown loss {cfg.loss!r}")
     if cfg.fisher_mode not in ("expected", "sampled"):
         raise ConfigError(f"unknown fisher_mode {cfg.fisher_mode!r}")
-    if not cfg.seeds:
-        raise ConfigError("need at least one seed")
-    if not cfg.methods:
-        raise ConfigError("need at least one method")
+    for name in ("seeds", "methods"):
+        if not getattr(cfg, name):
+            raise ConfigError(f"need at least one of {name}")
     if cfg.optimizer not in ("gd", "adam"):
         raise ConfigError(f"unknown server optimizer {cfg.optimizer!r}")
-    if cfg.clients < 1:
-        raise ConfigError(f"clients must be positive, got {cfg.clients}")
     if cfg.data_kind not in ("synthetic", "image-classes", "idx", "csv"):
         raise ConfigError(f"unknown data kind {cfg.data_kind!r}")
     for s_q in [cfg.s_q] + cfg.s_q_list:
         if not comp.MIN_SQ <= s_q <= comp.MAX_SQ:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
-    if cfg.rounds < 1:
-        raise ConfigError(f"rounds must be at least 1, got {cfg.rounds}")
-    if not cfg.eta > 0:
-        raise ConfigError(f"eta must be positive, got {cfg.eta}")
+    for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("side", 1),
+                      ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1), ("hidden_dims", 1)):
+        if min(np.atleast_1d(getattr(cfg, name)), default=low) < low:  # every list entry too
+            raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
+    for name in ("eta", "alpha"):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
     if cfg.eta_s is not None and not cfg.eta_s > 0:
         raise ConfigError(f"eta_s must be positive or 'auto', got {cfg.eta_s}")
     for name in ("epochs_or_steps", "t_max", "stop_tol"):
         if not getattr(cfg, name) >= 0:
             raise ConfigError(f"{name} must be nonnegative, got {getattr(cfg, name)}")
-    if cfg.task == "synthetic-width" and not cfg.widths:
-        raise ConfigError("width sweep needs at least one width")
-    if cfg.task == "synthetic-steps" and not cfg.steps_list:
-        raise ConfigError("step sweep needs at least one step count")
-    if cfg.task == "synthetic-steps" and cfg.widths:
-        raise ConfigError("synthetic-steps trains at [model] width; widths applies to "
-                          "synthetic-width only")
-    if cfg.task == "compress-bench" and not cfg.s_q_list:
-        raise ConfigError("compression sweep needs at least one s_q value")
+    for name in ("momentum", "test_fraction", "val_fraction"):
+        if not 0 <= getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be in [0, 1), got {getattr(cfg, name)}")
+    for (section, key), spec in _CONFIG_KEYS.items():
+        if cfg.task not in spec.tasks and getattr(cfg, spec.attr) != getattr(default, spec.attr):
+            flag = f" ({spec.flag})" if spec.flag else ""
+            raise ConfigError(f"task {cfg.task} does not read [{section}] {key}{flag}; "
+                              f"leave it at its default {getattr(default, spec.attr)!r}")
+    sweep = _SWEEPS.get(cfg.task)
+    if sweep and not getattr(cfg, sweep):
+        raise ConfigError(f"task {cfg.task} needs at least one value in {sweep}")
+    if cfg.task in _CLASSIFY and cfg.val_every < 1:
+        raise ConfigError(f"val_every must be positive, got {cfg.val_every}")
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
     # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
-    synthetic = cfg.task in ("synthetic-width", "synthetic-steps")
-    if synthetic and cfg.batch_size != 0:
-        raise ConfigError(f"task {cfg.task} trains full batch: batch_size must be 0, "
-                          f"got {cfg.batch_size}")
+    synthetic = cfg.task in _SYNTHETIC
+    if synthetic and cfg.loss != models.LOSS_SQUARED:
+        raise ConfigError(f"task {cfg.task} regresses with loss {models.LOSS_SQUARED}, "
+                          f"got {cfg.loss}")
     misfit = agg.METHOD_KFAC if synthetic else agg.METHOD_FULL
     if misfit in cfg.methods:
         net = "two-layer net" if synthetic else "MLP"
@@ -401,26 +431,34 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
 
     Builds the curvature variant the method needs from the client's inputs
     ``x``, unless ``built`` (variant -> payload, for this trained model)
-    already holds it. Applies ``codec`` unless the method is fedavg. The bits
-    are ``compress.bit_cost`` of exactly the objects the server receives.
+    already holds it. Applies ``codec`` unless the method is fedavg, encoding
+    the weights and the diagonal once per codec (``built`` keeps the latest
+    codec's). The bits are ``compress.bit_cost`` of what the server receives.
     """
+    built = {} if built is None else built
     weights = models.get_flat_params(model)
     f = None
     variant = _VARIANTS.get(method)
     if variant is not None:
-        built = {} if built is None else built
         if variant not in built:
             built[variant] = _build_curvature(variant, model, x, cfg, seed_tag)
         f = built[variant]
     sent_weights, sent_curvature = weights, _raw_payload(f)
     if codec is not None and method != agg.METHOD_FEDAVG:
+        if built.get("codec") != codec:  # keep the latest codec's encodings only
+            built["codec"], built["encoded"] = codec, {}
+        encoded = built["encoded"]  # what several methods send -> (sent, as decoded)
         blocks = ([rows * cols for _, rows, cols in models.layer_slices(model)]
                   if isinstance(model, models.MLP) else [weights.size])
-        sent_weights = comp.quantize_blocks(weights, blocks, codec.s_q)
-        weights = comp.dequantize_blocks(sent_weights)
+        if "weights" not in encoded:
+            sent = comp.quantize_blocks(weights, blocks, codec.s_q)
+            encoded["weights"] = sent, comp.dequantize_blocks(sent)
+        sent_weights, weights = encoded["weights"]
         if isinstance(f, fisher.DiagFisher):
-            sent_curvature = comp.quantize_blocks(f.diag, blocks, codec.s_q)
-            f = fisher.DiagFisher(comp.dequantize_blocks(sent_curvature))
+            if "diag" not in encoded:
+                sent = comp.quantize_blocks(f.diag, blocks, codec.s_q)
+                encoded["diag"] = sent, fisher.DiagFisher(comp.dequantize_blocks(sent))
+            sent_curvature, f = encoded["diag"]
         elif isinstance(f, fisher.KFACFisher):
             dims = [(layer.a.shape[0], layer.b.shape[0]) for layer in f.layers]
             plan = comp.kfac_budget_plan(dims, weights.size, codec.factor_s_q)
@@ -709,68 +747,24 @@ _RUNNERS = {
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="INI config file")
-    sub.add_argument("--out", default=None, help="output CSV path")
-    sub.add_argument("--seed-list", default=None, help="comma-separated seeds")
-    sub.add_argument("--methods", default=None, help="comma-separated methods")
-    sub.add_argument("--no-timing", action="store_true",
-                     help="write zero wall times for reproducible CSVs")
-    sub.add_argument("--clients", type=int, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--eta", type=float, default=None)
-    sub.add_argument("--eta-s", default=None, help="server step size or 'auto'")
-    sub.add_argument("--epochs", type=int, default=None, help="local epochs or steps")
-    sub.add_argument("--batch-size", type=int, default=None)
-    sub.add_argument("--t-max", type=int, default=None)
-    sub.add_argument("--widths", default=None, help="comma-separated widths")
-    sub.add_argument("--steps-list", default=None, help="comma-separated step counts")
-    sub.add_argument("--rounds", type=int, default=None)
-    sub.add_argument("--s-q-list", default=None, help="comma-separated s_q values")
-    sub.add_argument("--fisher-mode", default=None, choices=["expected", "sampled"])
-    sub.add_argument("--data-kind", default=None)
-    sub.add_argument("--n-train", type=int, default=None)
-    sub.add_argument("--n-test", type=int, default=None)
+    for (section, key), spec in _CONFIG_KEYS.items():
+        if spec.flag is None:
+            continue
+        switch = f" = {spec.switch}" if spec.switch else ""
+        sub.add_argument(spec.flag, action="store_true" if switch else "store",
+                         help=f"[{section}] {key}{switch}")
 
 
 def _apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     updates = {}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.seed_list is not None:
-        updates["seeds"] = _parse_int_list(args.seed_list)
-    if args.methods is not None:
-        updates["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.no_timing:
-        updates["timing"] = False
-    if args.clients is not None:
-        updates["clients"] = args.clients
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.eta is not None:
-        updates["eta"] = args.eta
-    if args.eta_s is not None:
-        updates["eta_s"] = _parse_eta_s(args.eta_s)
-    if args.epochs is not None:
-        updates["epochs_or_steps"] = args.epochs
-    if args.batch_size is not None:
-        updates["batch_size"] = args.batch_size
-    if args.t_max is not None:
-        updates["t_max"] = args.t_max
-    if args.widths is not None:
-        updates["widths"] = _parse_int_list(args.widths)
-    if args.steps_list is not None:
-        updates["steps_list"] = _parse_int_list(args.steps_list)
-    if args.rounds is not None:
-        updates["rounds"] = args.rounds
-    if args.s_q_list is not None:
-        updates["s_q_list"] = _parse_int_list(args.s_q_list)
-    if args.fisher_mode is not None:
-        updates["fisher_mode"] = args.fisher_mode
-    if args.data_kind is not None:
-        updates["data_kind"] = args.data_kind
-    if args.n_train is not None:
-        updates["n_train"] = args.n_train
-    if args.n_test is not None:
-        updates["n_test"] = args.n_test
+    for spec in _CONFIG_KEYS.values():
+        if spec.flag is None:
+            continue
+        value = getattr(args, spec.flag[2:].replace("-", "_"))
+        if spec.switch is not None:
+            value = spec.switch if value else None
+        if value is not None:
+            updates[spec.attr] = _parse_value(spec, value, spec.flag)
     return replace(cfg, **updates)
 
 
@@ -785,16 +779,19 @@ def build_config(task: str, args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oneshot-fl",
         description="One-shot federated learning simulator",
     )
     subparsers = parser.add_subparsers(dest="task", required=True)
     for task in _RUNNERS:
-        sub = subparsers.add_parser(task)
-        _add_common_flags(sub)
-    args = parser.parse_args(argv)
+        _add_common_flags(subparsers.add_parser(task))
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = build_config(args.task, args)

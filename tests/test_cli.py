@@ -3,6 +3,7 @@
 import argparse
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,12 +224,13 @@ class TestValidation:
             code = cli.main([task, "--batch-size", "10", "--seed-list", "0", sweep, "8",
                              "--methods", "fedavg", "--no-timing", "--out", str(out)])
             assert code == cli.EXIT_CONFIG
-            assert "batch_size must be 0" in capsys.readouterr().err
+            assert f"task {task} does not read [local] batch_size" in capsys.readouterr().err
             assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--eta", "0"], ["--eta", "-0.1"], ["--eta-s", "0"], ["--eta-s", "-1"],
-        ["--epochs", "-1"], ["--t-max", "-5"],
+        ["--epochs", "-1"], ["--t-max", "-5"], ["--widths", "0"], ["--alpha", "0"],
+        ["--n-train", "0"],
     ])
     def test_nonpositive_steps_and_counts_rejected(self, flags, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -236,8 +238,24 @@ class TestValidation:
                          "--methods", "fedavg", "--no-timing", "--out", str(out), *flags])
         assert code == cli.EXIT_CONFIG
         name = {"--eta": "eta", "--eta-s": "eta_s", "--epochs": "epochs_or_steps",
-                "--t-max": "t_max"}[flags[0]]
+                "--t-max": "t_max", "--widths": "widths", "--alpha": "alpha",
+                "--n-train": "n_train"}[flags[0]]
         assert f"{name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, ini, message", [
+        ("synthetic-width", "[run]\nfisher_mode = sampled\ndraws = 0\n", "draws must be at least 1"),
+        ("synthetic-width", "[local]\nmomentum = 1.5\n", "momentum must be in [0, 1)"),
+        ("one-shot", "[server]\nval_every = -3\n", "val_every must be positive"),
+        ("synthetic-width", "[local]\nloss = softmax-ce\n", "regresses with loss squared"),
+    ])
+    def test_out_of_range_config_values_rejected(self, task, ini, message, tmp_path, capsys):
+        path, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        path.write_text(ini)
+        code = cli.main([task, "--config", str(path), "--seed-list", "0", "--methods",
+                         "fedavg", "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_stop_tol_rejected(self, tmp_path, capsys):
@@ -258,14 +276,14 @@ class TestValidation:
                          "--seed-list", "0", "--methods", "fedavg", "--no-timing",
                          "--out", str(out)])
         assert code == cli.EXIT_CONFIG
-        assert "widths applies to synthetic-width only" in capsys.readouterr().err
+        assert "does not read [run] widths" in capsys.readouterr().err
         assert not out.exists()
         path = tmp_path / "run.ini"
         path.write_text("[run]\nwidths = 8\n")
         code = cli.main(["synthetic-steps", "--config", str(path), "--no-timing",
                          "--out", str(out)])
         assert code == cli.EXIT_CONFIG
-        assert "widths applies to synthetic-width only" in capsys.readouterr().err
+        assert "does not read [run] widths" in capsys.readouterr().err
 
     def test_dense_curvature_size_cap(self):
         cfg = replace(default_config("synthetic-width"), widths=[1024], dim=4)
@@ -304,6 +322,10 @@ class TestApplyFlags:
         assert cfg.data_kind == "synthetic"
         assert cfg.n_train == 50
         assert cfg.n_test == 10
+        # The table loop set exactly the flagged keys' attributes.
+        default = default_config("one-shot")
+        changed = {name for name in vars(cfg) if getattr(cfg, name) != getattr(default, name)}
+        assert changed == {spec.attr for spec in cli._CONFIG_KEYS.values() if spec.flag}
 
     def test_no_flags_keeps_defaults(self):
         cfg = cli._apply_flags(default_config("one-shot"), _ns())
@@ -319,6 +341,78 @@ class TestApplyFlags:
     def test_default_output_path_names_task(self):
         cfg = build_config("few-shot", _ns())
         assert cfg.out == "few-shot.csv"
+
+
+# A value for every key that some task does not read: parses, passes the
+# range checks, and differs from the default of every such task.
+_UNREAD_VALUES = {
+    "kind": "csv", "per_client": "50", "dim": "3", "alpha": "0.5", "n_train": "700",
+    "n_test": "300", "classes": "3", "side": "6", "pixel_noise": "0.2",
+    "field_noise": "0.1", "images_path": "img.idx", "labels_path": "lab.idx",
+    "test_images_path": "timg.idx", "test_labels_path": "tlab.idx", "csv_path": "x.csv",
+    "test_fraction": "0.25", "val_fraction": "0.2", "width": "8", "kappa": "0.25",
+    "hidden_dims": "16", "epochs_or_steps": "7", "batch_size": "10", "val_every": "5",
+    "widths": "8", "steps_list": "4", "rounds": "2", "compress": "false", "s_q": "8",
+    "s_q_list": "2",
+}
+
+_UNREAD = [(task, section, key) for (section, key), spec in cli._CONFIG_KEYS.items()
+           for task in cli._RUNNERS if task not in spec.tasks]
+
+# Today's flags; every subcommand takes all of them.
+_FLAGS = {
+    "--config", "--out", "--seed-list", "--methods", "--no-timing", "--clients", "--alpha",
+    "--eta", "--eta-s", "--epochs", "--batch-size", "--t-max", "--widths", "--steps-list",
+    "--rounds", "--s-q-list", "--fisher-mode", "--data-kind", "--n-train", "--n-test",
+}
+
+
+class TestConfigTable:
+    def test_one_row_per_field_and_unchanged_flags(self):
+        rows = [spec.attr for spec in cli._CONFIG_KEYS.values()]
+        assert sorted(rows) == sorted(set(vars(ExperimentConfig())) - {"task"})
+        assert {t for spec in cli._CONFIG_KEYS.values() for t in spec.tasks} == set(cli._RUNNERS)
+        # Keys that were accepted and wrote the same CSV bytes as without them.
+        assert {("synthetic-steps", "local", "epochs_or_steps"),
+                ("synthetic-steps", "run", "widths"),
+                ("synthetic-width", "data", "n_train"), ("synthetic-width", "run", "rounds"),
+                ("synthetic-width", "run", "steps_list"), ("synthetic-width", "local", "batch_size"),
+                ("one-shot", "run", "rounds"), ("compress-bench", "run", "compress"),
+                ("compress-bench", "run", "s_q")} <= set(_UNREAD)
+        (subparsers,) = [a for a in cli._parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(cli._RUNNERS)
+        for sub in subparsers.choices.values():
+            actions = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+            assert {s for a in actions for s in a.option_strings} == _FLAGS
+            assert {a.dest for a in actions} == set(_FLAG_ATTRS)
+
+    @pytest.mark.parametrize("task, section, key", _UNREAD)
+    def test_unread_key_rejected(self, task, section, key, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        base = [task, "--seed-list", "0", "--methods", "fedavg", "--t-max", "0",
+                "--no-timing", "--out", str(out)]
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {_UNREAD_VALUES[key]}\n")
+        attempts = [["--config", str(path)]]
+        flag = cli._CONFIG_KEYS[(section, key)].flag
+        if flag is not None:
+            attempts.append([flag, _UNREAD_VALUES[key]])
+        for extra in attempts:
+            assert cli.main(base + extra) == cli.EXIT_CONFIG
+            assert f"does not read [{section}] {key}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_readme_ini_example_validates(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "run.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config_file(default_config("one-shot"), str(path))
+        validate_config(cfg)
+        assert cfg.alpha == 0.1
+        assert cfg.optimizer == "adam"
+        assert cfg.eta_s == 0.01
+        assert cfg.val_every == 100
 
 
 class TestCsvWriting:
@@ -674,12 +768,16 @@ class TestCompressBenchCommand:
         for name in ("diag_fisher", "kfac_fisher"):
             counted(fisher, name)
         counted(cli.comp, "compress_kfac")
+        counted(cli.comp, "quantize_blocks")
         cfg = replace(_tiny_image_cfg(task="compress-bench"), s_q_list=[1, 2, 4],
                       methods=[agg.METHOD_DIAG, agg.METHOD_FISHERMERGE, agg.METHOD_KFAC])
         assert len(cli.run_compress_bench(cfg)) == 3 * 3
         clients, points = cfg.clients, 2  # s_q = 1 sends raw payloads
+        # Weights and the diagonal are encoded once per client and point, not
+        # once per method that sends them.
         assert calls == {"diag_fisher": clients, "kfac_fisher": clients,
-                         "compress_kfac": clients * points}
+                         "compress_kfac": clients * points,
+                         "quantize_blocks": 2 * clients * points}
 
     def test_main_row_count(self, tmp_path):
         out = tmp_path / "cb.csv"

@@ -52,3 +52,24 @@ def test_every_workload_config_validates():
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+class _ConfigChecked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("demo, runner", [
+    ("02_width_sweep.py", "run_width_sweep"),
+    ("03_one_shot_classification.py", "run_one_shot"),
+    ("05_few_shot_rounds.py", "run_few_shot"),
+])
+def test_demo_config_validates(demo, runner, monkeypatch):
+    # These demos train for minutes; stop each at its runner call once its
+    # config has passed the CLI's validation.
+    def validate_only(cfg):
+        cli.validate_config(cfg)
+        raise _ConfigChecked
+
+    monkeypatch.setattr(cli, runner, validate_only)
+    with pytest.raises(_ConfigChecked):
+        runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
