@@ -314,21 +314,20 @@ def fedfisher_solve(
         warning = lam > 0 and eta * lam > 1.0 + 1e-9
     elif cfg.optimizer == "adam":
         eta = 0.01 if cfg.eta_s is None else cfg.eta_s
-        m = np.zeros(d)
-        v = np.zeros(d)
+        m, v, scratch = np.zeros(d), np.zeros(d), np.empty(d)
     else:
         raise ValueError(f"unknown server optimizer {cfg.optimizer!r}")
     if eta <= 0:
         raise ValueError(f"eta_s must be positive, got {eta}")
 
-    best_w = w
+    best_w = w.copy()
     best_score = cfg.val_fn(w) if cfg.val_fn is not None else None
 
     def offer(w_t: np.ndarray) -> None:
         nonlocal best_w, best_score
         score = cfg.val_fn(w_t)
         if score > best_score:
-            best_score, best_w = score, w_t
+            best_score, best_w = score, w_t.copy()  # the step loop reuses w_t's buffer
 
     iterations = 0
     converged = diverged = False
@@ -344,24 +343,37 @@ def fedfisher_solve(
                 offer(path.weights(t))
         w = path.weights(iterations)
     else:
+        # In place, in the operation order of the textbook update, so the
+        # iterates are bit-identical to it; w_next is w's buffer of the step
+        # before, and a diverged step leaves w as it was.
+        w_next = np.empty(d)
         for t in range(1, cfg.t_max + 1):
-            g = op.matvec(w) - b
+            g = op.matvec(w)
+            g -= b
             if trace is not None:
                 trace.append(float(w @ g) - float(w @ b) + const)
             if cfg.optimizer == "adam":
-                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-                m_hat = m / (1.0 - ADAM_BETA1**t)
-                v_hat = v / (1.0 - ADAM_BETA2**t)
-                step = eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                m *= ADAM_BETA1
+                m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+                v *= ADAM_BETA2
+                np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+                scratch *= g
+                v += scratch
+                step = np.divide(m, 1.0 - ADAM_BETA1**t, out=w_next)  # m_hat
+                step *= eta
+                np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)  # v_hat
+                np.sqrt(scratch, out=scratch)
+                scratch += ADAM_EPS
+                step /= scratch
             else:
-                step = eta * g
-            w_next = w - step
-            step_norm, w_norm = np.linalg.norm(step), np.linalg.norm(w_next)
+                step = np.multiply(g, eta, out=w_next)
+            step_norm = np.linalg.norm(step)
+            np.subtract(w, step, out=w_next)
+            w_norm = np.linalg.norm(w_next)
             if not np.isfinite(step_norm + w_norm):  # an entry or a norm overflowed
                 diverged = True
                 break
-            w = w_next
+            w, w_next = w_next, w
             iterations = t
             if best_score is not None and t % cfg.val_every == 0:
                 offer(w)

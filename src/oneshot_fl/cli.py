@@ -278,8 +278,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for s_q in [cfg.s_q] + cfg.s_q_list:
         if not comp.MIN_SQ <= s_q <= comp.MAX_SQ:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
-    for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("side", 1),
-                      ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1), ("hidden_dims", 1)):
+    for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("n_test", 1),
+                      ("side", 1), ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1),
+                      ("hidden_dims", 1)):
         if min(np.atleast_1d(getattr(cfg, name)), default=low) < low:  # every list entry too
             raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
     for name in ("eta", "alpha"):
@@ -423,9 +424,17 @@ def _raw_payload(f) -> list[np.ndarray]:
     return [m for layer in f.layers for m in (layer.a, layer.b)]
 
 
+def _kfac_ranks(model, codec: Codec) -> list[int]:
+    """Kept rank per layer of the K-FAC factors under ``codec``. The budget
+    plan depends on the architecture alone, so one serves every client."""
+    dims = [(cols, rows) for _, rows, cols in models.layer_slices(model)]
+    return comp.kfac_budget_plan(dims, models.param_count(model), codec.factor_s_q).l_v
+
+
 def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
                   codec: Codec | None = None, seed_tag=0,
-                  built: dict | None = None) -> tuple[agg.ClientUpdate, int]:
+                  built: dict | None = None,
+                  kfac_ranks: list[int] | None = None) -> tuple[agg.ClientUpdate, int]:
     """One client's uplink for ``method``: the update the server merges, and
     its bits.
 
@@ -433,7 +442,9 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
     ``x``, unless ``built`` (variant -> payload, for this trained model)
     already holds it. Applies ``codec`` unless the method is fedavg, encoding
     the weights and the diagonal once per codec (``built`` keeps the latest
-    codec's). The bits are ``compress.bit_cost`` of what the server receives.
+    codec's) and K-FAC factors at ``kfac_ranks`` (default: planned from
+    ``model`` by :func:`_kfac_ranks`). The bits are ``compress.bit_cost`` of
+    what the server receives.
     """
     built = {} if built is None else built
     weights = models.get_flat_params(model)
@@ -460,9 +471,8 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
                 encoded["diag"] = sent, fisher.DiagFisher(comp.dequantize_blocks(sent))
             sent_curvature, f = encoded["diag"]
         elif isinstance(f, fisher.KFACFisher):
-            dims = [(layer.a.shape[0], layer.b.shape[0]) for layer in f.layers]
-            plan = comp.kfac_budget_plan(dims, weights.size, codec.factor_s_q)
-            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, plan.l_v)
+            ranks = kfac_ranks or _kfac_ranks(model, codec)
+            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, ranks)
             f = comp.decompress_kfac(sent_curvature)
     bits = comp.bit_cost([sent_weights, sent_curvature])
     return agg.ClientUpdate(weights, f, x.shape[0]), bits
@@ -505,11 +515,15 @@ def train_round(cfg: ExperimentConfig, data: datasets.FederatedDataset, starts: 
 def merge_round(rnd: Round, method: str, codec: Codec | None,
                 server_cfg: agg.ServerConfig) -> tuple[np.ndarray, int]:
     """Merge one :func:`client_update` per client of ``rnd``: (weights, bits)."""
+    ranks = None
+    if codec is not None and _VARIANTS.get(method) == "kfac":
+        ranks = _kfac_ranks(rnd.trained[0], codec)
     updates, bits = [], 0
     for i, model in enumerate(rnd.trained):
         cx, _ = rnd.data.client_data(i)
         update, client_bits = client_update(model, cx, method, rnd.cfg, codec,
-                                            [rnd.seed, rnd.index, i, 99], rnd.built[i])
+                                            [rnd.seed, rnd.index, i, 99], rnd.built[i],
+                                            ranks)
         updates.append(update)
         bits += client_bits
     merged, result = agg.merge_updates(method, updates, server_cfg)

@@ -9,6 +9,14 @@ Flat-parameter conventions used everywhere downstream:
   (out_dim, in_dim + 1) block [W | b]. Kronecker-factored curvature blocks
   act on exactly these slices via (A kron B) vec(V) = vec(B V A^T).
 
+Training never forms the flat vector. ``sgd_train`` keeps each parameter
+array as its own C-contiguous buffer (``[W]``, or ``W_l, b_l`` per MLP layer)
+and steps all of them in place; the forward/backward pass writes gradients
+and intermediates into buffers it is given. The column-major [W | b] view
+would change the rounding of the matrix products, and trained weights pass
+through the quantizer, so layout and operation order are part of the result:
+the loop reproduces the flat-vector loop bit for bit.
+
 Loss kinds: ``"squared"`` treats the output as the mean of a unit-variance
 Gaussian (0.5 * |y - f|^2 per example); ``"softmax-ce"`` is the categorical
 likelihood over integer labels.
@@ -291,53 +299,108 @@ def layer_slices(model: MLP) -> list[tuple[int, int, int]]:
     return out
 
 
-def _flatten_layer_grads(dws: list[np.ndarray], dbs: list[np.ndarray]) -> np.ndarray:
-    parts = [np.column_stack([dw, db]).ravel(order="F") for dw, db in zip(dws, dbs)]
-    return np.concatenate(parts)
+def _param_arrays(model: Model) -> list[np.ndarray]:
+    """The trained parameter arrays, one per entry: ``[W]`` for the two-layer
+    net, ``[W_1, b_1, W_2, b_2, ...]`` for an MLP."""
+    if isinstance(model, TwoLayerReLU):
+        return [model.weights]
+    return [p for wb in zip(model.weights, model.biases) for p in wb]
+
+
+def _with_arrays(model: Model, params: list[np.ndarray]) -> Model:
+    """``model``'s architecture around ``params`` (laid out as by
+    :func:`_param_arrays`), without copying them."""
+    if isinstance(model, TwoLayerReLU):
+        return TwoLayerReLU(params[0], model.signs)
+    return MLP(params[0::2], params[1::2], model.head)
+
+
+@dataclass
+class _Scratch:
+    """Forward/backward buffers for batches of up to ``rows`` examples.
+
+    Per layer: the pre-activation ``h``; for each hidden layer its relu
+    output ``act`` (the next layer's input) and its cotangent ``d``. The
+    two-layer net has one hidden layer and keeps its relu output, then its
+    gradient coefficients, in ``act``.
+    """
+
+    h: list[np.ndarray]
+    act: list[np.ndarray]
+    d: list[np.ndarray]
+
+    @classmethod
+    def of(cls, model: Model, rows: int) -> _Scratch:
+        if isinstance(model, TwoLayerReLU):
+            return cls([np.empty((rows, model.m))], [np.empty((rows, model.m))], [])
+        outs = [w.shape[0] for w in model.weights]
+        return cls([np.empty((rows, k)) for k in outs],
+                   [np.empty((rows, k)) for k in outs[:-1]],
+                   [np.empty((rows, k)) for k in outs[:-1]])
 
 
 def _loss_and_grad(
-    model: Model, x: np.ndarray, y: np.ndarray, loss: str
-) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its flat-parameter gradient."""
+    model: Model, x: np.ndarray, y: np.ndarray, loss: str,
+    grads: list[np.ndarray], scratch: _Scratch,
+) -> float:
+    """Mean loss over the batch; writes its gradient into ``grads`` (laid
+    out as by :func:`_param_arrays`) and the intermediates into
+    ``scratch``. What a call still allocates is per-example: vectors, the
+    (N, C) output-layer arrays and one relu mask per hidden layer."""
     x, _ = _as_batch(x)
     n = x.shape[0]
     if isinstance(model, TwoLayerReLU):
         if loss != LOSS_SQUARED:
             raise ValueError("TwoLayerReLU supports the squared loss only")
-        h = x @ model.weights.T
-        f = np.maximum(h, 0.0) @ model.signs / np.sqrt(model.m)
+        h, coef = scratch.h[0][:n], scratch.act[0][:n]
+        np.matmul(x, model.weights.T, out=h)
+        f = np.maximum(h, 0.0, out=coef) @ model.signs / np.sqrt(model.m)
         y = _check_targets(model, f, y, loss)
         res = f - y
         loss_val = float(0.5 * np.mean(res**2))
-        coef = (h >= 0.0) * (model.signs / np.sqrt(model.m)) * res[:, None]
-        grad = (coef.T @ x) / n  # (m, dim), equals mean residual * feature map
-        return loss_val, grad.ravel()
-    cache = mlp_forward_cache(model, x)
-    z = cache.z
+        np.greater_equal(h, 0.0, out=coef)
+        coef *= model.signs / np.sqrt(model.m)
+        coef *= res[:, None]
+        np.matmul(coef.T, x, out=grads[0])  # equals n * mean residual * feature map
+        grads[0] /= n
+        return loss_val
+    last = len(model.weights) - 1
+    a = x
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = np.matmul(a, w.T, out=scratch.h[l][:n])
+        h += b
+        if l < last:
+            a = np.maximum(h, 0.0, out=scratch.act[l][:n])
+    z = h
     y = _check_targets(model, z, y, loss)
     if loss == LOSS_SQUARED:
         diff = z - y
         loss_val = float(0.5 * np.mean(np.sum(diff**2, axis=1)))
-        dz = diff / n
+        dh = diff / n
     else:
         p = _softmax(z)
         zmax = z.max(axis=1)
         lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
         loss_val = float(np.mean(lse - z[np.arange(n), y]))
-        dz = p.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-    dhs = mlp_preact_grads(model, cache, dz)
-    dws = [dh.T @ a for dh, a in zip(dhs, cache.inputs)]
-    dbs = [dh.sum(axis=0) for dh in dhs]
-    return loss_val, _flatten_layer_grads(dws, dbs)
+        dh = p
+        dh[np.arange(n), y] -= 1.0
+        dh /= n
+    for l in range(last, -1, -1):
+        np.matmul(dh.T, x if l == 0 else scratch.act[l - 1][:n], out=grads[2 * l])
+        np.sum(dh, axis=0, out=grads[2 * l + 1])
+        if l > 0:
+            dh = np.matmul(dh, model.weights[l], out=scratch.d[l - 1][:n])
+            dh *= scratch.h[l - 1][:n] > 0.0
+    return loss_val
 
 
 def gradient(model: Model, x: np.ndarray, y: np.ndarray, loss: str = LOSS_SQUARED) -> np.ndarray:
     """Flat gradient of the mean loss over the given example(s)."""
     _check_loss(loss)
-    return _loss_and_grad(model, x, y, loss)[1]
+    x, _ = _as_batch(x)
+    grads = [np.empty(p.shape) for p in _param_arrays(model)]
+    _loss_and_grad(model, x, y, loss, grads, _Scratch.of(model, x.shape[0]))
+    return get_flat_params(_with_arrays(model, grads))
 
 
 def sgd_train(
@@ -353,9 +416,20 @@ def sgd_train(
     When ``cfg.batch_size >= n`` the loop runs ``cfg.epochs_or_steps``
     full-batch gradient steps (the deterministic regime the merging theory
     assumes); otherwise it runs that many epochs of shuffled mini-batches,
-    one permutation per epoch. A non-finite loss/gradient or an exploding
-    parameter norm aborts training and returns the last verified iterate
-    with ``diverged=True``.
+    one permutation per epoch, sliced from one gather of the inputs.
+
+    The loop works on each parameter array in place: current and next
+    parameters, velocity, gradient and forward/backward scratch are
+    allocated once per call, one C-contiguous array per entry of
+    :func:`_param_arrays`, never as the flat vector. Each step computes
+    ``v = momentum * v + g`` and ``next = current - eta * v`` in that order,
+    so the iterates are bit-identical to stepping the flat vector.
+
+    A non-finite loss aborts training, and so does a next iterate whose
+    norm is not at most 1e12 (a NaN or inf in the gradient or the
+    parameters fails that test too). Either returns the last verified
+    iterate with ``diverged=True`` and the loss of the aborted step; a
+    verified step becomes current by swapping the two parameter buffers.
     """
     _check_loss(loss)
     if cfg.eta <= 0:
@@ -370,9 +444,13 @@ def sgd_train(
     n = x.shape[0]
     rng = np.random.default_rng(seed)
 
-    flat = get_flat_params(model)
-    velocity = np.zeros_like(flat)
-    current = with_flat_params(model, flat)
+    if isinstance(model, TwoLayerReLU):  # the result shares no array with the input
+        model = TwoLayerReLU(model.weights, model.signs.copy())
+    current = [np.array(p, dtype=np.float64, order="C") for p in _param_arrays(model)]
+    following = [np.empty_like(p) for p in current]
+    velocity = [np.zeros_like(p) for p in current]
+    grads = [np.empty_like(p) for p in current]
+    scratch = _Scratch.of(model, min(cfg.batch_size, n))
     steps = 0
 
     def batches():
@@ -383,18 +461,24 @@ def sgd_train(
             y_arr = np.asarray(y)
             for _ in range(cfg.epochs_or_steps):
                 perm = rng.permutation(n)
+                xp, yp = x[perm], y_arr[perm]
                 for start in range(0, n, cfg.batch_size):
-                    sel = perm[start : start + cfg.batch_size]
-                    yield x[sel], y_arr[sel]
+                    yield xp[start : start + cfg.batch_size], yp[start : start + cfg.batch_size]
 
     for xb, yb in batches():
-        loss_val, grad = _loss_and_grad(current, xb, yb, loss)
-        if not np.isfinite(loss_val) or not np.all(np.isfinite(grad)):
-            return TrainResult(current, True, steps, float(loss_val))
-        velocity = cfg.momentum * velocity + grad
-        flat = flat - cfg.eta * velocity
-        if not np.all(np.isfinite(flat)) or np.linalg.norm(flat) > _DIVERGE_NORM:
-            return TrainResult(current, True, steps, loss_val)
-        current = with_flat_params(current, flat)
+        loss_val = _loss_and_grad(_with_arrays(model, current), xb, yb, loss, grads, scratch)
+        if not np.isfinite(loss_val):
+            return TrainResult(_with_arrays(model, current), True, steps, loss_val)
+        sq_norm = 0.0
+        for p, p_next, v, g in zip(current, following, velocity, grads):
+            v *= cfg.momentum
+            v += g
+            np.multiply(v, cfg.eta, out=p_next)
+            np.subtract(p, p_next, out=p_next)
+            sq_norm += float(np.vdot(p_next, p_next))
+        if not np.sqrt(sq_norm) <= _DIVERGE_NORM:
+            return TrainResult(_with_arrays(model, current), True, steps, loss_val)
+        current, following = following, current
         steps += 1
-    return TrainResult(current, False, steps, loss_eval(current, x, y, loss))
+    trained = _with_arrays(model, current)
+    return TrainResult(trained, False, steps, loss_eval(trained, x, y, loss))

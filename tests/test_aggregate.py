@@ -275,6 +275,79 @@ class TestFedfisherAdam:
         assert np.isnan(res.lambda_max)
 
 
+def _textbook_steps(updates, cfg):
+    """Reference for the server's step-by-step loop: each step's update and
+    iterate as fresh arrays, in the order of the textbook GD and Adam rules,
+    keeping the best-validation iterate."""
+    _, op, b, _ = aggregate._merge_problem(updates)
+    eta = cfg.eta_s
+    w = fedavg(updates)
+    m, v = np.zeros_like(w), np.zeros_like(w)
+    best_w, best = w, cfg.val_fn(w)
+    iterations, converged, diverged = 0, False, False
+    for t in range(1, cfg.t_max + 1):
+        g = op.matvec(w) - b
+        if cfg.optimizer == "adam":
+            m = aggregate.ADAM_BETA1 * m + (1.0 - aggregate.ADAM_BETA1) * g
+            v = aggregate.ADAM_BETA2 * v + (1.0 - aggregate.ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - aggregate.ADAM_BETA1**t)
+            v_hat = v / (1.0 - aggregate.ADAM_BETA2**t)
+            step = eta * m_hat / (np.sqrt(v_hat) + aggregate.ADAM_EPS)
+        else:
+            step = eta * g
+        w_next = w - step
+        step_norm, w_norm = np.linalg.norm(step), np.linalg.norm(w_next)
+        if not np.isfinite(step_norm + w_norm):
+            diverged = True
+            break
+        w, iterations = w_next, t
+        if t % cfg.val_every == 0 and cfg.val_fn(w) > best:
+            best, best_w = cfg.val_fn(w), w
+        if step_norm <= cfg.stop_tol * (1.0 + w_norm):
+            converged = True
+            break
+    if not diverged and iterations % cfg.val_every and cfg.val_fn(w) > best:
+        best_w = w
+    return best_w, iterations, converged, diverged
+
+
+class TestStepLoopMatchesTextbook:
+    """The step loop updates its moments and iterates in place; its results
+    must equal the textbook rules' bit for bit."""
+
+    @staticmethod
+    def _kfac_and_diag(seed=60):
+        rng = np.random.default_rng(seed)
+        updates = []
+        for i in range(3):
+            w = rng.standard_normal(12)
+            if i == 2:
+                updates.append(ClientUpdate(w, DiagFisher(rng.uniform(0.1, 2.0, 12))))
+                continue
+            a, c = rng.standard_normal((4, 4)), rng.standard_normal((3, 3))
+            updates.append(ClientUpdate(w, KFACFisher([KFACLayer(a @ a.T, c @ c.T)])))
+        return updates
+
+    @pytest.mark.parametrize("optimizer, eta", [
+        ("adam", 0.05), ("gd", 0.02), ("adam", 1e300), ("gd", 1e300),  # last two overflow
+    ])
+    def test_same_iterates_and_choice(self, optimizer, eta):
+        updates = self._kfac_and_diag()
+        mean = fedavg(updates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            free = fedfisher_solve(updates, ServerConfig(optimizer=optimizer, eta_s=eta, t_max=80))
+            # A score that peaks halfway between the mean and the last iterate,
+            # so the chosen iterate is not the one the loop ends on.
+            half = 0.5 * float(np.linalg.norm(free.weights - mean))
+            cfg = ServerConfig(optimizer=optimizer, eta_s=eta, t_max=80, val_every=3,
+                               val_fn=lambda w: -abs(float(np.linalg.norm(w - mean)) - half))
+            got = fedfisher_solve(updates, cfg)
+            weights, iterations, converged, diverged = _textbook_steps(updates, cfg)
+        assert np.array_equal(got.weights, weights)
+        assert (got.iterations, got.converged, got.diverged) == (iterations, converged, diverged)
+        assert diverged == (eta > 1.0)
+
+
 def _dense(f):
     return f.matrix if isinstance(f, FullFisher) else np.diag(f.diag)
 

@@ -247,6 +247,8 @@ class TestValidation:
         ("synthetic-width", "[run]\nfisher_mode = sampled\ndraws = 0\n", "draws must be at least 1"),
         ("synthetic-width", "[local]\nmomentum = 1.5\n", "momentum must be in [0, 1)"),
         ("one-shot", "[server]\nval_every = -3\n", "val_every must be positive"),
+        # An empty test set would score every row NaN.
+        ("one-shot", "[data]\nn_test = 0\n", "n_test must be at least 1"),
         ("synthetic-width", "[local]\nloss = softmax-ce\n", "regresses with loss squared"),
     ])
     def test_out_of_range_config_values_rejected(self, task, ini, message, tmp_path, capsys):

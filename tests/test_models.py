@@ -22,6 +22,7 @@ from oneshot_fl.models import (
     sgd_train,
     with_flat_params,
 )
+from oneshot_fl import models
 from oneshot_fl.oracle import fd_gradient
 
 
@@ -365,3 +366,147 @@ class TestSgdTrain:
             sgd_train(model, x, y, TrainConfig(0.1, -1, 1))
         with pytest.raises(ValueError):
             sgd_train(model, x, y, TrainConfig(0.1, 1, 1, momentum=1.0))
+
+
+def _reference_loss_and_grad(model, x, y, loss):
+    """Mean loss and flat gradient, as computed before training kept
+    per-layer buffers: fresh arrays, flattened [W | b] blocks."""
+    n = x.shape[0]
+    if isinstance(model, TwoLayerReLU):
+        h = x @ model.weights.T
+        f = np.maximum(h, 0.0) @ model.signs / np.sqrt(model.m)
+        res = f - y
+        coef = (h >= 0.0) * (model.signs / np.sqrt(model.m)) * res[:, None]
+        return float(0.5 * np.mean(res**2)), ((coef.T @ x) / n).ravel()
+    cache = models.mlp_forward_cache(model, x)
+    z = cache.z
+    y = models._check_targets(model, z, y, loss)
+    if loss == LOSS_SQUARED:
+        diff = z - y
+        loss_val = float(0.5 * np.mean(np.sum(diff**2, axis=1)))
+        dz = diff / n
+    else:
+        p = models._softmax(z)
+        zmax = z.max(axis=1)
+        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+        loss_val = float(np.mean(lse - z[np.arange(n), y]))
+        dz = p.copy()
+        dz[np.arange(n), y] -= 1.0
+        dz /= n
+    dhs = models.mlp_preact_grads(model, cache, dz)
+    parts = [np.column_stack([dh.T @ a, dh.sum(axis=0)]).ravel(order="F")
+             for dh, a in zip(dhs, cache.inputs)]
+    return loss_val, np.concatenate(parts)
+
+
+def _reference_sgd(model, x, y, cfg, loss, seed):
+    """Reference for sgd_train: the step loop on the flat parameter vector,
+    one fresh model, velocity and gathered batch per step."""
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    flat = get_flat_params(model)
+    velocity = np.zeros_like(flat)
+    current = with_flat_params(model, flat)
+    steps = 0
+
+    def batches():
+        if cfg.batch_size >= n:
+            for _ in range(cfg.epochs_or_steps):
+                yield x, y
+        else:
+            for _ in range(cfg.epochs_or_steps):
+                perm = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    sel = perm[start : start + cfg.batch_size]
+                    yield x[sel], y[sel]
+
+    for xb, yb in batches():
+        loss_val, grad = _reference_loss_and_grad(current, xb, yb, loss)
+        if not np.isfinite(loss_val) or not np.all(np.isfinite(grad)):
+            return current, True, steps, loss_val
+        velocity = cfg.momentum * velocity + grad
+        flat = flat - cfg.eta * velocity
+        if not np.all(np.isfinite(flat)) or np.linalg.norm(flat) > 1e12:
+            return current, True, steps, loss_val
+        current = with_flat_params(current, flat)
+        steps += 1
+    return current, False, steps, loss_eval(current, x, y, loss)
+
+
+def _assert_same_as_reference(model, x, y, cfg, loss, seed=5):
+    got = sgd_train(model, x, y, cfg, loss=loss, seed=seed)
+    model_want, diverged, steps, final_loss = _reference_sgd(model, x, y, cfg, loss, seed)
+    assert np.array_equal(get_flat_params(got.model), get_flat_params(model_want))
+    assert (got.steps, got.diverged) == (steps, diverged)
+    assert np.array_equal(got.final_loss, final_loss, equal_nan=True)
+    return got
+
+
+class TestSgdTrainMatchesReference:
+    """sgd_train steps per-layer buffers in place; every result must equal
+    the flat-vector loop's bit for bit, since trained weights feed the
+    quantizer and the server, where a last-bit change can move a row.
+    Sizes are large enough that a parameter stored in column-major order
+    changes the matrix products' rounding."""
+
+    @staticmethod
+    def _mlp_problem(loss, hidden, seed=40):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 20))
+        y = rng.integers(0, 3, size=40) if loss == LOSS_SOFTMAX else rng.standard_normal((40, 3))
+        return init_mlp([20, *hidden, 3], seed=seed + 1, head=loss), x, y
+
+    @pytest.mark.parametrize("loss", [LOSS_SOFTMAX, LOSS_SQUARED])
+    @pytest.mark.parametrize("hidden", [[24], [24, 12]])
+    @pytest.mark.parametrize("batch_size", [16, 1000])  # ragged last batch of 8; full batch
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_mlp(self, loss, hidden, batch_size, momentum):
+        model, x, y = self._mlp_problem(loss, hidden)
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.05, 4, batch_size, momentum),
+                                        loss)
+        assert not res.diverged and res.steps == (12 if batch_size == 16 else 4)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_two_layer_full_batch(self, momentum):
+        rng = np.random.default_rng(42)
+        x = _unit_rows(rng, 30, 3)
+        y = rng.standard_normal(30)
+        model = init_two_layer(24, 3, kappa=0.5, seed=43)
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.1, 50, 30, momentum),
+                                        LOSS_SQUARED)
+        assert res.steps == 50
+
+    @pytest.mark.parametrize("eta", [1e6, 1e200])  # the norm passes 1e12; the iterate overflows
+    def test_divergence_returns_last_verified_iterate(self, eta):
+        model, x, y = self._mlp_problem(LOSS_SQUARED, [24])
+        rng = np.random.default_rng(44)
+        x2 = _unit_rows(rng, 10, 2)
+        two_layer = init_two_layer(32, 2, kappa=1.0, seed=45)
+        with np.errstate(over="ignore"):  # the reference's norm overflows at eta = 1e200
+            res = _assert_same_as_reference(model, x, y, TrainConfig(eta, 4, 16), LOSS_SQUARED)
+            assert res.diverged and np.all(np.isfinite(get_flat_params(res.model)))
+            res = _assert_same_as_reference(two_layer, x2, rng.standard_normal(10),
+                                            TrainConfig(eta, 200, 100), LOSS_SQUARED)
+        assert res.diverged and res.steps < 200
+
+    def test_nan_input_stops_at_its_batch(self):
+        model, x, y = self._mlp_problem(LOSS_SOFTMAX, [24])
+        x[25, 2] = np.nan
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.05, 3, 16, 0.9), LOSS_SOFTMAX)
+        assert res.diverged and 0 <= res.steps < 3 and np.isnan(res.final_loss)
+
+    def test_flat_vector_round_trips_stay_out_of_the_step(self, monkeypatch):
+        model, x, y = self._mlp_problem(LOSS_SOFTMAX, [24])
+        calls = []
+        for name in ("with_flat_params", "get_flat_params"):
+            def counted(*args, _inner=getattr(models, name), _name=name):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(models, name, counted)
+        counts = []
+        for epochs in (1, 8):
+            calls.clear()
+            res = sgd_train(model, x, y, TrainConfig(0.05, epochs, 16), loss=LOSS_SOFTMAX)
+            assert res.steps == 3 * epochs
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
