@@ -8,7 +8,7 @@ curvature-weighted least-squares objective. Codecs for quantized and low-rank
 payloads keep the uplink within a fixed bit budget, and a CLI reproduces the
 width/local-steps sweeps and the heterogeneous classification benchmarks.
 
-Modules: ``numerics`` (power iteration, truncated SVD, Kronecker matvec),
+Modules: ``numerics`` (power iteration, Kronecker matvec),
 ``datasets`` (synthetic tasks, Dirichlet partitioning, IDX/CSV ingestion),
 ``models`` (two-layer relu nets, MLPs, SGD), ``fisher`` (curvature
 payloads), ``aggregate`` (server merging), ``compress`` (codecs and bit

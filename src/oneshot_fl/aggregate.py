@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .fisher import DiagFisher, FisherApprox, FullFisher, KFACFisher, fisher_matvec
-from .numerics import power_iteration_max_eig
+from .numerics import kron_matvec, power_iteration_max_eig
 
 METHOD_FEDAVG = "fedavg"
 METHOD_FULL = "fedfisher-full"
@@ -138,14 +138,15 @@ class _SummedCurvature:
     """Applies sum_i c_i F_i, pre-summing dense and diagonal parts.
 
     Kronecker-factored payloads cannot be pre-summed (sums of Kronecker
-    products are not Kronecker products), so they are applied per client.
+    products are not Kronecker products), so they are applied per client
+    and layer, each product scaled and added into its slice of the output.
     """
 
     def __init__(self, pairs: list[tuple[float, FisherApprox]], dim: int):
         self.dim = dim
         self.dense: np.ndarray | None = None
         self.diag: np.ndarray | None = None
-        self.kfacs: list[tuple[float, KFACFisher]] = []
+        self.kfacs: list[tuple[float, slice, np.ndarray, np.ndarray]] = []  # (c_i, slice, A, B)
         for coef, f in pairs:
             if isinstance(f, FullFisher):
                 if self.dense is None:
@@ -156,7 +157,11 @@ class _SummedCurvature:
                     self.diag = np.zeros(dim)
                 self.diag += coef * f.diag
             elif isinstance(f, KFACFisher):
-                self.kfacs.append((coef, f))
+                offset = 0
+                for layer in f.layers:
+                    size = layer.a.shape[0] * layer.b.shape[0]
+                    self.kfacs.append((coef, slice(offset, offset + size), layer.a, layer.b))
+                    offset += size
             else:
                 raise ValueError(f"unknown curvature variant {type(f).__name__}")
 
@@ -166,8 +171,10 @@ class _SummedCurvature:
             out += self.dense @ v
         if self.diag is not None:
             out += self.diag * v
-        for coef, f in self.kfacs:
-            out += coef * fisher_matvec(f, v)
+        for coef, sl, a, b in self.kfacs:
+            r = kron_matvec(a, b, v[sl])
+            r *= coef
+            out[sl] += r
         return out
 
 

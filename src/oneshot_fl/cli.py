@@ -18,11 +18,12 @@ Each subcommand reads an optional INI config (key = value lines under
 [section] headers, inline ``;`` comments allowed), applies command-line flag
 overrides, writes one CSV row per (seed, method, sweep point), and exits 0 on
 success, 2 on a config error, 3 on numerical divergence. ``_CONFIG_KEYS``
-declares every key once: its attribute, parser, flag and the tasks that read
-it. It drives the flags, and a key set away from the task's default in a task
-that does not read it is a config error. Rows are sorted by (seed, method,
-sweep) and floats carry 17 significant digits, so identical configs (with
-wall-time measurement disabled via --no-timing) produce byte-identical CSVs.
+declares every key once: its attribute, parser, flag and the tasks (and, for
+``[data]`` keys, the data kinds) that read it. It drives the flags, and a key
+set away from the task's default where it is not read is a config error.
+Rows are sorted by (seed, method, sweep) and floats carry 17 significant
+digits, so identical configs (with wall-time measurement disabled via
+--no-timing) produce byte-identical CSVs.
 
 ``comm_bits`` is ``compress.bit_cost`` of the payloads the server receives
 from every client: flat weights plus curvature. With ``compress`` on (see
@@ -176,18 +177,22 @@ _ALL = _SYNTHETIC + _CLASSIFY
 _EPOCHS = ("synthetic-width",) + _CLASSIFY  # synthetic-steps trains for each of steps_list
 _CODEC = _SYNTHETIC + ("one-shot", "few-shot")  # compress-bench sweeps s_q_list instead
 _SWEEPS = {"synthetic-width": "widths", "synthetic-steps": "steps_list", "compress-bench": "s_q_list"}
+_IMAGES, _IDX, _CSV = ("image-classes",), ("idx",), ("csv",)  # data kinds of the classification tasks
 
 
 class _Key(NamedTuple):
     """One config key: the attribute it sets, the parser of its text, the
     tasks that read it, and its command-line flag (None: INI only). A flag
-    with a ``switch`` takes no value and stands for the text ``switch``."""
+    with a ``switch`` takes no value and stands for the text ``switch``.
+    ``kinds`` narrows the readers to those tasks on these data kinds (None:
+    on every kind)."""
 
     attr: str
     parse: Callable[[str], object]
     tasks: tuple[str, ...]
     flag: str | None = None
     switch: str | None = None
+    kinds: tuple[str, ...] | None = None
 
 
 # (section, key) -> _Key: the one declaration of every config key.
@@ -197,18 +202,18 @@ _CONFIG_KEYS = {
     ("data", "per_client"): _Key("per_client", int, _SYNTHETIC),
     ("data", "dim"): _Key("dim", int, _SYNTHETIC),
     ("data", "alpha"): _Key("alpha", float, _CLASSIFY, "--alpha"),
-    ("data", "n_train"): _Key("n_train", int, _CLASSIFY, "--n-train"),
-    ("data", "n_test"): _Key("n_test", int, _CLASSIFY, "--n-test"),
-    ("data", "classes"): _Key("classes", int, _CLASSIFY),
-    ("data", "side"): _Key("side", int, _CLASSIFY),
-    ("data", "pixel_noise"): _Key("pixel_noise", float, _CLASSIFY),
-    ("data", "field_noise"): _Key("field_noise", float, _CLASSIFY),
-    ("data", "images_path"): _Key("images_path", str, _CLASSIFY),
-    ("data", "labels_path"): _Key("labels_path", str, _CLASSIFY),
-    ("data", "test_images_path"): _Key("test_images_path", str, _CLASSIFY),
-    ("data", "test_labels_path"): _Key("test_labels_path", str, _CLASSIFY),
-    ("data", "csv_path"): _Key("csv_path", str, _CLASSIFY),
-    ("data", "test_fraction"): _Key("test_fraction", float, _CLASSIFY),
+    ("data", "n_train"): _Key("n_train", int, _CLASSIFY, "--n-train", kinds=_IMAGES),
+    ("data", "n_test"): _Key("n_test", int, _CLASSIFY, "--n-test", kinds=_IMAGES),
+    ("data", "classes"): _Key("classes", int, _CLASSIFY, kinds=_IMAGES),
+    ("data", "side"): _Key("side", int, _CLASSIFY, kinds=_IMAGES),
+    ("data", "pixel_noise"): _Key("pixel_noise", float, _CLASSIFY, kinds=_IMAGES),
+    ("data", "field_noise"): _Key("field_noise", float, _CLASSIFY, kinds=_IMAGES),
+    ("data", "images_path"): _Key("images_path", str, _CLASSIFY, kinds=_IDX),
+    ("data", "labels_path"): _Key("labels_path", str, _CLASSIFY, kinds=_IDX),
+    ("data", "test_images_path"): _Key("test_images_path", str, _CLASSIFY, kinds=_IDX),
+    ("data", "test_labels_path"): _Key("test_labels_path", str, _CLASSIFY, kinds=_IDX),
+    ("data", "csv_path"): _Key("csv_path", str, _CLASSIFY, kinds=_CSV),
+    ("data", "test_fraction"): _Key("test_fraction", float, _CLASSIFY, kinds=_IDX + _CSV),
     ("data", "val_fraction"): _Key("val_fraction", float, _CLASSIFY),
     ("model", "width"): _Key("width", int, ("synthetic-steps",)),
     ("model", "kappa"): _Key("kappa", float, _SYNTHETIC),
@@ -295,10 +300,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not 0 <= getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be in [0, 1), got {getattr(cfg, name)}")
     for (section, key), spec in _CONFIG_KEYS.items():
-        if cfg.task not in spec.tasks and getattr(cfg, spec.attr) != getattr(default, spec.attr):
-            flag = f" ({spec.flag})" if spec.flag else ""
-            raise ConfigError(f"task {cfg.task} does not read [{section}] {key}{flag}; "
-                              f"leave it at its default {getattr(default, spec.attr)!r}")
+        by_task = cfg.task in spec.tasks
+        if (by_task and (spec.kinds is None or cfg.data_kind in spec.kinds)
+                or getattr(cfg, spec.attr) == getattr(default, spec.attr)):
+            continue
+        reader = f"task {cfg.task}" + (f" on data kind {cfg.data_kind}" if by_task else "")
+        flag = f" ({spec.flag})" if spec.flag else ""
+        raise ConfigError(f"{reader} does not read [{section}] {key}{flag}; "
+                          f"leave it at its default {getattr(default, spec.attr)!r}")
     sweep = _SWEEPS.get(cfg.task)
     if sweep and not getattr(cfg, sweep):
         raise ConfigError(f"task {cfg.task} needs at least one value in {sweep}")
@@ -443,8 +452,9 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
     already holds it. Applies ``codec`` unless the method is fedavg, encoding
     the weights and the diagonal once per codec (``built`` keeps the latest
     codec's) and K-FAC factors at ``kfac_ranks`` (default: planned from
-    ``model`` by :func:`_kfac_ranks`). The bits are ``compress.bit_cost`` of
-    what the server receives.
+    ``model`` by :func:`_kfac_ranks`). Each K-FAC factor is decomposed once,
+    and ``built`` keeps its singular triples for every later codec. The bits
+    are ``compress.bit_cost`` of what the server receives.
     """
     built = {} if built is None else built
     weights = models.get_flat_params(model)
@@ -472,7 +482,8 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
             sent_curvature, f = encoded["diag"]
         elif isinstance(f, fisher.KFACFisher):
             ranks = kfac_ranks or _kfac_ranks(model, codec)
-            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, ranks)
+            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, ranks,
+                                                built.setdefault("kfac_svds", []))
             f = comp.decompress_kfac(sent_curvature)
     bits = comp.bit_cost([sent_weights, sent_curvature])
     return agg.ClientUpdate(weights, f, x.shape[0]), bits
@@ -483,7 +494,8 @@ class Round:
     """Client models after one round of local training.
 
     Every method and codec merged from a round shares it, so each client
-    trains once per round and builds each curvature variant at most once.
+    trains once per round, builds each curvature variant at most once, and
+    decomposes each Kronecker factor at most once.
     """
 
     cfg: ExperimentConfig
@@ -734,6 +746,8 @@ def run_compress_bench(cfg: ExperimentConfig) -> list[ResultRow]:
     One round of local training per seed serves every sweep point (the
     codec only touches the uplink, never the training trajectory), and each
     client builds each curvature variant once and encodes it once per point.
+    Each Kronecker factor is decomposed by SVD once per round; a point only
+    truncates and quantizes the kept triples.
     """
     clock = _Clock(cfg.timing)
     rows = []

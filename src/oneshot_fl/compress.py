@@ -15,6 +15,13 @@ factor, then quantizing each factor matrix separately with its own max_abs.
 The budget planner picks the largest uniform fraction of each layer's rank
 whose exact realized bits (headers included) fit in 16 * d, the footprint of
 the float32 model weights halved to s_q = 2.
+
+Decomposition and codec are separate steps. ``compress_kfac`` decomposes
+each factor once per round and keeps its leading min(dim_a, dim_b) triples
+in a caller-kept ``svds`` list; every codec point (an s_q with its planned
+ranks) only truncates those triples to its l_v and quantizes them. The
+truncation equals a fresh rank-l_v SVD bit for bit, so reusing the list
+never changes a payload.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import KFACFisher, KFACLayer
-from .numerics import top_k_svd
 
 MIN_SQ, MAX_SQ = 1, 16
 
@@ -184,30 +190,56 @@ def bit_cost(obj) -> int:
     raise ValueError(f"no bit accounting for {type(obj).__name__}")
 
 
-def _quantize_factor(mat: np.ndarray, l_v: int, s_q: int) -> CompressedFactor:
-    factors = top_k_svd(mat, l_v)
+@dataclass
+class FactorSVD:
+    """Leading singular triples of one Kronecker factor, u @ diag(s) @ vt.
+
+    Holds the first ``cap`` triples of the full SVD, enough for every kept
+    rank ``compress_kfac`` accepts for the factor's layer.
+    """
+
+    u: np.ndarray  # (m, cap)
+    s: np.ndarray  # (cap,)
+    vt: np.ndarray  # (cap, m)
+
+
+def _factor_svd(mat: np.ndarray, cap: int) -> FactorSVD:
+    u, s, vt = np.linalg.svd(np.asarray(mat, dtype=np.float64), full_matrices=False)
+    return FactorSVD(u[:, :cap].copy(), s[:cap].copy(), vt[:cap].copy())
+
+
+def _quantize_factor(svd: FactorSVD, l_v: int, s_q: int) -> CompressedFactor:
+    # Slicing the leading triples yields the same values as a rank-l_v SVD
+    # truncation, and ravel gives them in the same row-major order.
     return CompressedFactor(
-        qu=quantize(factors.u.ravel(), s_q),
-        qs=quantize(factors.s, s_q),
-        qvt=quantize(factors.vt.ravel(), s_q),
-        shape=(mat.shape[0], l_v),
+        qu=quantize(svd.u[:, :l_v].ravel(), s_q),
+        qs=quantize(svd.s[:l_v], s_q),
+        qvt=quantize(svd.vt[:l_v].ravel(), s_q),
+        shape=(svd.u.shape[0], l_v),
     )
 
 
-def compress_kfac(f: KFACFisher, s_q: int, l_v: list[int]) -> CompressedKFAC:
-    """Compress each layer's factor pair with its planned kept rank."""
+def compress_kfac(f: KFACFisher, s_q: int, l_v: list[int],
+                  svds: list[tuple[FactorSVD, FactorSVD]] | None = None) -> CompressedKFAC:
+    """Compress each layer's factor pair with its planned kept rank.
+
+    ``svds`` holds each layer's (A, B) decompositions from an earlier call
+    on the same ``f``; when it is empty, this call decomposes every factor
+    once and fills it, so one list kept beside ``f`` serves every codec.
+    """
     if len(l_v) != len(f.layers):
         raise ValueError(f"need one l_v per layer: {len(l_v)} != {len(f.layers)}")
-    layers = []
-    for layer, l in zip(f.layers, l_v):
-        cap = min(layer.a.shape[0], layer.b.shape[0])
+    caps = [min(layer.a.shape[0], layer.b.shape[0]) for layer in f.layers]
+    for layer, l, cap in zip(f.layers, l_v, caps):
         if not 1 <= l <= cap:
             raise ValueError(f"l_v={l} outside [1, {cap}] for factor dims "
                              f"{layer.a.shape[0]}/{layer.b.shape[0]}")
-        layers.append(CompressedKFACLayer(
-            a=_quantize_factor(layer.a, l, s_q),
-            b=_quantize_factor(layer.b, l, s_q),
-        ))
+    svds = [] if svds is None else svds
+    if not svds:
+        svds.extend((_factor_svd(layer.a, cap), _factor_svd(layer.b, cap))
+                    for layer, cap in zip(f.layers, caps))
+    layers = [CompressedKFACLayer(a=_quantize_factor(a, l, s_q), b=_quantize_factor(b, l, s_q))
+              for (a, b), l in zip(svds, l_v)]
     return CompressedKFAC(layers, int(s_q))
 
 

@@ -1,9 +1,9 @@
 """Small dense linear-algebra helpers shared by the rest of the package.
 
-Everything here operates on plain float64 numpy arrays. The three entry points
+Everything here operates on plain float64 numpy arrays. The two entry points
 are a matrix-free power iteration for the largest eigenvalue of a symmetric
-PSD operator, a truncated SVD wrapper that tracks the discarded energy, and a
-Kronecker-product matvec that never materializes the Kronecker matrix.
+PSD operator and a Kronecker-product matvec that never materializes the
+Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -26,23 +26,6 @@ class PowerIterResult:
     vector: np.ndarray
     converged: bool
     iterations: int
-
-
-@dataclass
-class LowRankFactors:
-    """Truncated SVD a ~ u @ diag(s) @ vt, plus the discarded energy.
-
-    ``error`` is the Frobenius norm of the residual, i.e. the root of the sum
-    of squared singular values beyond the first k.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-    error: float
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
 
 
 def _power_run(
@@ -100,22 +83,6 @@ def power_iteration_max_eig(
 
     best = first if first.value >= second.value else second
     return best
-
-
-def top_k_svd(a: np.ndarray, k: int) -> LowRankFactors:
-    """Best rank-``k`` approximation of a 2-d matrix via the SVD.
-
-    Raises ValueError when ``k`` is not in ``[1, min(a.shape)]``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    max_k = min(a.shape)
-    if not 1 <= k <= max_k:
-        raise ValueError(f"k must be in [1, {max_k}], got {k}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    error = float(np.sqrt(np.sum(s[k:] ** 2)))
-    return LowRankFactors(u[:, :k].copy(), s[:k].copy(), vt[:k].copy(), error)
 
 
 def kron_matvec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

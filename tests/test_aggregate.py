@@ -18,7 +18,7 @@ from oneshot_fl.aggregate import (
     merge_updates,
 )
 from oneshot_fl.datasets import FederatedDataset, gen_synthetic
-from oneshot_fl.fisher import DiagFisher, FullFisher, KFACFisher, KFACLayer
+from oneshot_fl.fisher import DiagFisher, FullFisher, KFACFisher, KFACLayer, fisher_matvec
 from oneshot_fl.models import LOSS_SQUARED, TrainConfig, init_two_layer
 from oneshot_fl.oracle import constrained_min_norm_solution
 
@@ -533,6 +533,46 @@ class TestServerMatvecCount:
         assert res.iterations == 50
         assert count["all"] - count["power"] == 50 + 1  # one per step, one final residual
         assert (count["power"] > 0) == (optimizer == "gd")
+
+
+def _summed_matvec_reference(op, pairs, v):
+    """The server operator with each K-FAC payload applied whole, scaled and
+    added: the arithmetic the per-layer accumulation must reproduce."""
+    out = np.zeros_like(v)
+    if op.dense is not None:
+        out += op.dense @ v
+    if op.diag is not None:
+        out += op.diag * v
+    for coef, f in pairs:
+        if isinstance(f, KFACFisher):
+            out += coef * fisher_matvec(f, v)
+    return out
+
+
+class TestSummedCurvatureMatchesReference:
+    def _kfac(self, rng, dims=((4, 3), (5, 2), (3, 4))):
+        layers = []
+        for da, db in dims:
+            ga, gb = rng.standard_normal((da, da)), rng.standard_normal((db, db))
+            layers.append(KFACLayer(ga @ ga.T, gb @ gb.T))
+        return KFACFisher(layers)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_bit_identical_to_whole_payload_matvec(self, mixed):
+        rng = np.random.default_rng(11)
+        fishers = [self._kfac(rng) for _ in range(3)]
+        d = fishers[0].dim
+        if mixed:
+            fishers += [DiagFisher(rng.random(d)), DiagFisher(rng.random(d))]
+        updates = [ClientUpdate(rng.standard_normal(d), f, n)
+                   for f, n in zip(fishers, (7, 30, 12, 5, 19))]
+        pairs = list(zip(aggregate._coefficients(updates), fishers))
+        assert len({c for c, _ in pairs}) == len(pairs)  # unequal client weights
+        op = aggregate._SummedCurvature(pairs, d)
+        assert (op.diag is not None) == mixed
+        for _ in range(5):
+            v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
+            assert np.array_equal(op.matvec(v), _summed_matvec_reference(op, pairs, v))
 
 
 class TestFisherMergeDiag:

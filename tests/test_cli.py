@@ -287,6 +287,40 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert "does not read [run] widths" in capsys.readouterr().err
 
+    def test_data_key_of_another_kind_rejected(self, tmp_path, capsys):
+        # The image generator's keys did nothing on csv data: same CSV bytes.
+        path, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        path.write_text(f"[data]\nkind = csv\ncsv_path = {tmp_path / 'd.csv'}\n"
+                        "side = 6\nclasses = 3\nn_train = 7\n")
+        code = cli.main(["one-shot", "--config", str(path), "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert ("task one-shot on data kind csv does not read [data] n_train (--n-train)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, key", [
+        ("csv", "side"), ("csv", "images_path"), ("idx", "csv_path"), ("idx", "pixel_noise"),
+        ("image-classes", "test_fraction"), ("image-classes", "labels_path"),
+    ])
+    def test_data_keys_checked_per_kind(self, kind, key):
+        cfg = replace(default_config("few-shot"), data_kind=kind)
+        validate_config(cfg)
+        spec = cli._CONFIG_KEYS[("data", key)]
+        bad = replace(cfg, **{spec.attr: spec.parse(_UNREAD_VALUES[key])})
+        with pytest.raises(ConfigError, match=rf"data kind {kind} does not read \[data\] {key}"):
+            validate_config(bad)
+
+    def test_data_keys_of_the_kind_accepted(self):
+        for kind, keys in (("image-classes", "n_train n_test classes side pixel_noise field_noise"),
+                           ("idx", "images_path labels_path test_images_path test_labels_path "
+                                   "test_fraction"),
+                           ("csv", "csv_path test_fraction")):
+            values = {}
+            for key in keys.split() + ["alpha", "val_fraction"]:
+                spec = cli._CONFIG_KEYS[("data", key)]
+                values[spec.attr] = spec.parse(_UNREAD_VALUES[key])
+            validate_config(replace(default_config("compress-bench"), data_kind=kind, **values))
+
     def test_dense_curvature_size_cap(self):
         cfg = replace(default_config("synthetic-width"), widths=[1024], dim=4)
         with pytest.raises(ConfigError, match="width\\*dim"):
@@ -780,6 +814,23 @@ class TestCompressBenchCommand:
         assert calls == {"diag_fisher": clients, "kfac_fisher": clients,
                          "compress_kfac": clients * points,
                          "quantize_blocks": 2 * clients * points}
+
+    @pytest.mark.parametrize("s_q_list", [[1, 2, 4], [1, 2, 4, 8]])
+    def test_each_factor_decomposed_once_per_round(self, s_q_list, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cfg = replace(_tiny_image_cfg(task="compress-bench"), s_q_list=s_q_list,
+                      methods=[agg.METHOD_KFAC])
+        assert len(cli.run_compress_bench(cfg)) == len(s_q_list)
+        layers = len(cfg.hidden_dims) + 1
+        assert len(calls) == 2 * layers * cfg.clients  # A and B of every layer, once
+        assert sorted(calls) == sorted([(37, 37), (16, 16), (17, 17), (3, 3)] * cfg.clients)
 
     def test_main_row_count(self, tmp_path):
         out = tmp_path / "cb.csv"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oneshot_fl import datasets, models
 from oneshot_fl.compress import (
     bit_cost,
     compress_kfac,
@@ -16,7 +17,9 @@ from oneshot_fl.compress import (
     quantize_blocks,
     to_bytes,
 )
-from oneshot_fl.fisher import KFACFisher, KFACLayer
+from oneshot_fl.fisher import KFACFisher, KFACLayer, kfac_fisher
+
+from low_rank import top_k_svd
 
 
 def _psd(rng, n):
@@ -209,6 +212,50 @@ class TestCompressKfac:
             want += eb * (2 * da + 1) + 3 * 32
             want += eb * (2 * db + 1) + 3 * 32
         assert bit_cost(c) == want
+
+
+def _trained_mlp_kfac() -> KFACFisher:
+    x, y, _, _ = datasets.gen_image_classes(120, 10, 4, 6, seed=3)
+    model = models.init_mlp([x.shape[1], 12, 4], [3, 17])
+    trained = models.sgd_train(model, x, y, models.TrainConfig(0.05, 3, 16, 0.9),
+                               loss=models.LOSS_SOFTMAX, seed=[3, 0, 0]).model
+    return kfac_fisher(trained, x, models.LOSS_SOFTMAX)
+
+
+class TestStoredDecomposition:
+    """One SVD per factor serves every codec point, with the payload a fresh
+    rank-l_v truncation would give."""
+
+    @pytest.mark.parametrize("s_q", [1, 4, 16])
+    def test_every_rank_matches_fresh_truncation(self, s_q):
+        f = _trained_mlp_kfac()
+        caps = [min(layer.a.shape[0], layer.b.shape[0]) for layer in f.layers]
+        assert caps == [12, 4]
+        svds = []
+        for rank in range(1, max(caps) + 1):
+            l_v = [min(rank, cap) for cap in caps]
+            got = compress_kfac(f, s_q, l_v, svds)
+            for layer, sent, l in zip(f.layers, got.layers, l_v):
+                for mat, factor in ((layer.a, sent.a), (layer.b, sent.b)):
+                    fresh = top_k_svd(mat, l)
+                    want = (quantize(fresh.u.ravel(), s_q), quantize(fresh.s, s_q),
+                            quantize(fresh.vt.ravel(), s_q))
+                    for q, ref in zip((factor.qu, factor.qs, factor.qvt), want):
+                        assert q.max_abs == ref.max_abs
+                        assert np.array_equal(q.signs, ref.signs)
+                        assert np.array_equal(q.levels, ref.levels)
+                    assert factor.shape == (mat.shape[0], l)
+
+    def test_decomposition_kept_at_cap_and_reused(self):
+        f = _trained_mlp_kfac()
+        svds = []
+        compress_kfac(f, 4, [3, 2], svds)
+        kept = [m for pair in svds for svd in pair for m in (svd.u, svd.s, svd.vt)]
+        assert [(a.u.shape, a.s.shape, a.vt.shape) for a, _ in svds] == [
+            ((37, 12), (12,), (12, 37)), ((13, 4), (4,), (4, 13))]
+        compress_kfac(f, 8, [12, 4], svds)
+        again = [m for pair in svds for svd in pair for m in (svd.u, svd.s, svd.vt)]
+        assert all(x is y for x, y in zip(again, kept, strict=True))  # not decomposed again
 
 
 class TestBudgetPlan:

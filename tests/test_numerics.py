@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from oneshot_fl.numerics import (
-    LowRankFactors,
-    kron_matvec,
-    power_iteration_max_eig,
-    top_k_svd,
-)
+from oneshot_fl.numerics import kron_matvec, power_iteration_max_eig
+
+from low_rank import LowRankFactors, top_k_svd
 
 
 def _matvec(mat):
