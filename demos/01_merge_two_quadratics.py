@@ -7,7 +7,7 @@ back to the mean where nobody is.
 
 import numpy as np
 
-from oneshot_fl.aggregate import ClientUpdate, ServerConfig, fedavg, fedfisher_gd
+from oneshot_fl.aggregate import ClientUpdate, ServerConfig, fedavg, fedfisher_solve
 from oneshot_fl.fisher import DiagFisher
 
 # Client A is sure about coordinate 0, indifferent about the rest.
@@ -16,7 +16,7 @@ client_a = ClientUpdate(np.array([2.0, 7.0, 1.0]), DiagFisher(np.array([4.0, 0.0
 client_b = ClientUpdate(np.array([-3.0, 5.0, 3.0]), DiagFisher(np.array([0.0, 2.0, 0.0])))
 
 mean = fedavg([client_a, client_b])
-result = fedfisher_gd([client_a, client_b], ServerConfig(optimizer="gd", stop_tol=1e-14))
+result = fedfisher_solve([client_a, client_b], ServerConfig(optimizer="gd", stop_tol=1e-14))
 
 print("client A weights:", client_a.weights, "confidence:", client_a.fisher.diag)
 print("client B weights:", client_b.weights, "confidence:", client_b.fisher.diag)

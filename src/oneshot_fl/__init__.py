@@ -15,8 +15,6 @@ payloads), ``aggregate`` (server merging), ``compress`` (codecs and bit
 accounting), ``cli`` (the client round, whose one uplink per client is
 charged ``compress.bit_cost`` of what the server receives, and the
 experiment runners built on it; every runner honours ``compress``).
-``oracle`` holds slow reference implementations for the test suite and is
-deliberately not re-exported here.
 """
 
 from . import aggregate, cli, compress, datasets, fisher, models, numerics

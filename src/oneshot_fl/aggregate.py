@@ -37,7 +37,7 @@ payloads, while a dense payload already holds d * d numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -396,15 +396,6 @@ def fedfisher_solve(
     return MergeResult(final, iterations, converged, diverged=diverged, step_warning=warning,
                        residual=float(np.linalg.norm(g)), lambda_max=lam,
                        objective_trace=trace)
-
-
-def fedfisher_gd(
-    updates: list[ClientUpdate],
-    cfg: ServerConfig | None = None,
-    record_objective: bool = False,
-) -> MergeResult:
-    """:func:`fedfisher_solve` with the gradient-descent step rule."""
-    return fedfisher_solve(updates, replace(cfg or ServerConfig(), optimizer="gd"), record_objective)
 
 
 def fisher_merge_diag(updates: list[ClientUpdate], floor: float = DEFAULT_FISHER_FLOOR) -> np.ndarray:

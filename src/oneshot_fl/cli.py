@@ -375,10 +375,10 @@ def _server_config(cfg: ExperimentConfig, val_fn=None) -> agg.ServerConfig:
     )
 
 
-def _local_config(cfg: ExperimentConfig, n_examples: int) -> models.TrainConfig:
+def _local_config(cfg: ExperimentConfig, n_examples: int, steps: int) -> models.TrainConfig:
     batch = cfg.batch_size if cfg.batch_size > 0 else n_examples
     return models.TrainConfig(
-        eta=cfg.eta, epochs_or_steps=cfg.epochs_or_steps,
+        eta=cfg.eta, epochs_or_steps=steps,
         batch_size=batch, momentum=cfg.momentum,
     )
 
@@ -435,9 +435,16 @@ def _raw_payload(f) -> list[np.ndarray]:
 
 def _kfac_ranks(model, codec: Codec) -> list[int]:
     """Kept rank per layer of the K-FAC factors under ``codec``. The budget
-    plan depends on the architecture alone, so one serves every client."""
+    plan depends on the architecture alone, so one serves every client.
+    Raises :class:`ConfigError` when even rank 1 exceeds the budget."""
     dims = [(cols, rows) for _, rows, cols in models.layer_slices(model)]
-    return comp.kfac_budget_plan(dims, models.param_count(model), codec.factor_s_q).l_v
+    plan = comp.kfac_budget_plan(dims, models.param_count(model), codec.factor_s_q)
+    if not plan.feasible:
+        raise ConfigError(
+            f"K-FAC factors of dims {dims} need {plan.total_bits} bits at rank 1 and "
+            f"s_q = {plan.s_q}, over the {plan.budget_bits}-bit budget; raise s_q "
+            f"or widen hidden_dims")
+    return plan.l_v
 
 
 def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
@@ -571,12 +578,6 @@ class _Pipeline:
 # ---------------------------------------------------------------------------
 
 
-def _full_batch(cfg: ExperimentConfig, data: datasets.FederatedDataset,
-                steps: int) -> models.TrainConfig:
-    return models.TrainConfig(eta=cfg.eta, epochs_or_steps=steps,
-                              batch_size=data.x.shape[0], momentum=cfg.momentum)
-
-
 def run_width_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     clock = _Clock(cfg.timing)
     rows = []
@@ -587,7 +588,7 @@ def run_width_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
             run = _Pipeline(clock, init, _server_config(cfg))
             t0 = clock.now()
             rnd = train_round(cfg, data, [init] * data.num_clients,
-                              _full_batch(cfg, data, cfg.epochs_or_steps), seed, 0)
+                              _local_config(cfg, data.x.shape[0], cfg.epochs_or_steps), seed, 0)
             train_seconds = clock.now() - t0
             rows.extend(run.row(rnd, method, _codec(cfg), float(width), train_seconds)[0]
                         for method in cfg.methods)
@@ -616,7 +617,8 @@ def run_local_steps_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                 starts = rnd.trained
             else:
                 starts, done, train_seconds = [init] * data.num_clients, 0, 0.0
-            rnd = train_round(cfg, data, starts, _full_batch(cfg, data, k - done), seed, 0)
+            local = _local_config(cfg, data.x.shape[0], k - done)
+            rnd = train_round(cfg, data, starts, local, seed, 0)
             train_seconds += clock.now() - t0
             done = k
             rows.extend(run.row(rnd, method, _codec(cfg), float(k), train_seconds)[0]
@@ -697,7 +699,8 @@ def _classification_start(cfg: ExperimentConfig, seed: int, clock: _Clock):
     run = _Pipeline(clock, init, _server_config(cfg, val_fn), (splits.test_x, splits.test_y))
     t0 = clock.now()
     first = train_round(cfg, splits.train, [init] * splits.train.num_clients,
-                        _local_config(cfg, splits.train.x.shape[0]), seed, 0)
+                        _local_config(cfg, splits.train.x.shape[0], cfg.epochs_or_steps),
+                        seed, 0)
     return run, first, clock.now() - t0
 
 
@@ -714,7 +717,7 @@ def _run_rounds(cfg: ExperimentConfig, rounds: int, sweep_of_round) -> list[Resu
     for seed in cfg.seeds:
         run, first, first_seconds = _classification_start(cfg, seed, clock)
         data = first.data
-        train_cfg = _local_config(cfg, data.x.shape[0])
+        train_cfg = _local_config(cfg, data.x.shape[0], cfg.epochs_or_steps)
         for method in cfg.methods:
             rnd, train_seconds, bits = first, first_seconds, 0
             for r in range(rounds):

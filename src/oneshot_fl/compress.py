@@ -6,9 +6,10 @@ with compression factor s_q in [1, 16] each element takes floor(32/s_q) bits
 l_q = 2^(floor(32/s_q) - 1) - 1. Levels are the ceiling of the scaled
 magnitude, so quantized magnitudes never shrink and the per-element error is
 at most max_abs / l_q. ``bit_cost`` charges d * floor(32/s_q) + 32 (the 32 is
-the max-abs scalar at float32 width); the packed bitstream materializes
-exactly those payload bits but frames them with a 32-bit element count and a
-float64 max_abs for lossless round-trips.
+the max-abs scalar at float32 width); the packed bitstream of the test
+suite's ``to_bytes`` helper materializes exactly those payload bits but
+frames them with a 32-bit element count and a float64 max_abs for lossless
+round-trips.
 
 Kronecker factors are compressed by truncated SVD, keeping l_v triples per
 factor, then quantizing each factor matrix separately with its own max_abs.
@@ -26,7 +27,6 @@ never changes a payload.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,38 +98,6 @@ def dequantize(q: QuantizedVector) -> np.ndarray:
     return q.max_abs * q.signs.astype(np.float64) * (q.levels.astype(np.float64) / l_q)
 
 
-def to_bytes(q: QuantizedVector) -> bytes:
-    """Packed bitstream: u32 count, f64 max_abs, then per element the sign bit
-    followed by the level bits, filled LSB-first within each byte."""
-    bits_per = _element_bits(q.s_q)
-    level_bits = bits_per - 1
-    bits = np.zeros((q.n, bits_per), dtype=np.uint8)
-    bits[:, 0] = q.signs < 0
-    if level_bits:
-        shifts = np.arange(level_bits, dtype=np.int64)
-        bits[:, 1:] = (q.levels[:, None] >> shifts) & 1
-    packed = np.packbits(bits.ravel(), bitorder="little")
-    return struct.pack("<I", q.n) + struct.pack("<d", q.max_abs) + packed.tobytes()
-
-
-def from_bytes(buf: bytes, s_q: int) -> QuantizedVector:
-    bits_per = _element_bits(s_q)
-    if len(buf) < 12:
-        raise ValueError("quantized payload shorter than its 12-byte header")
-    (n,) = struct.unpack("<I", buf[:4])
-    (max_abs,) = struct.unpack("<d", buf[4:12])
-    expected = 12 + (n * bits_per + 7) // 8
-    if len(buf) != expected:
-        raise ValueError(f"quantized payload length {len(buf)} != expected {expected}")
-    raw = np.unpackbits(np.frombuffer(buf[12:], dtype=np.uint8), bitorder="little")
-    bits = raw[: n * bits_per].reshape(n, bits_per).astype(np.int64)
-    signs = np.where(bits[:, 0] == 1, -1, 1).astype(np.int8)
-    levels = np.zeros(n, dtype=np.int64)
-    for j in range(1, bits_per):
-        levels |= bits[:, j] << (j - 1)
-    return QuantizedVector(int(s_q), float(max_abs), signs, levels)
-
-
 @dataclass
 class CompressedFactor:
     """Truncated SVD of one Kronecker factor, each matrix quantized alone."""
@@ -145,18 +113,6 @@ class CompressedFactor:
         s = dequantize(self.qs)
         vt = dequantize(self.qvt).reshape(l_v, m)
         return (u * s) @ vt
-
-
-@dataclass
-class CompressedKFACLayer:
-    a: CompressedFactor
-    b: CompressedFactor
-
-
-@dataclass
-class CompressedKFAC:
-    layers: list[CompressedKFACLayer]
-    s_q: int
 
 
 @dataclass
@@ -179,10 +135,6 @@ def bit_cost(obj) -> int:
         return _quantized_bits(obj.n, obj.s_q)
     if isinstance(obj, CompressedFactor):
         return bit_cost(obj.qu) + bit_cost(obj.qs) + bit_cost(obj.qvt)
-    if isinstance(obj, CompressedKFACLayer):
-        return bit_cost(obj.a) + bit_cost(obj.b)
-    if isinstance(obj, CompressedKFAC):
-        return sum(bit_cost(layer) for layer in obj.layers)
     if isinstance(obj, np.ndarray):
         return 32 * obj.size
     if isinstance(obj, (list, tuple)):
@@ -220,8 +172,10 @@ def _quantize_factor(svd: FactorSVD, l_v: int, s_q: int) -> CompressedFactor:
 
 
 def compress_kfac(f: KFACFisher, s_q: int, l_v: list[int],
-                  svds: list[tuple[FactorSVD, FactorSVD]] | None = None) -> CompressedKFAC:
-    """Compress each layer's factor pair with its planned kept rank.
+                  svds: list[tuple[FactorSVD, FactorSVD]] | None = None
+                  ) -> list[tuple[CompressedFactor, CompressedFactor]]:
+    """Compress each layer's factor pair with its planned kept rank: one
+    (A, B) pair of compressed factors per layer.
 
     ``svds`` holds each layer's (A, B) decompositions from an earlier call
     on the same ``f``; when it is empty, this call decomposes every factor
@@ -238,19 +192,18 @@ def compress_kfac(f: KFACFisher, s_q: int, l_v: list[int],
     if not svds:
         svds.extend((_factor_svd(layer.a, cap), _factor_svd(layer.b, cap))
                     for layer, cap in zip(f.layers, caps))
-    layers = [CompressedKFACLayer(a=_quantize_factor(a, l, s_q), b=_quantize_factor(b, l, s_q))
-              for (a, b), l in zip(svds, l_v)]
-    return CompressedKFAC(layers, int(s_q))
+    return [(_quantize_factor(a, l, s_q), _quantize_factor(b, l, s_q))
+            for (a, b), l in zip(svds, l_v)]
 
 
-def decompress_kfac(c: CompressedKFAC) -> KFACFisher:
+def decompress_kfac(layers: list[tuple[CompressedFactor, CompressedFactor]]) -> KFACFisher:
     """Reconstruct factors (symmetrized, since quantization breaks symmetry)."""
-    layers = []
-    for layer in c.layers:
-        a = layer.a.reconstruct()
-        b = layer.b.reconstruct()
-        layers.append(KFACLayer((a + a.T) / 2.0, (b + b.T) / 2.0))
-    return KFACFisher(layers)
+    out = []
+    for ca, cb in layers:
+        a = ca.reconstruct()
+        b = cb.reconstruct()
+        out.append(KFACLayer((a + a.T) / 2.0, (b + b.T) / 2.0))
+    return KFACFisher(out)
 
 
 def _plan_bits(layer_dims: list[tuple[int, int]], l_v: list[int], s_q: int) -> int:

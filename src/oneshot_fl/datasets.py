@@ -194,23 +194,6 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
     return x, labels.astype(np.int64)
 
 
-def write_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:
-    """Write uint8 images of shape (N, rows, cols) and labels as IDX files."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"images must have shape (N, rows, cols), got {images.shape}")
-    if labels.shape != (images.shape[0],):
-        raise ValueError(f"labels must have shape ({images.shape[0]},), got {labels.shape}")
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_MAGIC_LABELS, n))
-        f.write(labels.tobytes())
-
-
 def load_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
     """Read a tabular CSV with a header row; the final column is the label.
 

@@ -4,8 +4,8 @@ Everything here recomputes quantities the library produces by faster or more
 structured paths: dense constrained least-squares solutions via
 eigendecomposition, Monte Carlo curvature estimates from sampled labels,
 finite-difference gradients, and a sampled Gram matrix of the relu feature
-kernel. Deliberately not re-exported from the package root; production code
-must not depend on this module.
+kernel. They live with the tests, outside the package: nothing the runners
+call depends on them.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
-from .models import LOSS_SOFTMAX, LOSS_SQUARED, Model
+from oneshot_fl import models
+from oneshot_fl.models import LOSS_SOFTMAX, LOSS_SQUARED, Model
 
 _PINV_CUTOFF = 1e-10
 MAX_GRAM_POINTS = 500

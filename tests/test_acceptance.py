@@ -12,11 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oneshot_fl import cli, datasets, fisher, models, numerics, oracle
+from oneshot_fl import cli, datasets, fisher, models, numerics
 from oneshot_fl import aggregate as agg
 from oneshot_fl import compress as comp
 from oneshot_fl.aggregate import ServerConfig
 
+import oracle
 from merge_instances import rank_deficient_instance
 
 
@@ -37,7 +38,7 @@ def test_criterion_1_gd_matches_constrained_oracle():
     worst_rel, worst_res = 0.0, 0.0
     for seed in range(50):
         updates, dense = rank_deficient_instance(seed, d_max=20, m_max=4)
-        got = agg.fedfisher_gd(updates, server).weights
+        got = agg.fedfisher_solve(updates, server).weights
         want = oracle.constrained_min_norm_solution(
             dense, [u.weights for u in updates]).weights
         rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
@@ -251,8 +252,8 @@ def test_criterion_9_property_suites(tmp_path):
     updates, _ = rank_deficient_instance(3)
     perm = np.random.default_rng(1).permutation(len(updates))
     server = ServerConfig(optimizer="gd", eta_s=None, t_max=20_000, stop_tol=1e-12)
-    base = agg.fedfisher_gd(updates, server).weights
-    shuffled = agg.fedfisher_gd([updates[i] for i in perm], server).weights
+    base = agg.fedfisher_solve(updates, server).weights
+    shuffled = agg.fedfisher_solve([updates[i] for i in perm], server).weights
     if np.linalg.norm(base - shuffled) > 1e-9 * max(np.linalg.norm(base), 1.0):
         failures.append("gd merge depends on client order")
     mean_base = agg.fedavg(updates)
@@ -262,7 +263,7 @@ def test_criterion_9_property_suites(tmp_path):
 
     # The gd merge objective never increases along the iterates.
     updates, dense = rank_deficient_instance(5)
-    result = agg.fedfisher_gd(updates, server, record_objective=True)
+    result = agg.fedfisher_solve(updates, server, record_objective=True)
     trace = np.asarray(result.objective_trace)
     if np.any(np.diff(trace) > 1e-12 * max(trace[0], 1.0)):
         failures.append("gd objective increased")

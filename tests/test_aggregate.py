@@ -12,7 +12,6 @@ from oneshot_fl.aggregate import (
     METHOD_FULL,
     ServerConfig,
     fedavg,
-    fedfisher_gd,
     fedfisher_solve,
     fisher_merge_diag,
     merge_updates,
@@ -20,9 +19,9 @@ from oneshot_fl.aggregate import (
 from oneshot_fl.datasets import FederatedDataset, gen_synthetic
 from oneshot_fl.fisher import DiagFisher, FullFisher, KFACFisher, KFACLayer, fisher_matvec
 from oneshot_fl.models import LOSS_SQUARED, TrainConfig, init_two_layer
-from oneshot_fl.oracle import constrained_min_norm_solution
 
 from merge_instances import rank_deficient_instance as _rand_instance
+from oracle import constrained_min_norm_solution
 
 
 class TestFedavg:
@@ -66,22 +65,22 @@ class TestEstimateLmax:
             ClientUpdate(np.zeros(2), DiagFisher(np.array([1.0, 2.0]))),
             ClientUpdate(np.zeros(2), DiagFisher(np.array([3.0, 0.0]))),
         ]
-        assert fedfisher_gd(updates).lambda_max == pytest.approx(4.0, rel=1e-8)
+        assert fedfisher_solve(updates).lambda_max == pytest.approx(4.0, rel=1e-8)
 
     def test_all_zero(self):
         updates = [ClientUpdate(np.zeros(3), DiagFisher(np.zeros(3)))]
-        assert fedfisher_gd(updates).lambda_max == 0.0
+        assert fedfisher_solve(updates).lambda_max == 0.0
 
     def test_matches_dense_oracle(self):
         for seed in range(10):
             updates, dense = _rand_instance(seed)
             want = np.linalg.eigvalsh(sum(dense))[-1]
-            got = fedfisher_gd(updates, ServerConfig(t_max=0)).lambda_max
+            got = fedfisher_solve(updates, ServerConfig(t_max=0)).lambda_max
             assert got == pytest.approx(want, rel=1e-3)
 
     def test_missing_fisher_rejected(self):
         with pytest.raises(ValueError):
-            fedfisher_gd([ClientUpdate(np.zeros(2))])
+            fedfisher_solve([ClientUpdate(np.zeros(2))])
 
 
 class TestFedfisherGd:
@@ -90,7 +89,7 @@ class TestFedfisherGd:
         updates = [
             ClientUpdate(rng.standard_normal(4), FullFisher(np.eye(4))) for _ in range(3)
         ]
-        res = fedfisher_gd(updates)
+        res = fedfisher_solve(updates)
         assert res.converged
         assert np.allclose(res.weights, fedavg(updates), atol=1e-9)
 
@@ -101,7 +100,7 @@ class TestFedfisherGd:
             ClientUpdate(np.array([1.0, 0.0]), DiagFisher(np.array([1.0, 0.0]))),
             ClientUpdate(np.array([3.0, 4.0]), DiagFisher(np.array([1.0, 0.0]))),
         ]
-        res = fedfisher_gd(updates)
+        res = fedfisher_solve(updates)
         assert res.converged
         assert np.allclose(res.weights, [2.0, 2.0], atol=1e-9)
 
@@ -109,7 +108,7 @@ class TestFedfisherGd:
         cfg = ServerConfig(stop_tol=1e-12)
         for seed in range(15):
             updates, dense = _rand_instance(seed)
-            res = fedfisher_gd(updates, cfg)
+            res = fedfisher_solve(updates, cfg)
             want = constrained_min_norm_solution(
                 dense, [u.weights for u in updates]
             ).weights
@@ -120,7 +119,7 @@ class TestFedfisherGd:
         cfg = ServerConfig(stop_tol=1e-12)
         for seed in range(8):
             updates, dense = _rand_instance(seed + 100)
-            res = fedfisher_gd(updates, cfg)
+            res = fedfisher_solve(updates, cfg)
             f_sum = sum(dense)
             b = sum(f @ u.weights for f, u in zip(dense, updates))
             resid = np.linalg.norm(f_sum @ res.weights - b)
@@ -129,7 +128,7 @@ class TestFedfisherGd:
     def test_monotone_objective(self):
         for seed in range(6):
             updates, _ = _rand_instance(seed + 50)
-            res = fedfisher_gd(updates, ServerConfig(t_max=200), record_objective=True)
+            res = fedfisher_solve(updates, ServerConfig(t_max=200), record_objective=True)
             trace = np.array(res.objective_trace)
             assert np.all(np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -138,7 +137,7 @@ class TestFedfisherGd:
         # increases the distance to the mean.
         rng = np.random.default_rng(2)
         updates, dense = _rand_instance(11)
-        res = fedfisher_gd(updates, ServerConfig(stop_tol=1e-12))
+        res = fedfisher_solve(updates, ServerConfig(stop_tol=1e-12))
         sol = constrained_min_norm_solution(dense, [u.weights for u in updates])
         mean = fedavg(updates)
         base = np.linalg.norm(res.weights - mean)
@@ -151,16 +150,16 @@ class TestFedfisherGd:
         updates, _ = _rand_instance(21, m_max=4)
         if len(updates) < 2:
             updates = updates * 2
-        base = fedfisher_gd(updates, ServerConfig(stop_tol=1e-12)).weights
-        perm = fedfisher_gd(updates[::-1], ServerConfig(stop_tol=1e-12)).weights
+        base = fedfisher_solve(updates, ServerConfig(stop_tol=1e-12)).weights
+        perm = fedfisher_solve(updates[::-1], ServerConfig(stop_tol=1e-12)).weights
         assert np.allclose(base, perm, atol=1e-8)
 
     def test_manual_step_warning(self):
         updates = [
             ClientUpdate(np.array([1.0, 0.0]), DiagFisher(np.array([2.0, 1.0]))),
         ]
-        safe = fedfisher_gd(updates, ServerConfig(eta_s=0.4))
-        hot = fedfisher_gd(updates, ServerConfig(eta_s=0.9, t_max=50))
+        safe = fedfisher_solve(updates, ServerConfig(eta_s=0.4))
+        hot = fedfisher_solve(updates, ServerConfig(eta_s=0.9, t_max=50))
         assert not safe.step_warning
         assert hot.step_warning  # 0.9 * lambda_max = 1.8 > 1
 
@@ -169,7 +168,7 @@ class TestFedfisherGd:
             ClientUpdate(np.array([1.0, 3.0]), DiagFisher(np.zeros(2))),
             ClientUpdate(np.array([3.0, 5.0]), DiagFisher(np.zeros(2))),
         ]
-        res = fedfisher_gd(updates)
+        res = fedfisher_solve(updates)
         assert res.converged
         assert np.allclose(res.weights, [2.0, 4.0])
 
@@ -182,8 +181,8 @@ class TestFedfisherGd:
             ClientUpdate(np.array([0.0]), DiagFisher(np.array([1.0])), n_examples=1),
             ClientUpdate(np.array([4.0]), DiagFisher(np.array([1.0])), n_examples=3),
         ]
-        assert fedfisher_gd(base).weights[0] == pytest.approx(2.0, abs=1e-9)
-        assert fedfisher_gd(skew).weights[0] == pytest.approx(3.0, abs=1e-9)
+        assert fedfisher_solve(base).weights[0] == pytest.approx(2.0, abs=1e-9)
+        assert fedfisher_solve(skew).weights[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_divergence_is_not_convergence(self):
         # Once the iterate's norm overflows, the stop test compares inf with
@@ -191,7 +190,7 @@ class TestFedfisherGd:
         updates = [ClientUpdate(np.array([1.0, -1.0]), DiagFisher(np.array([2.0, 1.0]))),
                    ClientUpdate(np.array([0.0, 1.0]), DiagFisher(np.array([1.0, 1.0])))]
         # lambda_max = 3, so eta * lambda_max = 2.4 > 2.
-        res = fedfisher_gd(updates, ServerConfig(eta_s=0.8, t_max=5000), record_objective=True)
+        res = fedfisher_solve(updates, ServerConfig(eta_s=0.8, t_max=5000), record_objective=True)
         assert res.diverged and not res.converged
         assert np.all(np.isfinite(res.weights))
         assert len(res.objective_trace) == res.iterations + 1
@@ -199,7 +198,7 @@ class TestFedfisherGd:
     def test_invalid_eta_rejected(self):
         updates = [ClientUpdate(np.zeros(2), DiagFisher(np.ones(2)))]
         with pytest.raises(ValueError):
-            fedfisher_gd(updates, ServerConfig(eta_s=0.0))
+            fedfisher_solve(updates, ServerConfig(eta_s=0.0))
 
 
 class TestFedfisherAdam:
@@ -214,7 +213,7 @@ class TestFedfisherAdam:
             ClientUpdate(rng.standard_normal(2), FullFisher(f)),
             ClientUpdate(rng.standard_normal(2), FullFisher(f)),
         ]
-        gd = fedfisher_gd(updates, ServerConfig(stop_tol=1e-13))
+        gd = fedfisher_solve(updates, ServerConfig(stop_tol=1e-13))
         adam = fedfisher_solve(updates, ServerConfig(optimizer="adam", t_max=20_000, stop_tol=1e-13))
         assert np.linalg.norm(adam.weights - gd.weights) <= 1e-3
 
@@ -406,13 +405,14 @@ def width_512_merge():
     cfg = replace(cli.default_config("synthetic-width"), epochs_or_steps=128)
     data = gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, 0)
     init = init_two_layer(512, cfg.dim, cfg.kappa, [0, 512, 7])
-    rnd = cli.train_round(cfg, data, [init] * 2, cli._full_batch(cfg, data, 128), 0, 0)
+    local = cli._local_config(cfg, data.x.shape[0], 128)
+    rnd = cli.train_round(cfg, data, [init] * 2, local, 0, 0)
     return [cli.client_update(m, data.client_data(i)[0], METHOD_FULL, cfg)[0]
             for i, m in enumerate(rnd.trained)]
 
 
 def _lambda_max(updates):
-    return fedfisher_gd(updates, ServerConfig(t_max=0)).lambda_max
+    return fedfisher_solve(updates, ServerConfig(t_max=0)).lambda_max
 
 
 class TestKrylovGd:
@@ -420,7 +420,7 @@ class TestKrylovGd:
     it must report what the step-by-step loop would have."""
 
     def _assert_same(self, updates, cfg, record=True):
-        got = fedfisher_gd(updates, cfg, record_objective=record)
+        got = fedfisher_solve(updates, cfg, record_objective=record)
         want = _stepwise_gd(updates, cfg.eta_s, cfg.t_max, cfg.stop_tol, cfg.val_fn,
                             cfg.val_every)
         scale = max(np.linalg.norm(want["weights"]), 1e-12)
@@ -464,8 +464,8 @@ class TestKrylovGd:
     def test_divergence_flagged_above_two_over_lambda(self, kind):
         for updates in _rank_deficient(kind, count=2):
             lam = _lambda_max(updates)
-            got = fedfisher_gd(updates, ServerConfig(eta_s=2.5 / lam, t_max=5000),
-                               record_objective=True)
+            got = fedfisher_solve(updates, ServerConfig(eta_s=2.5 / lam, t_max=5000),
+                                  record_objective=True)
             with np.errstate(over="ignore", invalid="ignore"):
                 want = _stepwise_gd(updates, 2.5 / lam, 5000, 1e-10)
             assert got.diverged and want["diverged"]
@@ -506,7 +506,7 @@ class TestServerMatvecCount:
         for _ in range(2):  # rank <= n each, decaying spectrum like a trained net's
             phi = rng.standard_normal((n, d)) / (1.0 + np.arange(n))[:, None]
             updates.append(ClientUpdate(rng.standard_normal(d), FullFisher(phi.T @ phi / n), n))
-        res = fedfisher_gd(updates, ServerConfig(t_max=1000, stop_tol=0.0))
+        res = fedfisher_solve(updates, ServerConfig(t_max=1000, stop_tol=0.0))
         assert res.iterations == 1000
         # The Lanczos basis spans range(F), rank <= 2n, plus a few directions
         # of g0's rounding error outside it; then the start gradient and the
@@ -680,7 +680,7 @@ class TestFewShotRounds:
 
             f = full_fisher_two_layer(trained.model, cx, seed=[9, 0, i, 99])
             updates.append(ClientUpdate(models.get_flat_params(trained.model), f, cx.shape[0]))
-        want = fedfisher_gd(updates, server).weights
+        want = fedfisher_solve(updates, server).weights
         assert np.allclose(got, want, atol=1e-12)
 
     def test_metrics_length_matches_rounds(self):

@@ -21,6 +21,8 @@ from oneshot_fl.cli import (
     write_csv,
 )
 
+from idx_files import write_idx
+
 _FLAG_ATTRS = dict(
     config=None, out=None, seed_list=None, methods=None, no_timing=False,
     clients=None, alpha=None, eta=None, eta_s=None, epochs=None,
@@ -540,7 +542,7 @@ class TestWidthSweepCommand:
                                              seed=[1, 0, i, 99])
             updates.append(agg.ClientUpdate(models.get_flat_params(trained), f, 100))
         server = agg.ServerConfig(eta_s=0.001, t_max=300, stop_tol=cfg.stop_tol)
-        merged = agg.fedfisher_gd(updates, server).weights
+        merged = agg.fedfisher_solve(updates, server).weights
         want = models.loss_eval(models.with_flat_params(init, merged), data.x, data.y,
                                 models.LOSS_SQUARED)
         assert row.train_loss == pytest.approx(want, rel=1e-12)
@@ -637,6 +639,19 @@ class TestOneShotCommand:
         assert row.comm_bits <= cfg.clients * (32 * d + 64 * 2)
         assert 0.0 <= row.test_accuracy <= 1.0
 
+    def test_kfac_over_budget_at_rank_one_is_config_error(self, tmp_path, capsys):
+        # One hidden unit: d = 785 + 2 * 10 = 805, and rank-1 factors at
+        # s_q = 4 already need more than the 16 d bits the plan allows.
+        ini = tmp_path / "run.ini"
+        ini.write_text("[data]\nn_train = 300\n[model]\nhidden_dims = 1\n"
+                       "[run]\nmethods = fedfisher-kfac\n")
+        out = tmp_path / "kfac.csv"
+        code = cli.main(["one-shot", "--config", str(ini), "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "s_q = 4" in err and "[(785, 1), (2, 10)]" in err
+        assert not out.exists()
+
     def test_csv_run_deterministic(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -661,8 +676,7 @@ class TestOneShotCommand:
         labels = rng.integers(0, 2, size=n).astype(np.uint8)
         images = rng.integers(0, 60, size=(n, side, side)).astype(np.uint8)
         images[labels == 1, :, side // 2:] += 150  # bright right half
-        datasets.write_idx(images, labels, str(tmp_path / "img.idx"),
-                           str(tmp_path / "lab.idx"))
+        write_idx(images, labels, str(tmp_path / "img.idx"), str(tmp_path / "lab.idx"))
         ini = tmp_path / "run.ini"
         ini.write_text(
             "[data]\nkind = idx\n"

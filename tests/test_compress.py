@@ -1,21 +1,23 @@
 """Tests for the quantization/SVD codecs and bit accounting."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from oneshot_fl import datasets, models
 from oneshot_fl.compress import (
+    QuantizedVector,
+    _element_bits,
     bit_cost,
     compress_kfac,
     decompress_kfac,
     dequantize,
     dequantize_blocks,
-    from_bytes,
     kfac_budget_plan,
     level_count,
     quantize,
     quantize_blocks,
-    to_bytes,
 )
 from oneshot_fl.fisher import KFACFisher, KFACLayer, kfac_fisher
 
@@ -93,6 +95,38 @@ class TestQuantize:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             quantize(np.ones((2, 2)), 4)
+
+
+def to_bytes(q: QuantizedVector) -> bytes:
+    """Packed bitstream: u32 count, f64 max_abs, then per element the sign bit
+    followed by the level bits, filled LSB-first within each byte."""
+    bits_per = _element_bits(q.s_q)
+    level_bits = bits_per - 1
+    bits = np.zeros((q.n, bits_per), dtype=np.uint8)
+    bits[:, 0] = q.signs < 0
+    if level_bits:
+        shifts = np.arange(level_bits, dtype=np.int64)
+        bits[:, 1:] = (q.levels[:, None] >> shifts) & 1
+    packed = np.packbits(bits.ravel(), bitorder="little")
+    return struct.pack("<I", q.n) + struct.pack("<d", q.max_abs) + packed.tobytes()
+
+
+def from_bytes(buf: bytes, s_q: int) -> QuantizedVector:
+    bits_per = _element_bits(s_q)
+    if len(buf) < 12:
+        raise ValueError("quantized payload shorter than its 12-byte header")
+    (n,) = struct.unpack("<I", buf[:4])
+    (max_abs,) = struct.unpack("<d", buf[4:12])
+    expected = 12 + (n * bits_per + 7) // 8
+    if len(buf) != expected:
+        raise ValueError(f"quantized payload length {len(buf)} != expected {expected}")
+    raw = np.unpackbits(np.frombuffer(buf[12:], dtype=np.uint8), bitorder="little")
+    bits = raw[: n * bits_per].reshape(n, bits_per).astype(np.int64)
+    signs = np.where(bits[:, 0] == 1, -1, 1).astype(np.int8)
+    levels = np.zeros(n, dtype=np.int64)
+    for j in range(1, bits_per):
+        levels |= bits[:, j] << (j - 1)
+    return QuantizedVector(int(s_q), float(max_abs), signs, levels)
 
 
 class TestPackedBytes:
@@ -235,8 +269,8 @@ class TestStoredDecomposition:
         for rank in range(1, max(caps) + 1):
             l_v = [min(rank, cap) for cap in caps]
             got = compress_kfac(f, s_q, l_v, svds)
-            for layer, sent, l in zip(f.layers, got.layers, l_v):
-                for mat, factor in ((layer.a, sent.a), (layer.b, sent.b)):
+            for layer, (sent_a, sent_b), l in zip(f.layers, got, l_v):
+                for mat, factor in ((layer.a, sent_a), (layer.b, sent_b)):
                     fresh = top_k_svd(mat, l)
                     want = (quantize(fresh.u.ravel(), s_q), quantize(fresh.s, s_q),
                             quantize(fresh.vt.ravel(), s_q))

@@ -11,8 +11,9 @@ from oneshot_fl.datasets import (
     load_csv,
     load_idx,
     normalize_unit,
-    write_idx,
 )
+
+from idx_files import write_idx
 
 
 class TestNormalizeUnit:

@@ -21,7 +21,8 @@ from oneshot_fl.models import (
     init_mlp,
     init_two_layer,
 )
-from oneshot_fl.oracle import mc_fisher
+
+from oracle import mc_fisher
 
 
 def _unit_rows(rng, n, dim):

@@ -23,7 +23,8 @@ from oneshot_fl.models import (
     with_flat_params,
 )
 from oneshot_fl import models
-from oneshot_fl.oracle import fd_gradient
+
+from oracle import fd_gradient
 
 
 def _unit_rows(rng, n, dim):

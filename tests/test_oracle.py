@@ -9,7 +9,8 @@ import pytest
 
 from oneshot_fl import models
 from oneshot_fl.models import LOSS_SOFTMAX, LOSS_SQUARED
-from oneshot_fl.oracle import (
+
+from oracle import (
     constrained_min_norm_solution,
     fd_gradient,
     gram_lambda0,

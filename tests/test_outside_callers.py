@@ -4,9 +4,13 @@
 its configs through the CLI; the demos import the public API directly.
 Nothing else in the suite runs them, so a refactor that renames or drops a
 name they use would break ``--trace 1`` or a demo silently. These tests only
-read ``bench/`` and ``demos/``.
+read ``bench/``, ``demos/`` and the package source.
+
+The converse holds too: the package keeps only what the runners, demos and
+bench call. A public name that only tests reach belongs under ``tests/``.
 """
 
+import ast
 import importlib.util
 import runpy
 import sys
@@ -73,3 +77,46 @@ def test_demo_config_validates(demo, runner, monkeypatch):
     monkeypatch.setattr(cli, runner, validate_only)
     with pytest.raises(_ConfigChecked):
         runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+
+
+# Public names kept in the package with no caller outside the tests.
+_TEST_ONLY_EXEMPT = {
+    # The public entry to _loss_and_grad, the gradient local training steps
+    # on; criterion 3 checks exactly that gradient against finite differences.
+    ("models", "gradient"),
+}
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """Every name a piece of code can use: bare names, attributes, imports."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rsplit(".", 1)[-1])
+    return found
+
+
+def test_every_public_name_has_a_library_caller():
+    package = ROOT / "src" / "oneshot_fl"
+    public = {}  # (module, name) -> the top-level statement defining it
+    uses = []  # (defining statement or None, identifiers it uses)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            uses.append((stmt, _identifiers(stmt)))
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                public[(path.stem, stmt.name)] = stmt
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        uses.append((None, _identifiers(ast.parse(path.read_text()))))
+    traced = set(_bench_module("tracing").SPANS)
+
+    assert _TEST_ONLY_EXEMPT <= set(public), "an exempt name is gone; drop its exemption"
+    test_only = sorted(
+        f"{module}.{name}" for (module, name), stmt in public.items()
+        if (module, name) not in traced | _TEST_ONLY_EXEMPT
+        and not any(name in names for where, names in uses if where is not stmt))
+    assert not test_only, f"only tests call {test_only}; move them under tests/"
