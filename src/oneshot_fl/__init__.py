@@ -11,10 +11,13 @@ width/local-steps sweeps and the heterogeneous classification benchmarks.
 Modules: ``numerics`` (power iteration, Kronecker matvec),
 ``datasets`` (synthetic tasks, Dirichlet partitioning, IDX/CSV ingestion),
 ``models`` (two-layer relu nets, MLPs, SGD), ``fisher`` (curvature
-payloads), ``aggregate`` (server merging), ``compress`` (codecs and bit
-accounting), ``cli`` (the client round, whose one uplink per client is
-charged ``compress.bit_cost`` of what the server receives, and the
-experiment runners built on it; every runner honours ``compress``).
+payloads), ``aggregate`` (server merging; gradient descent on dense
+curvature is read off the Ritz pairs of a block Krylov basis, whose largest
+Ritz value is its lambda_max), ``compress`` (codecs and bit accounting),
+``cli`` (the client round, whose one uplink per client is charged
+``compress.bit_cost`` of what the server receives, and the experiment
+runners built on it; every runner honours ``compress``). ``python -m
+oneshot_fl`` runs the ``oneshot-fl`` command.
 """
 
 from . import aggregate, cli, compress, datasets, fisher, models, numerics

@@ -8,8 +8,8 @@ the plain unweighted sum of curvature matvecs.
 
 One solver (``fedfisher_solve``) runs from the weighted mean with one of two
 step rules: gradient descent or Adam. Both keep the best-validation iterate
-when given a validation score. Only gradient descent estimates lambda_max,
-by power iteration on the summed operator: its auto step 1 / (1.01 *
+when given a validation score. Only gradient descent needs lambda_max, the
+largest eigenvalue of the summed operator: its auto step 1 / (1.01 *
 lambda_max) makes the quadratic objective non-increasing, and the iterates
 converge to the minimum-norm projection of the mean onto the stationary set.
 
@@ -23,16 +23,19 @@ returned merge is this filtered mean, not the minimizer of the objective.
 The loss trend over width in the synthetic sweep comes from it.
 
 When the summed curvature has a dense part, gradient descent does not step
-at all: W_t lies in the Krylov space of F and g0, whose dimension is at most
-the rank of F, so a Lanczos basis of that space gives every W_t, the stop
-test, the objective and the validation iterates from the Ritz pairs of a
-small tridiagonal matrix (at most min(t_max, d) matvecs instead of t_max).
-On trained width-sweep merges (widths 32-512, seed 0) the weights differ
-from the step-by-step loop's by at most 1.5e-15 relative at eta_s = 0.001,
-t_max = 1000 and 9.4e-13 at the auto step with t_max = 10 000. Adam, and
-gradient descent on diagonal or K-FAC curvature, run the step-by-step loop:
-a basis of up to t_max vectors of length d would outgrow their O(d)
-payloads, while a dense payload already holds d * d numbers.
+at all. A block Krylov basis, grown from g0 and KRYLOV_BLOCK - 1 fixed
+Gaussian directions by applying F to KRYLOV_BLOCK rows at a time, spans an
+F-invariant subspace that holds g0; its dimension is about rank(F) plus the
+block, whatever t_max is. The Ritz pairs of F in that basis give every W_t,
+the stop test, the objective and the validation iterates, and the largest
+Ritz value is lambda_max, so no power iteration runs. On trained width-sweep
+merges (widths 32-512, seed 0) the weights differ from the step-by-step
+loop's by at most 1.5e-15 relative at eta_s = 0.001, t_max = 1000 and 7.8e-13
+at the auto step with t_max = 10 000, and another start-block seed moves
+them by at most 1.3e-12. Adam, and gradient descent on diagonal or K-FAC
+curvature, run the step-by-step loop, where GD takes lambda_max from a power
+iteration: a basis of length-d vectors would outgrow their O(d) payloads,
+while a dense payload already holds d * d numbers.
 """
 
 from __future__ import annotations
@@ -59,16 +62,21 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.99
 ADAM_EPS = 0.01
 
-# The Lanczos basis ends at an invariant subspace once a new direction's norm
-# falls below this fraction of the largest recurrence coefficient so far.
-# Once the Krylov space is exhausted, the reorthogonalized remainder is
-# rounding noise, 1e-17 to 1e-16 of that scale on trained width-sweep merges,
-# while their last genuine directions measured 1e-11 and above. Dropping a
-# coupling beta moves the t-step iterate by at most eta * t * beta times its
-# distance from the mean.
+# Rows of the Krylov basis's start block, and the seed of its KRYLOV_BLOCK - 1
+# Gaussian rows beside g0. Each block of rows reads the dense curvature once.
+KRYLOV_BLOCK = 16
+_KRYLOV_SEED = 0xB10C
+# The Krylov basis ends at an invariant subspace once no direction of a new
+# block, reorthogonalized against the basis, keeps a singular value above this
+# fraction of the largest row norm of F times a basis block so far. Once the
+# space is exhausted, that remainder is rounding noise, at most 2e-15 of the
+# scale on trained width-sweep merges (widths 128 and 512), while the smallest
+# direction they kept measured 6e-13. A dropped remainder of size r moves the
+# t-step iterate by at most eta * t * r times its distance from the mean.
 LANCZOS_BREAKDOWN = 1e-14
-# Steps times Ritz values evaluated at once when sweeping t = 1 .. t_max;
-# bounds the sweep's scratch memory at a few 256 KiB blocks.
+# Steps times Ritz values evaluated at once when sweeping t = 1 .. t_max, and
+# entries per chunk when summing dense curvature; bounds that scratch memory
+# at a few 256 KiB blocks.
 _SWEEP_BLOCK = 1 << 15
 
 
@@ -97,7 +105,7 @@ class MergeResult:
     diverged: bool = False
     step_warning: bool = False
     residual: float = float("nan")
-    lambda_max: float = float("nan")  # stays NaN under Adam: no power iteration
+    lambda_max: float = float("nan")  # GD only: top Ritz value if dense, else power iteration
     objective_trace: list[float] | None = None
 
 
@@ -150,8 +158,11 @@ class _SummedCurvature:
         for coef, f in pairs:
             if isinstance(f, FullFisher):
                 if self.dense is None:
-                    self.dense = np.zeros((dim, dim))
-                self.dense += coef * f.matrix
+                    self.dense = np.multiply(f.matrix, coef, dtype=np.float64)
+                else:  # a few rows at a time: no (d, d) temporary per client
+                    rows = max(1, _SWEEP_BLOCK // dim)
+                    for lo in range(0, dim, rows):
+                        self.dense[lo:lo + rows] += coef * f.matrix[lo:lo + rows]
             elif isinstance(f, DiagFisher):
                 if self.diag is None:
                     self.diag = np.zeros(dim)
@@ -171,11 +182,24 @@ class _SummedCurvature:
             out += self.dense @ v
         if self.diag is not None:
             out += self.diag * v
+        self._add_kfacs(out, v)
+        return out
+
+    def apply_rows(self, v: np.ndarray) -> np.ndarray:
+        """The operator applied to every row of ``v`` at once: v @ F, as F is
+        symmetric, so the dense part is read once per block of rows."""
+        out = v @ self.dense if self.dense is not None else np.zeros_like(v)
+        if self.diag is not None:
+            out += self.diag * v
+        for row, src in zip(out, v):
+            self._add_kfacs(row, src)
+        return out
+
+    def _add_kfacs(self, out: np.ndarray, v: np.ndarray) -> None:
         for coef, sl, a, b in self.kfacs:
             r = kron_matvec(a, b, v[sl])
             r *= coef
             out[sl] += r
-        return out
 
 
 def _merge_problem(updates: list[ClientUpdate]):
@@ -208,44 +232,77 @@ def _landweber(theta: np.ndarray, eta: float, t) -> tuple[np.ndarray, np.ndarray
     return decay, np.where(theta == 0.0, eta * t, filt)
 
 
+def _orthonormal_rows(c: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``c``, already projected off the
+    row space of ``q`` (orthonormal rows), less every direction whose singular
+    value is at most ``tol``; reorthogonalized against ``q``."""
+    frame, r = np.linalg.qr(c.T)
+    u, s, _ = np.linalg.svd(r)  # the singular values of c, from a small matrix
+    cols = frame @ u[:, s > tol]
+    if not cols.shape[1]:
+        return cols.T
+    cols -= q.T @ (q @ cols)  # normalizing a small remainder magnified its error along q
+    return np.linalg.qr(cols)[0].T
+
+
+def _block_krylov(apply_rows, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, theta, s): orthonormal rows q spanning the smallest F-invariant
+    subspace that holds g0 and KRYLOV_BLOCK - 1 fixed Gaussian directions,
+    and the Ritz pairs q F q^T = s diag(theta) s^T, theta ascending.
+
+    ``apply_rows`` maps a block of rows v to v @ F, so F is read once per
+    block. Each new block is F times the last one, fully reorthogonalized;
+    the basis is complete when no direction of a new block survives the
+    LANCZOS_BREAKDOWN test, or when it holds d rows. The Gaussian rows make
+    theta[-1] the largest eigenvalue of F whatever g0 is, g0 = 0 included.
+    """
+    d = g0.size
+    rng = np.random.default_rng(_KRYLOV_SEED)
+    start = np.vstack([g0, rng.standard_normal((KRYLOV_BLOCK - 1, d))])
+    norms = np.linalg.norm(start, axis=1)
+    live = norms > 0.0  # g0 = 0 has no direction
+    start = start[live] / norms[live, None]
+    basis = np.empty((min(2 * KRYLOV_BLOCK, d), d))  # doubled as it fills
+    block = _orthonormal_rows(start, basis[:0], LANCZOS_BREAKDOWN)
+    k, scale = 0, 0.0
+    coupling: list[np.ndarray] = []  # per block: its rows of q F q^T up to the diagonal
+    while block.shape[0]:
+        lo, k = k, k + block.shape[0]
+        if k > basis.shape[0]:
+            grown = np.empty((min(2 * k, d), d))
+            grown[:lo] = basis[:lo]
+            basis = grown
+        basis[lo:k] = block
+        v = apply_rows(basis[lo:k])
+        scale = max(scale, float(np.linalg.norm(v, axis=1).max()))
+        h = v @ basis[:k].T
+        coupling.append(h)
+        if k == d:
+            break
+        v -= h @ basis[:k]
+        block = _orthonormal_rows(v, basis[:k], LANCZOS_BREAKDOWN * scale)[: d - k]
+    t = np.zeros((k, k))
+    lo = 0
+    for h in coupling:
+        t[lo:lo + h.shape[0], :h.shape[1]] = h
+        lo += h.shape[0]
+    theta, s = np.linalg.eigh(t, UPLO="L")  # the lower triangle is the filled one
+    return basis[:k], theta, s
+
+
 class _KrylovGD:
     """Every fixed-step GD iterate W_t = W0 - filt_t(F) g0, t <= t_max, from
-    a Lanczos basis of the Krylov space of F and g0 = F W0 - b.
+    a basis q of an F-invariant subspace holding g0 (:func:`_block_krylov`).
 
-    The basis (rows of ``q``, fully reorthogonalized) has at most
-    min(t_max, d) vectors, enough for the degree t_max - 1 polynomials that
-    give W_t and the gradient before step t. With T = S diag(theta) S^T the
-    projected operator and z = |g0| S^T e1, W_t = W0 - q^T S (filt_t(theta) z)
-    and the objective at W_t is f(W0) - sum_j filt_2t(theta_j) z_j^2.
+    With q F q^T = S diag(theta) S^T and z = S^T q g0, the iterate is
+    W_t = W0 - q^T S (filt_t(theta) z) and the objective at W_t is
+    f(W0) - sum_j filt_2t(theta_j) z_j^2, for every t.
     """
 
-    def __init__(self, matvec, g0: np.ndarray, w0: np.ndarray, eta: float, t_max: int):
+    def __init__(self, basis, g0: np.ndarray, w0: np.ndarray, eta: float, t_max: int):
+        self.q, self.theta, self.ritz = basis
         self.w0, self.eta, self.t_max = w0, eta, t_max
-        beta0 = float(np.linalg.norm(g0))
-        k_max = min(t_max, w0.size) if beta0 > 0.0 else 0
-        q = np.empty((k_max, w0.size))
-        alpha: list[float] = []
-        beta: list[float] = []
-        scale = 0.0
-        if k_max:
-            q[0] = g0 / beta0
-        for j in range(k_max):
-            v = matvec(q[j])
-            alpha.append(float(q[j] @ v))
-            if j + 1 == k_max:
-                break
-            v -= alpha[-1] * q[j] + (beta[-1] * q[j - 1] if j else 0.0)
-            v -= q[: j + 1].T @ (q[: j + 1] @ v)  # full reorthogonalization
-            b = float(np.linalg.norm(v))
-            scale = max(scale, abs(alpha[-1]), b)
-            if b <= LANCZOS_BREAKDOWN * scale:
-                break
-            beta.append(b)
-            q[j + 1] = v / b
-        self.q = q[: len(alpha)]
-        tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        self.theta, self.ritz = np.linalg.eigh(tri)
-        self.z = beta0 * self.ritz[:1].reshape(-1)  # first row; empty with no basis
+        self.z = self.ritz.T @ (self.q @ g0)
         coords = self.q @ w0
         self.a = self.ritz.T @ coords  # W0's part inside the basis, in Ritz coordinates
         self.perp2 = float(np.sum((w0 - self.q.T @ coords) ** 2))
@@ -295,14 +352,16 @@ def fedfisher_solve(
     eta * g, ``"adam"`` by the bias-corrected Adam update. Stops when the
     step norm falls below stop_tol * (1 + |W|) or after t_max steps. GD on
     curvature with a dense part takes no steps: :class:`_KrylovGD` evaluates
-    the same iterates, stop test, objectives and validation choice. GD with
-    cfg.eta_s=None steps by 1 / (1.01 * lambda_max); a manual GD step larger
-    than 1 / lambda_max sets ``step_warning``. Adam runs no power iteration,
-    so its ``lambda_max`` stays NaN. With ``cfg.val_fn`` (flat weights to a
-    score, higher is better) the iterate is scored at the start, every
-    ``cfg.val_every`` steps and at the end, and the best one is returned.
-    ``objective_trace`` holds the objective before every step and at the
-    returned weights.
+    the same iterates, stop test, objectives and validation choice from the
+    Ritz pairs of a block Krylov basis, and lambda_max is the largest Ritz
+    value; GD on diagonal or K-FAC curvature takes lambda_max from a power
+    iteration. GD with cfg.eta_s=None steps by 1 / (1.01 * lambda_max); a
+    manual GD step larger than 1 / lambda_max sets ``step_warning``. Adam
+    needs no lambda_max, so its ``lambda_max`` stays NaN. With
+    ``cfg.val_fn`` (flat weights to a score, higher is better) the iterate is
+    scored at the start, every ``cfg.val_every`` steps and at the end, and
+    the best one is returned. ``objective_trace`` holds the objective before
+    every step and at the returned weights.
     """
     cfg = cfg or ServerConfig()
     d, op, b, const = _merge_problem(updates)
@@ -311,8 +370,14 @@ def fedfisher_solve(
 
     lam = float("nan")
     warning = False
+    basis = None
     if cfg.optimizer == "gd":
-        lam = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000).value
+        if op.dense is not None:
+            g0 = op.matvec(w) - b
+            basis = _block_krylov(op.apply_rows, g0)
+            lam = float(basis[1][-1])
+        else:
+            lam = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000).value
         if cfg.eta_s is None and lam <= 0.0:
             # No curvature anywhere: every point is stationary, keep the mean.
             return MergeResult(w, 0, True, residual=float(np.linalg.norm(op.matvec(w) - b)),
@@ -338,13 +403,12 @@ def fedfisher_solve(
 
     iterations = 0
     converged = diverged = False
-    if cfg.optimizer == "gd" and op.dense is not None:
-        g = op.matvec(w) - b
-        path = _KrylovGD(op.matvec, g, w, eta, cfg.t_max)
+    if basis is not None:
+        path = _KrylovGD(basis, g0, w, eta, cfg.t_max)
         iterations, converged, diverged = path.run(cfg.stop_tol)
         if trace is not None:
             trace.extend(path.objectives(iterations + diverged,
-                                         float(w @ g) - float(w @ b) + const))
+                                         float(w @ g0) - float(w @ b) + const))
         if best_score is not None:
             for t in range(cfg.val_every, iterations + 1, cfg.val_every):
                 offer(path.weights(t))

@@ -82,6 +82,35 @@ class TestEstimateLmax:
         with pytest.raises(ValueError):
             fedfisher_solve([ClientUpdate(np.zeros(2))])
 
+    @pytest.mark.parametrize("t_max", [0, 1000])
+    def test_dense_path_takes_the_largest_ritz_value(self, t_max):
+        for updates in _rank_deficient("dense", count=5):
+            want = np.linalg.eigvalsh(sum(_dense(u.fisher) for u in updates))[-1]
+            got = fedfisher_solve(updates, ServerConfig(t_max=t_max)).lambda_max
+            assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("shared", ["zeros", "random"])
+    def test_dense_path_at_a_stationary_mean(self, shared):
+        # Identical client weights: the mean is a minimizer and g0 = 0 (up to
+        # rounding for nonzero weights), yet lambda_max still comes out whole.
+        for updates in _rank_deficient("dense", count=5):
+            w = updates[0].weights * (shared == "random")
+            res = fedfisher_solve([ClientUpdate(w, u.fisher) for u in updates])
+            want = np.linalg.eigvalsh(sum(_dense(u.fisher) for u in updates))[-1]
+            assert res.lambda_max == pytest.approx(want, rel=1e-10)
+            assert res.converged
+            assert np.allclose(res.weights, w, rtol=0.0, atol=1e-12)
+
+    def test_dense_path_runs_no_power_iteration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense GD must take lambda_max from its Ritz values")
+
+        monkeypatch.setattr(aggregate, "power_iteration_max_eig", forbidden)
+        for updates in _rank_deficient("dense", count=2):
+            fedfisher_solve(updates)
+            fedfisher_solve(updates, ServerConfig(t_max=0))
+            fedfisher_solve(updates, ServerConfig(eta_s=0.1, t_max=10))
+
 
 class TestFedfisherGd:
     def test_identity_fishers_give_mean(self):
@@ -416,7 +445,7 @@ def _lambda_max(updates):
 
 
 class TestKrylovGd:
-    """GD on curvature with a dense part is evaluated in a Lanczos basis;
+    """GD on curvature with a dense part is evaluated in a block Krylov basis;
     it must report what the step-by-step loop would have."""
 
     def _assert_same(self, updates, cfg, record=True):
@@ -450,6 +479,14 @@ class TestKrylovGd:
         lam = _lambda_max(width_512_merge)
         self._assert_same(width_512_merge, ServerConfig(eta_s=1 / (1.01 * lam), t_max=2000))
 
+    @pytest.mark.parametrize("eta_s, t_max", [(0.001, 1000), (None, 10_000)])
+    def test_start_block_does_not_matter(self, width_512_merge, monkeypatch, eta_s, t_max):
+        cfg = ServerConfig(eta_s=eta_s, t_max=t_max)
+        base = fedfisher_solve(width_512_merge, cfg).weights
+        monkeypatch.setattr(aggregate, "_KRYLOV_SEED", aggregate._KRYLOV_SEED + 1)
+        moved = fedfisher_solve(width_512_merge, cfg).weights
+        assert np.linalg.norm(moved - base) <= 1e-10 * np.linalg.norm(base)
+
     def test_same_validation_choice(self, width_512_merge):
         # A score that peaks at the 40th iterate: both must return it.
         lam = _lambda_max(width_512_merge)
@@ -481,13 +518,18 @@ class TestServerMatvecCount:
 
     @pytest.fixture
     def count(self, monkeypatch):
-        calls = {"all": 0, "power": 0}
+        calls = {"all": 0, "power": 0}  # vectors the operator was applied to
         matvec = aggregate._SummedCurvature.matvec
+        apply_rows = aggregate._SummedCurvature.apply_rows
         power = aggregate.power_iteration_max_eig
 
         def counted_matvec(self, v):
             calls["all"] += 1
             return matvec(self, v)
+
+        def counted_apply_rows(self, v):
+            calls["all"] += v.shape[0]
+            return apply_rows(self, v)
 
         def counted_power(apply, *args, **kwargs):
             before = calls["all"]
@@ -496,6 +538,7 @@ class TestServerMatvecCount:
             return result
 
         monkeypatch.setattr(aggregate._SummedCurvature, "matvec", counted_matvec)
+        monkeypatch.setattr(aggregate._SummedCurvature, "apply_rows", counted_apply_rows)
         monkeypatch.setattr(aggregate, "power_iteration_max_eig", counted_power)
         return calls
 
@@ -508,10 +551,13 @@ class TestServerMatvecCount:
             updates.append(ClientUpdate(rng.standard_normal(d), FullFisher(phi.T @ phi / n), n))
         res = fedfisher_solve(updates, ServerConfig(t_max=1000, stop_tol=0.0))
         assert res.iterations == 1000
-        # The Lanczos basis spans range(F), rank <= 2n, plus a few directions
-        # of g0's rounding error outside it; then the start gradient and the
-        # final residual. The loop would take 1000 + 2.
-        assert count["all"] - count["power"] <= 2 * n + 10
+        # The block Krylov basis spans range(F), rank <= 2n, plus the start
+        # block's KRYLOV_BLOCK - 1 Gaussian directions outside it and up to a
+        # block of directions that restore what rounding took from range(F)
+        # (16 here); then the start gradient and the final residual. lambda_max
+        # is the largest Ritz value. The loop would take 1000 + 2.
+        assert count["power"] == 0
+        assert count["all"] <= 2 * n + 2 * aggregate.KRYLOV_BLOCK + 10
 
     @pytest.mark.parametrize("method, optimizer", [
         ("fedfisher-diag", "gd"), ("fedfisher-kfac", "gd"), ("fedfisher-full", "adam"),
@@ -573,6 +619,30 @@ class TestSummedCurvatureMatchesReference:
         for _ in range(5):
             v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
             assert np.array_equal(op.matvec(v), _summed_matvec_reference(op, pairs, v))
+
+    def test_dense_sum_matches_summing_whole_matrices(self):
+        rng = np.random.default_rng(12)
+        d = 300  # not a multiple of the rows summed at a time
+        fishers = [FullFisher(rng.standard_normal((d, d))) for _ in range(3)]
+        fishers[0].matrix[0, :5] = -0.0
+        updates = [ClientUpdate(np.zeros(d), f, n) for f, n in zip(fishers, (7, 30, 12))]
+        pairs = list(zip(aggregate._coefficients(updates), fishers))
+        want = np.zeros((d, d))
+        for coef, f in pairs:
+            want += coef * f.matrix
+        # array_equal holds 0.0 == -0.0: the sums agree up to the sign of zeros.
+        assert np.array_equal(aggregate._SummedCurvature(pairs, d).dense, want)
+
+    def test_row_block_apply_matches_matvec(self):
+        rng = np.random.default_rng(13)
+        kfac = self._kfac(rng)
+        d = kfac.dim
+        g = rng.standard_normal((d, d))
+        pairs = [(0.5, kfac), (1.5, FullFisher(g @ g.T)), (1.0, DiagFisher(rng.random(d)))]
+        op = aggregate._SummedCurvature(pairs, d)
+        v = rng.standard_normal((4, d))
+        want = np.array([op.matvec(row) for row in v])
+        assert np.allclose(op.apply_rows(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestFisherMergeDiag:

@@ -1,6 +1,9 @@
 """Config handling, CSV emission, and end-to-end runs of every subcommand."""
 
 import argparse
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -71,6 +74,18 @@ class TestDefaults:
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError, match="unknown task"):
             default_config("hyperparameter-search")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_command(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "oneshot_fl", "--help"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert "synthetic-width" in done.stdout
+        assert "RuntimeWarning" not in done.stderr
 
 
 class TestConfigFile:
