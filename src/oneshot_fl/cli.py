@@ -670,6 +670,9 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     x_tr, y_tr = x_train[train_idx], y_train[train_idx]
+    if len(y_tr) < cfg.clients:
+        raise ConfigError(f"[data] clients (--clients) is {cfg.clients}, more than the "
+                          f"{len(y_tr)} examples of the training split")
     classes = int(y_train.max()) + 1
     partition = datasets.dirichlet_partition(y_tr, cfg.clients, cfg.alpha, seed)
     train = datasets.FederatedDataset(x_tr, y_tr, partition, num_classes=classes)
@@ -696,7 +699,9 @@ def _classification_start(cfg: ExperimentConfig, seed: int, clock: _Clock):
         return models.accuracy_eval(models.with_flat_params(init, weights),
                                     splits.val_x, splits.val_y)
 
-    run = _Pipeline(clock, init, _server_config(cfg, val_fn), (splits.test_x, splits.test_y))
+    # With no validation examples the solver keeps its final iterate.
+    val = val_fn if len(splits.val_y) else None
+    run = _Pipeline(clock, init, _server_config(cfg, val), (splits.test_x, splits.test_y))
     t0 = clock.now()
     first = train_round(cfg, splits.train, [init] * splits.train.num_clients,
                         _local_config(cfg, splits.train.x.shape[0], cfg.epochs_or_steps),

@@ -17,6 +17,13 @@ Variants:
   the covariance of bias-augmented layer inputs and B the covariance of
   pre-activation score gradients. Blocks act on the column-major [W | b]
   slices defined in :mod:`oneshot_fl.models`.
+
+For an MLP, K-FAC's B factor and the diagonal come from each layer's
+pre-activation scores: a stack s of shape (R, n, out_l) with weights w of
+shape (n, R), giving example n the second moment sum_r w[n, r] s[r, n] s[r, n]^T.
+Expected mode takes r over the C classes (w the predictive probabilities and
+s centred by its w-mean under softmax, w = 1 under the squared loss); sampled
+mode takes r over the draws, with w = 1/draws.
 """
 
 from __future__ import annotations
@@ -116,91 +123,42 @@ def full_fisher_two_layer(
     return FullFisher((weighted.T @ phi) / n)
 
 
-def _class_grad_stacks(model: MLP, cache: models.MLPCache) -> list[list[np.ndarray]]:
-    """Pre-activation gradients of each output coordinate, per layer.
+def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
+    """Bias-augmented layer inputs and the (w, s) chunks of the module docstring.
 
-    Returns stacks[c][l] of shape (n, out_l): the per-example gradient of
-    output coordinate c with respect to layer l's pre-activation.
-    """
-    n, c_out = cache.z.shape
-    stacks = []
-    for c in range(c_out):
-        dz = np.zeros((n, c_out))
-        dz[:, c] = 1.0
-        stacks.append(models.mlp_preact_grads(model, cache, dz))
-    return stacks
-
-
-def _score_second_moments(
-    model: MLP,
-    x: np.ndarray,
-    loss: str,
-    mode: str,
-    draws: int,
-    seed,
-    want_outer: bool,
-) -> tuple[models.MLPCache, list[np.ndarray]]:
-    """Per-layer second moments of pre-activation score gradients.
-
-    With ``want_outer`` the entries are (out_l, out_l) matrices summed over
-    examples; otherwise (n, out_l) arrays of per-example squared coordinates.
-    Both are divided by n by the callers.
+    Expected mode is one chunk, from one backward pass of the C stacked one-hot
+    cotangents; sampled mode yields one chunk per draw, one at a time. Callers
+    label r as c in einsum: its sums run in label order, and c < n fixes them.
     """
     models._check_loss(loss)
     _check_mode(mode)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    cache = models.mlp_forward_cache(model, x)
+    cache = models.mlp_forward_cache(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
     n, c_out = cache.z.shape
     if loss == LOSS_SOFTMAX and c_out < 2:
         raise ValueError("softmax-ce needs a multi-output model")
-    n_layers = len(model.weights)
+    inputs = [np.column_stack([a, np.ones(n)]) for a in cache.inputs]
+    p = models._softmax(cache.z) if loss == LOSS_SOFTMAX else None
+    if mode == "expected":
+        s = models.mlp_preact_grads(model, cache, np.repeat(np.eye(c_out)[:, None], n, axis=1))
+        if p is None:  # E[eps eps^T] = I for y ~ N(z, I)
+            return inputs, [(np.ones((n, c_out)), s)]
+        return inputs, [(p, [u - np.einsum("nc,cnk->nk", p, u) for u in s])]
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
 
-    if mode == "sampled":
+    def sampled():
         rng = np.random.default_rng(seed)
-        if draws < 1:
-            raise ValueError(f"draws must be >= 1, got {draws}")
-        if loss == LOSS_SQUARED:
-            moments = None
-            for _ in range(draws):
-                dz = rng.standard_normal((n, c_out))  # score of y ~ N(z, I)
-                dhs = models.mlp_preact_grads(model, cache, dz)
-                terms = [dh.T @ dh if want_outer else dh**2 for dh in dhs]
-                moments = terms if moments is None else [m + t for m, t in zip(moments, terms)]
-            return cache, [m / draws for m in moments]
-        p = models._softmax(cache.z)
-        cum = np.cumsum(p, axis=1)
-        moments = None
+        w = np.full((n, 1), 1.0 / draws)
+        cum = None if p is None else np.cumsum(p, axis=1)
         for _ in range(draws):
-            u = rng.random((n, 1))
-            labels = (u > cum).sum(axis=1)
-            dz = -p.copy()
-            dz[np.arange(n), labels] += 1.0  # score of sampled label
-            dhs = models.mlp_preact_grads(model, cache, dz)
-            terms = [dh.T @ dh if want_outer else dh**2 for dh in dhs]
-            moments = terms if moments is None else [m + t for m, t in zip(moments, terms)]
-        return cache, [m / draws for m in moments]
+            if p is None:
+                dz = rng.standard_normal((n, c_out))  # score of y ~ N(z, I)
+            else:
+                dz = -p.copy()  # score of a label drawn from p
+                dz[np.arange(n), (rng.random((n, 1)) > cum).sum(axis=1)] += 1.0
+            yield w, [dh[None] for dh in models.mlp_preact_grads(model, cache, dz)]
 
-    # Expected mode: covariance over the predictive distribution, computed
-    # from the per-output-coordinate gradient stacks.
-    stacks = _class_grad_stacks(model, cache)
-    moments = []
-    for l in range(n_layers):
-        u = np.stack([stacks[c][l] for c in range(c_out)])  # (C, n, out_l)
-        if loss == LOSS_SQUARED:
-            # E[(J^T eps)(J^T eps)^T] = sum_c u_c u_c^T
-            if want_outer:
-                moments.append(np.einsum("cnk,cnl->kl", u, u))
-            else:
-                moments.append(np.einsum("cnk,cnk->nk", u, u))
-        else:
-            p = models._softmax(cache.z)  # (n, C)
-            ubar = np.einsum("nc,cnk->nk", p, u)
-            centered = u - ubar[None, :, :]
-            if want_outer:
-                moments.append(np.einsum("nc,cnk,cnl->kl", p, centered, centered))
-            else:
-                moments.append(np.einsum("nc,cnk,cnk->nk", p, centered, centered))
-    return cache, moments
+    return inputs, sampled()
 
 
 def diag_fisher(
@@ -226,13 +184,13 @@ def diag_fisher(
         w = _sample_weights(n, mode, draws, seed)
         sq = phi**2 if w is None else (phi**2) * w[:, None]
         return DiagFisher(sq.mean(axis=0))
-    cache, sq_moments = _score_second_moments(model, x, loss, mode, draws, seed, want_outer=False)
-    n = cache.z.shape[0]
-    parts = []
-    for sg, a_in in zip(sq_moments, cache.inputs):
-        a_aug = np.column_stack([a_in, np.ones(a_in.shape[0])])
-        block = (sg.T @ a_aug**2) / n  # (out, in+1): E[g_k^2] * a_i^2 per example
-        parts.append(block.ravel(order="F"))
+    inputs, chunks = _scores(model, x, loss, mode, draws, seed)
+    sq = [0.0] * len(inputs)  # per layer, (n, out_l) squared scores
+    for w, s in chunks:
+        sq = [m + np.einsum("nc,cnk,cnk->nk", w, u, u) for m, u in zip(sq, s)]
+    n = inputs[0].shape[0]
+    # (out, in+1) per layer: E[g_k^2] * a_i^2 per example
+    parts = [((sg.T @ a_aug**2) / n).ravel(order="F") for sg, a_aug in zip(sq, inputs)]
     return DiagFisher(np.concatenate(parts))
 
 
@@ -256,11 +214,13 @@ def kfac_fisher(
         raise ValueError("kfac_fisher requires an MLP")
     if damping < 0:
         raise ValueError(f"damping must be >= 0, got {damping}")
-    cache, outer_moments = _score_second_moments(model, x, loss, mode, draws, seed, want_outer=True)
-    n = cache.z.shape[0]
+    inputs, chunks = _scores(model, x, loss, mode, draws, seed)
+    b_sums = [0.0] * len(inputs)  # per layer, (out_l, out_l) summed over examples
+    for w, s in chunks:
+        b_sums = [m + np.einsum("nc,cnk,cnl->kl", w, u, u) for m, u in zip(b_sums, s)]
+    n = inputs[0].shape[0]
     layers = []
-    for bsum, a_in in zip(outer_moments, cache.inputs):
-        a_aug = np.column_stack([a_in, np.ones(a_in.shape[0])])
+    for bsum, a_aug in zip(b_sums, inputs):
         a = (a_aug.T @ a_aug) / n
         b = bsum / n
         if damping > 0:

@@ -158,8 +158,8 @@ def mlp_forward_cache(model: MLP, x: np.ndarray) -> MLPCache:
 
 
 def mlp_preact_grads(model: MLP, cache: MLPCache, dz: np.ndarray) -> list[np.ndarray]:
-    """Per-example pre-activation cotangents for every layer, output first
-    cotangent ``dz`` of shape (N, C); no reduction over the batch."""
+    """Per-example pre-activation cotangents for every layer from the output
+    cotangent ``dz``, of shape (N, C) or stacked (R, N, C); no reduction."""
     grads = [np.zeros(0)] * len(model.weights)
     dh = dz
     for l in range(len(model.weights) - 1, -1, -1):

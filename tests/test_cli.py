@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -189,6 +190,15 @@ class TestValidation:
         cfg = replace(default_config("one-shot"), clients=0)
         with pytest.raises(ConfigError, match="clients"):
             validate_config(cfg)
+
+    def test_more_clients_than_training_examples(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(["one-shot", "--clients", "1200", "--n-train", "1000",
+                         "--seed-list", "0", "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[data] clients (--clients) is 1200" in err and "900 examples" in err
+        assert not out.exists()
 
     def test_unknown_data_kind(self):
         cfg = replace(default_config("one-shot"), data_kind="parquet")
@@ -666,6 +676,18 @@ class TestOneShotCommand:
         err = capsys.readouterr().err
         assert "s_q = 4" in err and "[(785, 1), (2, 10)]" in err
         assert not out.exists()
+
+    def test_empty_validation_split_keeps_final_iterate(self):
+        # No validation examples: the solver keeps its last iterate. Scoring
+        # the empty set gives NaN, no iterate beats the start, and every
+        # curvature-weighted merge would be the mean.
+        cfg = _tiny_image_cfg(val_fraction=0.0, methods=[
+            agg.METHOD_FEDAVG, agg.METHOD_DIAG, agg.METHOD_KFAC])
+        assert len(cli._classification_data(cfg, 0).val_y) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = {r.method: r for r in cli.run_one_shot(cfg)}
+        assert rows[agg.METHOD_KFAC].train_loss != rows[agg.METHOD_DIAG].train_loss
 
     def test_csv_run_deterministic(self, tmp_path):
         ini = tmp_path / "run.ini"

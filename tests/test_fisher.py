@@ -152,6 +152,20 @@ class TestDiagFisher:
         got = diag_fisher(model, a, LOSS_SOFTMAX).diag
         assert np.allclose(got, want, atol=1e-12)
 
+    def test_mlp_softmax_matches_exact_fisher(self):
+        # Two hidden layers, so the stacked one-hot backward pass crosses two
+        # ReLU masks. The exact diagonal is mean_n sum_c p_nc g_nc^2, with
+        # g_nc the gradient of the cross-entropy of label c at example n.
+        model = init_mlp([4, 6, 5, 3], seed=40)
+        x = np.random.default_rng(41).standard_normal((7, 4))
+        z = models.forward(model, x)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        want = np.mean([sum(p[n, c] * models.gradient(model, x[n], [c], LOSS_SOFTMAX) ** 2
+                            for c in range(3)) for n in range(7)], axis=0)
+        got = diag_fisher(model, x, LOSS_SOFTMAX).diag
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_sampled_converges_to_expected(self):
         model = init_mlp([3, 5, 4], seed=18)
         rng = np.random.default_rng(19)
@@ -213,6 +227,17 @@ class TestKfacFisher:
                     assert np.allclose(factor, factor.T)
                     vals = np.linalg.eigvalsh(factor)
                     assert vals[0] >= -1e-8 * max(np.trace(factor), 1e-30)
+
+    def test_sampled_b_factors_converge_to_expected(self):
+        model = init_mlp([4, 6, 5, 3], seed=42)
+        x = np.random.default_rng(43).standard_normal((8, 4))
+        want = kfac_fisher(model, x, LOSS_SOFTMAX, damping=0.0)
+        draws = 40_000
+        got = kfac_fisher(model, x, LOSS_SOFTMAX, mode="sampled", draws=draws, seed=44,
+                          damping=0.0)
+        for g, w in zip(got.layers, want.layers):
+            assert np.array_equal(g.a, w.a)  # the input factor does not sample
+            assert np.linalg.norm(g.b - w.b) <= 5.0 / np.sqrt(draws) * np.linalg.norm(w.b)
 
     def test_damping_adds_scaled_identity(self):
         model = init_mlp([3, 4, 2], seed=27)
