@@ -285,10 +285,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
     for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("n_test", 1),
                       ("side", 1), ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1),
-                      ("hidden_dims", 1)):
+                      ("width", 1), ("hidden_dims", 1), ("steps_list", 0), ("batch_size", 0)):
         if min(np.atleast_1d(getattr(cfg, name)), default=low) < low:  # every list entry too
             raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
-    for name in ("eta", "alpha"):
+    for name in ("eta", "alpha", "kappa"):
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
     if cfg.eta_s is not None and not cfg.eta_s > 0:
@@ -648,16 +648,19 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
     elif cfg.data_kind == "idx":
         if not cfg.images_path or not cfg.labels_path:
             raise ConfigError("idx data needs images_path and labels_path")
-        x_all, y_all = datasets.load_idx(cfg.images_path, cfg.labels_path)
+        if bool(cfg.test_images_path) != bool(cfg.test_labels_path):
+            raise ConfigError("[data] set both test_images_path and test_labels_path, or neither")
+        x_all, y_all = _read_data(datasets.load_idx, cfg, "images_path", "labels_path")
         if cfg.test_images_path:
             x_train, y_train = x_all, y_all
-            x_test, y_test = datasets.load_idx(cfg.test_images_path, cfg.test_labels_path)
+            x_test, y_test = _read_data(datasets.load_idx, cfg,
+                                        "test_images_path", "test_labels_path")
         else:
             x_train, y_train, x_test, y_test = _holdout(x_all, y_all, cfg.test_fraction, seed)
     elif cfg.data_kind == "csv":
         if not cfg.csv_path:
             raise ConfigError("csv data needs csv_path")
-        x_all, y_all, names = datasets.load_csv(cfg.csv_path)
+        x_all, y_all, names = _read_data(datasets.load_csv, cfg, "csv_path")
         if names is None:
             raise ConfigError("csv label column must be categorical for classification")
         x_train, y_train, x_test, y_test = _holdout(x_all, y_all, cfg.test_fraction, seed)
@@ -677,6 +680,15 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
     partition = datasets.dirichlet_partition(y_tr, cfg.clients, cfg.alpha, seed)
     train = datasets.FederatedDataset(x_tr, y_tr, partition, num_classes=classes)
     return _Splits(train, x_train[val_idx], y_train[val_idx], x_test, y_test)
+
+
+def _read_data(load, cfg: ExperimentConfig, *keys: str):
+    """``load`` called on the paths of the [data] ``keys``. A file that
+    cannot be opened or parsed is a config error naming those keys."""
+    try:
+        return load(*(getattr(cfg, key) for key in keys))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[data] {', '.join(keys)}: {exc}") from None
 
 
 def _holdout(x, y, fraction, seed):

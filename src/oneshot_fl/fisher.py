@@ -126,20 +126,23 @@ def full_fisher_two_layer(
 def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
     """Bias-augmented layer inputs and the (w, s) chunks of the module docstring.
 
+    :func:`models.forward_pass` gives the layer inputs and the relu masks
+    that :func:`models.mlp_preact_grads` carries output scores back through.
     Expected mode is one chunk, from one backward pass of the C stacked one-hot
     cotangents; sampled mode yields one chunk per draw, one at a time. Callers
     label r as c in einsum: its sums run in label order, and c < n fixes them.
     """
     models._check_loss(loss)
     _check_mode(mode)
-    cache = models.mlp_forward_cache(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    n, c_out = cache.z.shape
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    z, acts = models.forward_pass(model, x)
+    n, c_out = z.shape
     if loss == LOSS_SOFTMAX and c_out < 2:
         raise ValueError("softmax-ce needs a multi-output model")
-    inputs = [np.column_stack([a, np.ones(n)]) for a in cache.inputs]
-    p = models._softmax(cache.z) if loss == LOSS_SOFTMAX else None
+    inputs = [np.column_stack([a, np.ones(n)]) for a in [x, *acts.act]]
+    p = models._softmax(z) if loss == LOSS_SOFTMAX else None
     if mode == "expected":
-        s = models.mlp_preact_grads(model, cache, np.repeat(np.eye(c_out)[:, None], n, axis=1))
+        s = models.mlp_preact_grads(model, acts, np.repeat(np.eye(c_out)[:, None], n, axis=1))
         if p is None:  # E[eps eps^T] = I for y ~ N(z, I)
             return inputs, [(np.ones((n, c_out)), s)]
         return inputs, [(p, [u - np.einsum("nc,cnk->nk", p, u) for u in s])]
@@ -156,7 +159,7 @@ def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
             else:
                 dz = -p.copy()  # score of a label drawn from p
                 dz[np.arange(n), (rng.random((n, 1)) > cum).sum(axis=1)] += 1.0
-            yield w, [dh[None] for dh in models.mlp_preact_grads(model, cache, dz)]
+            yield w, [dh[None] for dh in models.mlp_preact_grads(model, acts, dz)]
 
     return inputs, sampled()
 

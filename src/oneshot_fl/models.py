@@ -11,11 +11,16 @@ Flat-parameter conventions used everywhere downstream:
 
 Training never forms the flat vector. ``sgd_train`` keeps each parameter
 array as its own C-contiguous buffer (``[W]``, or ``W_l, b_l`` per MLP layer)
-and steps all of them in place; the forward/backward pass writes gradients
-and intermediates into buffers it is given. The column-major [W | b] view
-would change the rounding of the matrix products, and trained weights pass
-through the quantizer, so layout and operation order are part of the result:
-the loop reproduces the flat-vector loop bit for bit.
+and steps all of them in place. Intermediates live in one buffer type,
+:class:`Activations`: per layer the pre-activation ``h``, per hidden layer
+its relu output ``act`` and the cotangent ``d`` of its pre-activation.
+:func:`forward_pass` fills ``h`` and ``act``, and training's backward pass
+fills ``d`` through :func:`mlp_preact_grads`; training allocates the
+buffers once and slices them per batch, evaluation and curvature get fresh
+ones. The column-major [W | b] view would change the rounding of the
+matrix products, and trained weights pass through the quantizer, so layout
+and operation order are part of the result: the loop reproduces the
+flat-vector loop bit for bit.
 
 Loss kinds: ``"squared"`` treats the output as the mean of a unit-variance
 Gaussian (0.5 * |y - f|^2 per example); ``"softmax-ce"`` is the categorical
@@ -138,35 +143,64 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 @dataclass
-class MLPCache:
-    z: np.ndarray  # (N, C) network output
-    inputs: list[np.ndarray]  # layer inputs a_{l-1}, (N, in_l) each
-    preacts: list[np.ndarray]  # pre-activations h_l, (N, out_l) each
+class Activations:
+    """Forward/backward buffers for batches of up to ``rows`` examples.
+
+    Per layer the pre-activation ``h``; per hidden layer its relu output
+    ``act`` (the next layer's input) and the cotangent ``d`` of its
+    pre-activation. The two-layer net has one hidden layer; its output is
+    the signed sum of ``act`` and has no buffer.
+    """
+
+    h: list[np.ndarray]
+    act: list[np.ndarray]
+    d: list[np.ndarray]
+
+    @classmethod
+    def of(cls, model: Model, rows: int) -> Activations:
+        if isinstance(model, TwoLayerReLU):
+            outs = hidden = [model.m]
+        else:
+            outs = [w.shape[0] for w in model.weights]
+            hidden = outs[:-1]
+        return cls(*([np.empty((rows, k)) for k in ks] for ks in (outs, hidden, hidden)))
+
+    def rows(self, n: int) -> Activations:
+        """The buffers of the first ``n`` rows, as views."""
+        return Activations(*([a[:n] for a in part] for part in (self.h, self.act, self.d)))
 
 
-def mlp_forward_cache(model: MLP, x: np.ndarray) -> MLPCache:
-    x, _ = _as_batch(x)
-    inputs, preacts = [], []
+def forward_pass(
+    model: Model, x: np.ndarray, acts: Activations | None = None,
+) -> tuple[np.ndarray, Activations]:
+    """Output of a batch ``x`` (N, dim) and the :class:`Activations` holding
+    its intermediates: ``acts`` cut to N rows, or fresh buffers. The output
+    is (N,) for TwoLayerReLU and (N, C) for MLP, where it is a view of the
+    last ``h``."""
+    acts = Activations.of(model, x.shape[0]) if acts is None else acts.rows(x.shape[0])
+    if isinstance(model, TwoLayerReLU):
+        np.matmul(x, model.weights.T, out=acts.h[0])
+        return np.maximum(acts.h[0], 0.0, out=acts.act[0]) @ model.signs / np.sqrt(model.m), acts
     a = x
-    last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        inputs.append(a)
-        h = a @ w.T + b
-        preacts.append(h)
-        a = h if l == last else np.maximum(h, 0.0)
-    return MLPCache(z=a, inputs=inputs, preacts=preacts)
+        h = np.matmul(a, w.T, out=acts.h[l])
+        h += b
+        if l < len(acts.act):
+            a = np.maximum(h, 0.0, out=acts.act[l])
+    return h, acts
 
 
-def mlp_preact_grads(model: MLP, cache: MLPCache, dz: np.ndarray) -> list[np.ndarray]:
+def mlp_preact_grads(model: MLP, acts: Activations, dz: np.ndarray,
+                     out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Per-example pre-activation cotangents for every layer from the output
-    cotangent ``dz``, of shape (N, C) or stacked (R, N, C); no reduction."""
-    grads = [np.zeros(0)] * len(model.weights)
-    dh = dz
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads[l] = dh
-        if l > 0:
-            da = dh @ model.weights[l]
-            dh = da * (cache.preacts[l - 1] > 0.0)
+    cotangent ``dz``, of shape (N, C) or stacked (R, N, C); no reduction.
+    The hidden layers' cotangents are written into ``out`` when it is given
+    (``acts.d``), else into fresh arrays."""
+    grads = [dz] * len(model.weights)
+    for l in range(len(model.weights) - 1, 0, -1):
+        dh = np.matmul(grads[l], model.weights[l], out=None if out is None else out[l - 1])
+        dh *= acts.h[l - 1] > 0.0
+        grads[l - 1] = dh
     return grads
 
 
@@ -176,12 +210,8 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
     1-d input gives a scalar / (C,) respectively.
     """
     x, single = _as_batch(x)
-    if isinstance(model, TwoLayerReLU):
-        h = x @ model.weights.T
-        out = np.maximum(h, 0.0) @ model.signs / np.sqrt(model.m)
-        return out[0] if single else out
-    cache = mlp_forward_cache(model, x)
-    return cache.z[0] if single else cache.z
+    z, _ = forward_pass(model, x)
+    return z[0] if single else z
 
 
 def feature_map(model: TwoLayerReLU, x: np.ndarray) -> np.ndarray:
@@ -193,7 +223,7 @@ def feature_map(model: TwoLayerReLU, x: np.ndarray) -> np.ndarray:
     if not isinstance(model, TwoLayerReLU):
         raise ValueError("feature_map is defined for TwoLayerReLU only")
     x, single = _as_batch(x)
-    mask = (x @ model.weights.T) >= 0.0  # (N, m), active at zero
+    mask = forward_pass(model, x)[1].h[0] >= 0.0  # (N, m), active at zero
     coef = mask * (model.signs / np.sqrt(model.m))  # (N, m)
     phi = coef[:, :, None] * x[:, None, :]  # (N, m, dim)
     phi = phi.reshape(x.shape[0], model.m * model.dim)
@@ -206,7 +236,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_targets(model: Model, z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
+def _check_targets(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
     if loss == LOSS_SOFTMAX:
         if z.ndim != 2 or z.shape[1] < 2:
             raise ValueError("softmax-ce needs a multi-output model")
@@ -228,20 +258,25 @@ def _check_targets(model: Model, z: np.ndarray, y: np.ndarray, loss: str) -> np.
     return y
 
 
+def _loss(z: np.ndarray, y: np.ndarray, loss: str) -> tuple[float, np.ndarray]:
+    """Mean loss over the batch and the cotangent of the summed loss with
+    respect to the output ``z``, for targets checked by :func:`_check_targets`."""
+    if loss == LOSS_SQUARED:
+        dz = z - y
+        return float(0.5 * np.mean(dz**2 if dz.ndim == 1 else np.sum(dz**2, axis=1))), dz
+    n = z.shape[0]
+    zmax = z.max(axis=1)
+    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    dz = _softmax(z)
+    dz[np.arange(n), y] -= 1.0
+    return float(np.mean(lse - z[np.arange(n), y])), dz
+
+
 def loss_eval(model: Model, x: np.ndarray, y: np.ndarray, loss: str = LOSS_SQUARED) -> float:
     """Mean per-example loss over the batch."""
     _check_loss(loss)
-    x, _ = _as_batch(x)
-    z = forward(model, x)
-    y = _check_targets(model, z, y, loss)
-    if loss == LOSS_SQUARED:
-        diff = y - z
-        if diff.ndim == 1:
-            return float(0.5 * np.mean(diff**2))
-        return float(0.5 * np.mean(np.sum(diff**2, axis=1)))
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(z.shape[0]), y]))
+    z, _ = forward_pass(model, _as_batch(x)[0])
+    return _loss(z, _check_targets(z, y, loss), loss)[0]
 
 
 def accuracy_eval(model: MLP, x: np.ndarray, y: np.ndarray) -> float:
@@ -315,82 +350,31 @@ def _with_arrays(model: Model, params: list[np.ndarray]) -> Model:
     return MLP(params[0::2], params[1::2], model.head)
 
 
-@dataclass
-class _Scratch:
-    """Forward/backward buffers for batches of up to ``rows`` examples.
-
-    Per layer: the pre-activation ``h``; for each hidden layer its relu
-    output ``act`` (the next layer's input) and its cotangent ``d``. The
-    two-layer net has one hidden layer and keeps its relu output, then its
-    gradient coefficients, in ``act``.
-    """
-
-    h: list[np.ndarray]
-    act: list[np.ndarray]
-    d: list[np.ndarray]
-
-    @classmethod
-    def of(cls, model: Model, rows: int) -> _Scratch:
-        if isinstance(model, TwoLayerReLU):
-            return cls([np.empty((rows, model.m))], [np.empty((rows, model.m))], [])
-        outs = [w.shape[0] for w in model.weights]
-        return cls([np.empty((rows, k)) for k in outs],
-                   [np.empty((rows, k)) for k in outs[:-1]],
-                   [np.empty((rows, k)) for k in outs[:-1]])
-
-
 def _loss_and_grad(
     model: Model, x: np.ndarray, y: np.ndarray, loss: str,
-    grads: list[np.ndarray], scratch: _Scratch,
+    grads: list[np.ndarray], acts: Activations | None = None,
 ) -> float:
     """Mean loss over the batch; writes its gradient into ``grads`` (laid
-    out as by :func:`_param_arrays`) and the intermediates into
-    ``scratch``. What a call still allocates is per-example: vectors, the
-    (N, C) output-layer arrays and one relu mask per hidden layer."""
-    x, _ = _as_batch(x)
+    out as by :func:`_param_arrays`) and the intermediates into ``acts``.
+    What a call still allocates is per-example: vectors, the (N, C)
+    output-layer arrays and one relu mask per hidden layer."""
+    if isinstance(model, TwoLayerReLU) and loss != LOSS_SQUARED:
+        raise ValueError("TwoLayerReLU supports the squared loss only")
     n = x.shape[0]
+    z, acts = forward_pass(model, x, acts)
+    loss_val, dz = _loss(z, _check_targets(z, y, loss), loss)
     if isinstance(model, TwoLayerReLU):
-        if loss != LOSS_SQUARED:
-            raise ValueError("TwoLayerReLU supports the squared loss only")
-        h, coef = scratch.h[0][:n], scratch.act[0][:n]
-        np.matmul(x, model.weights.T, out=h)
-        f = np.maximum(h, 0.0, out=coef) @ model.signs / np.sqrt(model.m)
-        y = _check_targets(model, f, y, loss)
-        res = f - y
-        loss_val = float(0.5 * np.mean(res**2))
-        np.greater_equal(h, 0.0, out=coef)
+        coef = np.greater_equal(acts.h[0], 0.0, out=acts.d[0])
         coef *= model.signs / np.sqrt(model.m)
-        coef *= res[:, None]
+        coef *= dz[:, None]
         np.matmul(coef.T, x, out=grads[0])  # equals n * mean residual * feature map
         grads[0] /= n
         return loss_val
-    last = len(model.weights) - 1
-    a = x
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = np.matmul(a, w.T, out=scratch.h[l][:n])
-        h += b
-        if l < last:
-            a = np.maximum(h, 0.0, out=scratch.act[l][:n])
-    z = h
-    y = _check_targets(model, z, y, loss)
-    if loss == LOSS_SQUARED:
-        diff = z - y
-        loss_val = float(0.5 * np.mean(np.sum(diff**2, axis=1)))
-        dh = diff / n
-    else:
-        p = _softmax(z)
-        zmax = z.max(axis=1)
-        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-        loss_val = float(np.mean(lse - z[np.arange(n), y]))
-        dh = p
-        dh[np.arange(n), y] -= 1.0
-        dh /= n
-    for l in range(last, -1, -1):
-        np.matmul(dh.T, x if l == 0 else scratch.act[l - 1][:n], out=grads[2 * l])
+    dz /= n
+    inputs = [x, *acts.act]
+    for l, dh in enumerate(mlp_preact_grads(model, acts, dz, out=acts.d)):
+        np.matmul(dh.T, inputs[l], out=grads[2 * l])
         np.sum(dh, axis=0, out=grads[2 * l + 1])
-        if l > 0:
-            dh = np.matmul(dh, model.weights[l], out=scratch.d[l - 1][:n])
-            dh *= scratch.h[l - 1][:n] > 0.0
     return loss_val
 
 
@@ -399,7 +383,7 @@ def gradient(model: Model, x: np.ndarray, y: np.ndarray, loss: str = LOSS_SQUARE
     _check_loss(loss)
     x, _ = _as_batch(x)
     grads = [np.empty(p.shape) for p in _param_arrays(model)]
-    _loss_and_grad(model, x, y, loss, grads, _Scratch.of(model, x.shape[0]))
+    _loss_and_grad(model, x, y, loss, grads)
     return get_flat_params(_with_arrays(model, grads))
 
 
@@ -419,7 +403,7 @@ def sgd_train(
     one permutation per epoch, sliced from one gather of the inputs.
 
     The loop works on each parameter array in place: current and next
-    parameters, velocity, gradient and forward/backward scratch are
+    parameters, velocity, gradient and :class:`Activations` are
     allocated once per call, one C-contiguous array per entry of
     :func:`_param_arrays`, never as the flat vector. Each step computes
     ``v = momentum * v + g`` and ``next = current - eta * v`` in that order,
@@ -450,7 +434,7 @@ def sgd_train(
     following = [np.empty_like(p) for p in current]
     velocity = [np.zeros_like(p) for p in current]
     grads = [np.empty_like(p) for p in current]
-    scratch = _Scratch.of(model, min(cfg.batch_size, n))
+    acts = Activations.of(model, min(cfg.batch_size, n))
     steps = 0
 
     def batches():
@@ -466,7 +450,7 @@ def sgd_train(
                     yield xp[start : start + cfg.batch_size], yp[start : start + cfg.batch_size]
 
     for xb, yb in batches():
-        loss_val = _loss_and_grad(_with_arrays(model, current), xb, yb, loss, grads, scratch)
+        loss_val = _loss_and_grad(_with_arrays(model, current), xb, yb, loss, grads, acts)
         if not np.isfinite(loss_val):
             return TrainResult(_with_arrays(model, current), True, steps, loss_val)
         sq_norm = 0.0

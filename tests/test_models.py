@@ -379,24 +379,30 @@ def _reference_loss_and_grad(model, x, y, loss):
         res = f - y
         coef = (h >= 0.0) * (model.signs / np.sqrt(model.m)) * res[:, None]
         return float(0.5 * np.mean(res**2)), ((coef.T @ x) / n).ravel()
-    cache = models.mlp_forward_cache(model, x)
-    z = cache.z
-    y = models._check_targets(model, z, y, loss)
+    inputs, hs = [], []
+    a = x
+    for w, b in zip(model.weights, model.biases):
+        inputs.append(a)
+        hs.append(a @ w.T + b)
+        a = np.maximum(hs[-1], 0.0)
+    z = hs[-1]
     if loss == LOSS_SQUARED:
+        y = y[:, None] if y.ndim == 1 else y
         diff = z - y
         loss_val = float(0.5 * np.mean(np.sum(diff**2, axis=1)))
-        dz = diff / n
+        dh = diff / n
     else:
-        p = models._softmax(z)
         zmax = z.max(axis=1)
-        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-        loss_val = float(np.mean(lse - z[np.arange(n), y]))
-        dz = p.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-    dhs = models.mlp_preact_grads(model, cache, dz)
-    parts = [np.column_stack([dh.T @ a, dh.sum(axis=0)]).ravel(order="F")
-             for dh, a in zip(dhs, cache.inputs)]
+        e = np.exp(z - zmax[:, None])
+        loss_val = float(np.mean(zmax + np.log(e.sum(axis=1)) - z[np.arange(n), y]))
+        dh = e / e.sum(axis=1, keepdims=True)
+        dh[np.arange(n), y] -= 1.0
+        dh /= n
+    parts = []
+    for l in range(len(model.weights) - 1, -1, -1):
+        parts.insert(0, np.column_stack([dh.T @ inputs[l], dh.sum(axis=0)]).ravel(order="F"))
+        if l > 0:
+            dh = (dh @ model.weights[l]) * (hs[l - 1] > 0.0)
     return loss_val, np.concatenate(parts)
 
 
