@@ -36,6 +36,17 @@ them by at most 1.3e-12. Adam, and gradient descent on diagonal or K-FAC
 curvature, run the step-by-step loop, where GD takes lambda_max from a power
 iteration: a basis of length-d vectors would outgrow their O(d) payloads,
 while a dense payload already holds d * d numbers.
+
+The Krylov path's stop test costs O(k log t_max) for k Ritz values, not
+O(k t_max). While eta * lambda_max <= 2, the step norm
+eta |(1 - eta theta)^(t-1) z| does not grow with t, and |W_t| lies between
+the norm of W0's part outside the basis and a closed-form bound from
+filt_t(theta) <= min(eta t, 2 / theta). Two bisections on the step norm
+therefore give the window of steps where the test can first hold, and only
+that window is swept, with the same arithmetic as a sweep over every t, so
+the stop step is the same. On the width-sweep and steps-sweep configs the
+window starts past t_max and nothing is swept. Above eta * lambda_max = 2,
+where gradient descent diverges, every t up to t_max is swept.
 """
 
 from __future__ import annotations
@@ -74,10 +85,14 @@ _KRYLOV_SEED = 0xB10C
 # direction they kept measured 6e-13. A dropped remainder of size r moves the
 # t-step iterate by at most eta * t * r times its distance from the mean.
 LANCZOS_BREAKDOWN = 1e-14
-# Steps times Ritz values evaluated at once when sweeping t = 1 .. t_max, and
+# Steps times Ritz values evaluated at once when sweeping the stop test, and
 # entries per chunk when summing dense curvature; bounds that scratch memory
 # at a few 256 KiB blocks.
 _SWEEP_BLOCK = 1 << 15
+# Relative widening of the bounds that place the stop test's window: far
+# above the rounding of a norm over k <= d Ritz coordinates (about k ulp),
+# far below what moves the window by more than a few steps.
+_WINDOW_SLACK = 1e-6
 
 
 @dataclass
@@ -307,38 +322,105 @@ class _KrylovGD:
         self.a = self.ritz.T @ coords  # W0's part inside the basis, in Ritz coordinates
         self.perp2 = float(np.sum((w0 - self.q.T @ coords) ** 2))
 
-    def _blocks(self, stop: int):
+    def _blocks(self, start: int, stop: int):
         rows = max(1, _SWEEP_BLOCK // max(self.theta.size, 1))
-        for start in range(0, stop, rows):
-            yield np.arange(start, min(start + rows, stop), dtype=np.float64)[:, None]
+        for lo in range(start, stop, rows):
+            yield np.arange(lo, min(lo + rows, stop), dtype=np.float64)[:, None]
 
     def weights(self, t: int) -> np.ndarray:
         filt = _landweber(self.theta, self.eta, t)[1]
         return self.w0 - self.q.T @ (self.ritz @ (filt * self.z))
 
-    def run(self, stop_tol: float) -> tuple[int, bool, bool]:
-        """(iterations, converged, diverged) of the loop's stop test
-        |eta g_(t-1)| <= stop_tol (1 + |W_t|); divergence, as in the loop, is
-        the first step whose norm or iterate norm overflows."""
-        for s in self._blocks(self.t_max):
-            with np.errstate(over="ignore", invalid="ignore"):
+    def _step_norm(self, t: int) -> float:
+        """|eta g_(t-1)|, the norm of step t."""
+        grad = _landweber(self.theta, self.eta, t - 1)[0] * self.z
+        return self.eta * float(np.sqrt(np.sum(grad**2)))
+
+    def _sweep(self, start: int, stop: int, stop_tol: float) -> tuple[int, bool, bool] | None:
+        """The stop test at t = start + 1 .. stop, in blocks of steps: the
+        (iterations, converged, diverged) of its first hit, or None."""
+        for s in self._blocks(start, stop):
+            with np.errstate(over="ignore", invalid="ignore"):  # also 0 * inf at stop_tol = 0
                 grad = _landweber(self.theta, self.eta, s)[0] * self.z  # g_(t-1), Ritz coordinates
                 step = self.eta * np.sqrt(np.sum(grad**2, axis=1))
                 filt = _landweber(self.theta, self.eta, s + 1)[1]
                 norm_w = np.sqrt(self.perp2 + np.sum((self.a - filt * self.z) ** 2, axis=1))
-            finite = np.isfinite(step) & np.isfinite(norm_w)
-            hit = np.flatnonzero(~finite | (step <= stop_tol * (1.0 + norm_w)))
+                finite = np.isfinite(step) & np.isfinite(norm_w)
+                hit = np.flatnonzero(~finite | (step <= stop_tol * (1.0 + norm_w)))
             if hit.size:
                 i = hit[0]
                 t = int(s[i, 0]) + 1
                 return (t, True, False) if finite[i] else (t - 1, False, True)
-        return self.t_max, False, False
+        return None
+
+    def run(self, stop_tol: float) -> tuple[int, bool, bool]:
+        """(iterations, converged, diverged) of the loop's stop test
+        |eta g_(t-1)| <= stop_tol (1 + |W_t|); divergence, as in the loop, is
+        the first step whose norm or iterate norm overflows.
+
+        While eta * theta <= 2 the step norm does not grow with t, up to a
+        factor ``growth`` from Ritz values that rounding left slightly
+        negative, and filt_t(theta) <= growth * min(eta t, 2 / |theta|)
+        bounds |W_t| from above; |W0's part outside the basis| bounds it from
+        below. The test cannot hold before the first t whose step norm is
+        within the upper bound's tolerance, and must hold at the first t
+        whose step norm is within the lower bound's; two bisections find
+        both, each bound widened by _WINDOW_SLACK against rounding, and only
+        that window is swept, with the sweep's own arithmetic deciding the
+        first hit. Usually the window starts past t_max and nothing is swept.
+        Above eta * theta = 2, where steps grow and can overflow, every t is
+        swept.
+        """
+        t_max, eta = self.t_max, self.eta
+        growth = np.exp(t_max * np.log1p(eta * max(0.0, -float(self.theta[0]))))
+        with np.errstate(divide="ignore"):
+            cap = growth * (2.0 / np.abs(self.theta))  # inf at theta = 0
+        a_norm, floor = float(np.linalg.norm(self.a)), float(np.sqrt(self.perp2))
+
+        def w_bound(t: int) -> float:
+            filt = np.minimum(growth * eta * t, cap)
+            return float(np.sqrt(self.perp2 + (a_norm + np.linalg.norm(filt * self.z)) ** 2))
+
+        def may_stop(t: int) -> bool:
+            tol = stop_tol * (1.0 + w_bound(t)) * growth * (1.0 + _WINDOW_SLACK)
+            return self._step_norm(t) <= tol
+
+        def must_stop(t: int) -> bool:
+            return self._step_norm(t) * (1.0 + _WINDOW_SLACK) <= stop_tol * (1.0 + floor)
+
+        if not (eta * self.theta[-1] <= 2.0
+                and np.isfinite(growth * self._step_norm(1) + w_bound(t_max))):
+            return self._sweep(0, t_max, stop_tol) or (t_max, False, False)
+        lo = _bisect(may_stop, 0, t_max)
+        if lo > t_max:
+            return t_max, False, False
+        hi = min(_bisect(must_stop, lo - 1, t_max), t_max)
+        # Past hi the sweep only runs if rounding defeated the slack.
+        return (self._sweep(lo - 1, hi, stop_tol) or self._sweep(hi, t_max, stop_tol)
+                or (t_max, False, False))
 
     def objectives(self, count: int, f0: float) -> list[float]:
         """The objective at W_0 .. W_(count-1)."""
         z2 = self.z**2
-        return [f0 - float(v) for s in self._blocks(count)
+        return [f0 - float(v) for s in self._blocks(0, count)
                 for v in _landweber(self.theta, self.eta, 2 * s)[1] @ z2]
+
+
+def _bisect(holds: Callable[[int], bool], start: int, stop: int) -> int:
+    """The t in start + 1 .. stop where bisection finds ``holds`` switch from
+    false to true, or stop + 1 if holds(stop) is false. ``holds`` is true at
+    the returned t, and false at t - 1 unless t = start + 1, so if ``holds``
+    is true at every t from some t* > start on, the returned t is at most t*."""
+    if stop <= start or not holds(stop):
+        return stop + 1
+    lo, hi = start, stop  # holds(hi); not holds(lo) unless lo = start
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def fedfisher_solve(
@@ -361,9 +443,15 @@ def fedfisher_solve(
     ``cfg.val_fn`` (flat weights to a score, higher is better) the iterate is
     scored at the start, every ``cfg.val_every`` steps and at the end, and
     the best one is returned. ``objective_trace`` holds the objective before
-    every step and at the returned weights.
+    every step and at the returned weights. A negative t_max or stop_tol, or
+    val_every below 1 with a val_fn, raises ValueError.
     """
     cfg = cfg or ServerConfig()
+    for name in ("t_max", "stop_tol"):
+        if not getattr(cfg, name) >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {getattr(cfg, name)}")
+    if cfg.val_fn is not None and not cfg.val_every >= 1:
+        raise ValueError(f"val_every must be at least 1 with a val_fn, got {cfg.val_every}")
     d, op, b, const = _merge_problem(updates)
     w = fedavg(updates)
     trace: list[float] | None = [] if record_objective else None

@@ -1,5 +1,6 @@
 """Tests for server-side merging, alone and inside client rounds."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +230,18 @@ class TestFedfisherGd:
         with pytest.raises(ValueError):
             fedfisher_solve(updates, ServerConfig(eta_s=0.0))
 
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("field, value", [
+        ("t_max", -5), ("stop_tol", -1e-3), ("val_every", 0), ("val_every", -2),
+    ])
+    def test_out_of_range_config_rejected(self, optimizer, field, value):
+        updates = [ClientUpdate(np.ones(3), FullFisher(np.eye(3))),
+                   ClientUpdate(np.zeros(3), FullFisher(2 * np.eye(3)))]
+        cfg = replace(ServerConfig(optimizer=optimizer, eta_s=0.1, t_max=10,
+                                   val_fn=lambda w: 0.0), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            fedfisher_solve(updates, cfg)
+
 
 class TestFedfisherAdam:
     """The Adam step rule of the server loop, and the validation choice it
@@ -415,6 +428,26 @@ def _stepwise_gd(updates, eta, t_max, stop_tol, val_fn=None, val_every=1):
                 diverged=diverged, trace=trace)
 
 
+def _full_sweep(path, stop_tol):
+    """Reference for ``_KrylovGD.run``: the stop test of the step loop at
+    every t = 1 .. t_max, in blocks of steps, from the Ritz pairs of ``path``."""
+    rows = max(1, aggregate._SWEEP_BLOCK // max(path.theta.size, 1))
+    for start in range(0, path.t_max, rows):
+        s = np.arange(start, min(start + rows, path.t_max), dtype=np.float64)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = aggregate._landweber(path.theta, path.eta, s)[0] * path.z
+            step = path.eta * np.sqrt(np.sum(grad**2, axis=1))
+            filt = aggregate._landweber(path.theta, path.eta, s + 1)[1]
+            norm_w = np.sqrt(path.perp2 + np.sum((path.a - filt * path.z) ** 2, axis=1))
+            finite = np.isfinite(step) & np.isfinite(norm_w)
+            hit = np.flatnonzero(~finite | (step <= stop_tol * (1.0 + norm_w)))
+        if hit.size:
+            i = hit[0]
+            t = int(s[i, 0]) + 1
+            return (t, True, False) if finite[i] else (t - 1, False, True)
+    return path.t_max, False, False
+
+
 def _rank_deficient(kind, count=3):
     """The first ``count`` instances whose curvature is all dense or mixed."""
     found = []
@@ -447,6 +480,22 @@ def _lambda_max(updates):
 class TestKrylovGd:
     """GD on curvature with a dense part is evaluated in a block Krylov basis;
     it must report what the step-by-step loop would have."""
+
+    @pytest.fixture(autouse=True)
+    def run_matches_full_sweep(self, monkeypatch):
+        """Every stop test of these cases equals the sweep over every t."""
+        run = aggregate._KrylovGD.run
+        calls = []
+
+        def checked(path, stop_tol):
+            got = run(path, stop_tol)
+            assert got == _full_sweep(path, stop_tol)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(aggregate._KrylovGD, "run", checked)
+        yield
+        assert calls
 
     def _assert_same(self, updates, cfg, record=True):
         got = fedfisher_solve(updates, cfg, record_objective=record)
@@ -510,6 +559,95 @@ class TestKrylovGd:
             assert len(got.objective_trace) == got.iterations + 1  # one per step tried
             assert not got.converged and got.step_warning
             assert np.all(np.isfinite(got.weights))
+
+
+def _spectrum_path(rng, eta, t_max):
+    """A ``_KrylovGD`` on a random spectrum with theta_max = 1, so eta is
+    eta * theta_max exactly. Some spectra hold zeros or the tiny negative
+    Ritz values rounding leaves on a singular F; W0 may reach outside the
+    basis."""
+    k = int(rng.integers(1, 30))
+    d = k + int(rng.integers(0, 4))
+    theta = 10.0 ** rng.uniform(-5, 0, k)
+    kind = rng.integers(3)
+    if kind == 1:
+        theta[: k // 3] = 0.0
+    elif kind == 2:
+        theta[: k // 3] = -(10.0 ** rng.uniform(-20, -16, k // 3))
+    theta = np.sort(theta) / theta.max()
+    z = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 1, k)
+    if rng.random() < 0.5:  # g0 inside range(F), as for a real merge
+        z[theta <= 0.0] = 0.0
+    q = np.eye(d)[:k]
+    return aggregate._KrylovGD((q, theta, np.eye(k)), q.T @ z, rng.standard_normal(d),
+                               eta, t_max)
+
+
+class TestStopTestMatchesFullSweep:
+    """``_KrylovGD.run`` bisects for the window where the stop test can first
+    hold; it must return what the sweep over every t returns."""
+
+    def test_random_spectra(self):
+        outcomes = set()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            for eta, t_max, stop_tol in itertools.product(
+                    [0.5, 1.5, 2.0, 2.5], [0, 1, 40, 3000], [0.0, 1e-10, 1e-4, 1e-2]):
+                path = _spectrum_path(rng, eta, t_max)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = _full_sweep(path, stop_tol)
+                    got = path.run(stop_tol)
+                assert got == want, (seed, eta, t_max, stop_tol)
+                t, converged, diverged = want
+                when = "early" if t < t_max / 10 else "late"
+                outcomes.add((converged, diverged, when))
+        # Converged early and late, ran out of steps, diverged.
+        assert {(True, False, "early"), (True, False, "late"), (False, False, "late"),
+                (False, True, "late")} <= outcomes
+
+
+class TestStopTestCost:
+    """Without a hit by t_max, the stop test evaluates O(k log t_max)
+    Landweber entries for k Ritz values, not 2k per step up to t_max."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        counted = {"n": 0}  # Ritz values times steps evaluated
+        landweber = aggregate._landweber
+
+        def counting(theta, eta, t):
+            counted["n"] += np.broadcast(theta, t).size
+            return landweber(theta, eta, t)
+
+        monkeypatch.setattr(aggregate, "_landweber", counting)
+        return counted
+
+    def _path(self, updates, cfg, monkeypatch):
+        paths = []
+        init = aggregate._KrylovGD.__init__
+
+        def keep(path, *args):
+            init(path, *args)
+            paths.append(path)
+
+        monkeypatch.setattr(aggregate._KrylovGD, "__init__", keep)
+        fedfisher_solve(updates, cfg)
+        return paths[0]
+
+    @pytest.mark.parametrize("eta_s, t_max", [(0.001, 1000), (0.001, 20_000), (None, 10_000)])
+    def test_entries_grow_with_log_t_max(self, width_512_merge, entries, monkeypatch,
+                                         eta_s, t_max):
+        cfg = ServerConfig(eta_s=eta_s, t_max=t_max)
+        path = self._path(width_512_merge, cfg, monkeypatch)
+        entries["n"] = 0
+        got = path.run(cfg.stop_tol)
+        used = entries["n"]
+        entries["n"] = 0
+        assert got == _full_sweep(path, cfg.stop_tol) == (t_max, False, False)
+        swept = entries["n"]
+        k = path.theta.size
+        assert used <= 4 * k * np.log2(t_max)
+        assert used < swept == 2 * k * t_max
 
 
 class TestServerMatvecCount:
