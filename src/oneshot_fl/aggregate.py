@@ -423,6 +423,17 @@ def _bisect(holds: Callable[[int], bool], start: int, stop: int) -> int:
     return hi
 
 
+def _scaled_norm(v: np.ndarray) -> float:
+    """2-norm of ``v`` taken on ``v`` scaled by its largest absolute entry,
+    so it is finite for every finite ``v`` whose norm fits in a float, even
+    where the plain sum of squares overflows. inf or NaN entries give inf or
+    NaN."""
+    scale = float(np.max(np.abs(v), initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return scale
+    return scale * float(np.linalg.norm(v / scale))
+
+
 def fedfisher_solve(
     updates: list[ClientUpdate],
     cfg: ServerConfig | None = None,
@@ -468,7 +479,7 @@ def fedfisher_solve(
             lam = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000).value
         if cfg.eta_s is None and lam <= 0.0:
             # No curvature anywhere: every point is stationary, keep the mean.
-            return MergeResult(w, 0, True, residual=float(np.linalg.norm(op.matvec(w) - b)),
+            return MergeResult(w, 0, True, residual=_scaled_norm(op.matvec(w) - b),
                                lambda_max=lam, objective_trace=trace)
         eta = 1.0 / (1.01 * lam) if cfg.eta_s is None else cfg.eta_s
         warning = lam > 0 and eta * lam > 1.0 + 1e-9
@@ -526,9 +537,10 @@ def fedfisher_solve(
                 step /= scratch
             else:
                 step = np.multiply(g, eta, out=w_next)
-            step_norm = np.linalg.norm(step)
-            np.subtract(w, step, out=w_next)
-            w_norm = np.linalg.norm(w_next)
+            with np.errstate(over="ignore"):  # the test below catches an overflow
+                step_norm = np.linalg.norm(step)
+                np.subtract(w, step, out=w_next)
+                w_norm = np.linalg.norm(w_next)
             if not np.isfinite(step_norm + w_norm):  # an entry or a norm overflowed
                 diverged = True
                 break
@@ -546,7 +558,7 @@ def fedfisher_solve(
     if trace is not None and not diverged:
         trace.append(float(final @ g) - float(final @ b) + const)
     return MergeResult(final, iterations, converged, diverged=diverged, step_warning=warning,
-                       residual=float(np.linalg.norm(g)), lambda_max=lam,
+                       residual=_scaled_norm(g), lambda_max=lam,
                        objective_trace=trace)
 
 

@@ -120,7 +120,9 @@ def full_fisher_two_layer(
     n = phi.shape[0]
     w = _sample_weights(n, mode, draws, seed)
     weighted = phi if w is None else phi * w[:, None]
-    return FullFisher((weighted.T @ phi) / n)
+    matrix = weighted.T @ phi
+    matrix /= n
+    return FullFisher(matrix)
 
 
 def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
@@ -140,7 +142,7 @@ def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
     if loss == LOSS_SOFTMAX and c_out < 2:
         raise ValueError("softmax-ce needs a multi-output model")
     inputs = [np.column_stack([a, np.ones(n)]) for a in [x, *acts.act]]
-    p = models._softmax(z) if loss == LOSS_SOFTMAX else None
+    p = models._softmax(z)[0] if loss == LOSS_SOFTMAX else None
     if mode == "expected":
         s = models.mlp_preact_grads(model, acts, np.repeat(np.eye(c_out)[:, None], n, axis=1))
         if p is None:  # E[eps eps^T] = I for y ~ N(z, I)

@@ -16,11 +16,18 @@ and steps all of them in place. Intermediates live in one buffer type,
 its relu output ``act`` and the cotangent ``d`` of its pre-activation.
 :func:`forward_pass` fills ``h`` and ``act``, and training's backward pass
 fills ``d`` through :func:`mlp_preact_grads`; training allocates the
-buffers once and slices them per batch, evaluation and curvature get fresh
+buffers once, uses them as they are for every batch that fills them and
+cuts them only for a smaller last batch, evaluation and curvature get fresh
 ones. The column-major [W | b] view would change the rounding of the
 matrix products, and trained weights pass through the quantizer, so layout
 and operation order are part of the result: the loop reproduces the
 flat-vector loop bit for bit.
+
+The two-layer gradient makes two passes over the (N, m) array (relu mask,
+then its scaling by ``residual * (1 / sqrt(m))``) and applies the +/-1
+output signs to the (m, dim) product ``coef.T @ x``. A sign and a 0/1 mask
+commute through every rounding, so this gives the weights of the
+flat-vector loop, which scales the mask by the signs in a third pass.
 
 Loss kinds: ``"squared"`` treats the output as the mean of a unit-variance
 Gaussian (0.5 * |y - f|^2 per example); ``"softmax-ce"`` is the categorical
@@ -34,6 +41,7 @@ at zero (> 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,13 +182,18 @@ def forward_pass(
     model: Model, x: np.ndarray, acts: Activations | None = None,
 ) -> tuple[np.ndarray, Activations]:
     """Output of a batch ``x`` (N, dim) and the :class:`Activations` holding
-    its intermediates: ``acts`` cut to N rows, or fresh buffers. The output
+    its intermediates: ``acts`` as given when N fills them, ``acts`` cut to
+    N rows when it is larger, or fresh buffers when it is None. The output
     is (N,) for TwoLayerReLU and (N, C) for MLP, where it is a view of the
     last ``h``."""
-    acts = Activations.of(model, x.shape[0]) if acts is None else acts.rows(x.shape[0])
+    n = x.shape[0]
+    if acts is None:
+        acts = Activations.of(model, n)
+    elif acts.h[0].shape[0] != n:
+        acts = acts.rows(n)
     if isinstance(model, TwoLayerReLU):
         np.matmul(x, model.weights.T, out=acts.h[0])
-        return np.maximum(acts.h[0], 0.0, out=acts.act[0]) @ model.signs / np.sqrt(model.m), acts
+        return np.maximum(acts.h[0], 0.0, out=acts.act[0]) @ model.signs / math.sqrt(model.m), acts
     a = x
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         h = np.matmul(a, w.T, out=acts.h[l])
@@ -230,53 +243,64 @@ def feature_map(model: TwoLayerReLU, x: np.ndarray) -> np.ndarray:
     return phi[0] if single else phi
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax probabilities of each row of ``z`` (N, C) and its log-sum-exp,
+    from one exponential of the max-shifted rows."""
+    zmax = z.max(axis=1)
+    e = np.exp(z - zmax[:, None])
+    total = e.sum(axis=1)
+    lse = zmax + np.log(total)
+    e /= total[:, None]
+    return e, lse
 
 
-def _check_targets(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
+def _check_targets(model: Model, n: int, y: np.ndarray, loss: str) -> np.ndarray:
+    """``y`` checked against the loss and the output of ``model`` on ``n``
+    examples: int64 labels of shape (n,) in range for softmax-ce, float64
+    targets of the output's shape for the squared loss (a 1-d ``y`` serves a
+    one-output MLP). Raises ValueError otherwise."""
+    if isinstance(model, TwoLayerReLU):
+        if loss != LOSS_SQUARED:
+            raise ValueError("TwoLayerReLU supports the squared loss only")
+        shape = (n,)
+    else:
+        shape = (n, model.out_dim)
     if loss == LOSS_SOFTMAX:
-        if z.ndim != 2 or z.shape[1] < 2:
+        if shape[1] < 2:
             raise ValueError("softmax-ce needs a multi-output model")
         y = np.asarray(y)
-        if y.shape != (z.shape[0],):
-            raise ValueError(f"labels must have shape ({z.shape[0]},), got {y.shape}")
-        if y.min() < 0 or y.max() >= z.shape[1]:
+        if y.shape != (n,):
+            raise ValueError(f"labels must have shape ({n},), got {y.shape}")
+        if y.min() < 0 or y.max() >= shape[1]:
             raise ValueError("label out of range for model output width")
         return y.astype(np.int64)
     y = np.asarray(y, dtype=np.float64)
-    if z.ndim == 1:
-        if y.shape != z.shape:
-            raise ValueError(f"targets must have shape {z.shape}, got {y.shape}")
-        return y
-    if y.ndim == 1 and z.shape[1] == 1:
+    if y.shape == (n,) and shape == (n, 1):
         return y[:, None]
-    if y.shape != z.shape:
-        raise ValueError(f"targets must have shape {z.shape}, got {y.shape}")
+    if y.shape != shape:
+        raise ValueError(f"targets must have shape {shape}, got {y.shape}")
     return y
 
 
 def _loss(z: np.ndarray, y: np.ndarray, loss: str) -> tuple[float, np.ndarray]:
     """Mean loss over the batch and the cotangent of the summed loss with
-    respect to the output ``z``, for targets checked by :func:`_check_targets`."""
+    respect to the output ``z``, for targets checked by :func:`_check_targets`.
+    The mean is the sum over examples divided by N, as ``np.mean`` takes it."""
+    n = z.shape[0]
     if loss == LOSS_SQUARED:
         dz = z - y
-        return float(0.5 * np.mean(dz**2 if dz.ndim == 1 else np.sum(dz**2, axis=1))), dz
-    n = z.shape[0]
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    dz = _softmax(z)
+        per_example = dz**2 if dz.ndim == 1 else np.sum(dz**2, axis=1)
+        return float(0.5 * (np.add.reduce(per_example) / n)), dz
+    dz, lse = _softmax(z)
     dz[np.arange(n), y] -= 1.0
-    return float(np.mean(lse - z[np.arange(n), y])), dz
+    return float(np.add.reduce(lse - z[np.arange(n), y]) / n), dz
 
 
 def loss_eval(model: Model, x: np.ndarray, y: np.ndarray, loss: str = LOSS_SQUARED) -> float:
     """Mean per-example loss over the batch."""
     _check_loss(loss)
     z, _ = forward_pass(model, _as_batch(x)[0])
-    return _loss(z, _check_targets(z, y, loss), loss)[0]
+    return _loss(z, _check_targets(model, z.shape[0], y, loss), loss)[0]
 
 
 def accuracy_eval(model: MLP, x: np.ndarray, y: np.ndarray) -> float:
@@ -354,21 +378,29 @@ def _loss_and_grad(
     model: Model, x: np.ndarray, y: np.ndarray, loss: str,
     grads: list[np.ndarray], acts: Activations | None = None,
 ) -> float:
-    """Mean loss over the batch; writes its gradient into ``grads`` (laid
-    out as by :func:`_param_arrays`) and the intermediates into ``acts``.
-    What a call still allocates is per-example: vectors, the (N, C)
-    output-layer arrays and one relu mask per hidden layer."""
-    if isinstance(model, TwoLayerReLU) and loss != LOSS_SQUARED:
-        raise ValueError("TwoLayerReLU supports the squared loss only")
+    """Mean loss over the batch, for targets checked by :func:`_check_targets`;
+    writes its gradient into ``grads`` (laid out as by :func:`_param_arrays`)
+    and the intermediates into ``acts``. What a call still allocates is
+    per-example: vectors, the (N, C) output-layer arrays and one relu mask
+    per hidden layer.
+
+    Two-layer order: the ``>= 0`` mask is written into ``acts.d[0]`` and
+    scaled in place by ``u = residual * (1 / sqrt(m))``; the (m, dim)
+    product ``coef.T @ x`` is then multiplied by the signs and divided by N.
+    Scaling the mask by ``signs / sqrt(m)`` and then by the residual before
+    the product gives the same bits, since a +/-1 factor and a 0/1 factor
+    commute through every rounding, fused multiply-adds included. Only the
+    sign of an all-zero gradient row can differ, and that reaches no weight."""
     n = x.shape[0]
     z, acts = forward_pass(model, x, acts)
-    loss_val, dz = _loss(z, _check_targets(z, y, loss), loss)
+    loss_val, dz = _loss(z, y, loss)
     if isinstance(model, TwoLayerReLU):
         coef = np.greater_equal(acts.h[0], 0.0, out=acts.d[0])
-        coef *= model.signs / np.sqrt(model.m)
+        dz *= 1.0 / math.sqrt(model.m)
         coef *= dz[:, None]
-        np.matmul(coef.T, x, out=grads[0])  # equals n * mean residual * feature map
-        grads[0] /= n
+        grad = np.matmul(coef.T, x, out=grads[0])
+        grad *= model.signs[:, None]  # now n * mean residual * feature map
+        grad /= n
         return loss_val
     dz /= n
     inputs = [x, *acts.act]
@@ -382,6 +414,7 @@ def gradient(model: Model, x: np.ndarray, y: np.ndarray, loss: str = LOSS_SQUARE
     """Flat gradient of the mean loss over the given example(s)."""
     _check_loss(loss)
     x, _ = _as_batch(x)
+    y = _check_targets(model, x.shape[0], y, loss)
     grads = [np.empty(p.shape) for p in _param_arrays(model)]
     _loss_and_grad(model, x, y, loss, grads)
     return get_flat_params(_with_arrays(model, grads))
@@ -400,12 +433,16 @@ def sgd_train(
     When ``cfg.batch_size >= n`` the loop runs ``cfg.epochs_or_steps``
     full-batch gradient steps (the deterministic regime the merging theory
     assumes); otherwise it runs that many epochs of shuffled mini-batches,
-    one permutation per epoch, sliced from one gather of the inputs.
+    one permutation per epoch, sliced from one gather of the inputs. The
+    targets are checked once per call, against the model's output on all n
+    examples, so bad targets raise ValueError before any step, even with
+    zero steps; the final loss reuses the checked targets.
 
     The loop works on each parameter array in place: current and next
     parameters, velocity, gradient and :class:`Activations` are
     allocated once per call, one C-contiguous array per entry of
-    :func:`_param_arrays`, never as the flat vector. Each step computes
+    :func:`_param_arrays`, never as the flat vector, and so are the model
+    wrappers around the current and next parameters. Each step computes
     ``v = momentum * v + g`` and ``next = current - eta * v`` in that order,
     so the iterates are bit-identical to stepping the flat vector.
 
@@ -413,7 +450,8 @@ def sgd_train(
     norm is not at most 1e12 (a NaN or inf in the gradient or the
     parameters fails that test too). Either returns the last verified
     iterate with ``diverged=True`` and the loss of the aborted step; a
-    verified step becomes current by swapping the two parameter buffers.
+    verified step becomes current by swapping the two parameter buffers
+    together with their wrappers.
     """
     _check_loss(loss)
     if cfg.eta <= 0:
@@ -426,6 +464,7 @@ def sgd_train(
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     x, _ = _as_batch(x)
     n = x.shape[0]
+    y = _check_targets(model, n, y, loss)
     rng = np.random.default_rng(seed)
 
     if isinstance(model, TwoLayerReLU):  # the result shares no array with the input
@@ -434,6 +473,7 @@ def sgd_train(
     following = [np.empty_like(p) for p in current]
     velocity = [np.zeros_like(p) for p in current]
     grads = [np.empty_like(p) for p in current]
+    current_model, following_model = _with_arrays(model, current), _with_arrays(model, following)
     acts = Activations.of(model, min(cfg.batch_size, n))
     steps = 0
 
@@ -442,17 +482,16 @@ def sgd_train(
             for _ in range(cfg.epochs_or_steps):
                 yield x, y
         else:
-            y_arr = np.asarray(y)
             for _ in range(cfg.epochs_or_steps):
                 perm = rng.permutation(n)
-                xp, yp = x[perm], y_arr[perm]
+                xp, yp = x[perm], y[perm]
                 for start in range(0, n, cfg.batch_size):
                     yield xp[start : start + cfg.batch_size], yp[start : start + cfg.batch_size]
 
     for xb, yb in batches():
-        loss_val = _loss_and_grad(_with_arrays(model, current), xb, yb, loss, grads, acts)
-        if not np.isfinite(loss_val):
-            return TrainResult(_with_arrays(model, current), True, steps, loss_val)
+        loss_val = _loss_and_grad(current_model, xb, yb, loss, grads, acts)
+        if not math.isfinite(loss_val):
+            return TrainResult(current_model, True, steps, loss_val)
         sq_norm = 0.0
         for p, p_next, v, g in zip(current, following, velocity, grads):
             v *= cfg.momentum
@@ -460,9 +499,10 @@ def sgd_train(
             np.multiply(v, cfg.eta, out=p_next)
             np.subtract(p, p_next, out=p_next)
             sq_norm += float(np.vdot(p_next, p_next))
-        if not np.sqrt(sq_norm) <= _DIVERGE_NORM:
-            return TrainResult(_with_arrays(model, current), True, steps, loss_val)
+        if not math.sqrt(sq_norm) <= _DIVERGE_NORM:
+            return TrainResult(current_model, True, steps, loss_val)
         current, following = following, current
+        current_model, following_model = following_model, current_model
         steps += 1
-    trained = _with_arrays(model, current)
-    return TrainResult(trained, False, steps, loss_eval(trained, x, y, loss))
+    final_loss = _loss(forward_pass(current_model, x)[0], y, loss)[0]
+    return TrainResult(current_model, False, steps, final_loss)

@@ -214,6 +214,7 @@ class TestFedfisherGd:
         assert fedfisher_solve(base).weights[0] == pytest.approx(2.0, abs=1e-9)
         assert fedfisher_solve(skew).weights[0] == pytest.approx(3.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_is_not_convergence(self):
         # Once the iterate's norm overflows, the stop test compares inf with
         # inf; the step-by-step loop must report divergence, not convergence.
@@ -222,7 +223,7 @@ class TestFedfisherGd:
         # lambda_max = 3, so eta * lambda_max = 2.4 > 2.
         res = fedfisher_solve(updates, ServerConfig(eta_s=0.8, t_max=5000), record_objective=True)
         assert res.diverged and not res.converged
-        assert np.all(np.isfinite(res.weights))
+        assert np.all(np.isfinite(res.weights)) and np.isfinite(res.residual)
         assert len(res.objective_trace) == res.iterations + 1
 
     def test_invalid_eta_rejected(self):
@@ -546,6 +547,7 @@ class TestKrylovGd:
         got, _ = self._assert_same(width_512_merge, cfg, record=False)
         assert np.linalg.norm(got.weights - target) <= 1e-10 * np.linalg.norm(target)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["dense", "mixed"])
     def test_divergence_flagged_above_two_over_lambda(self, kind):
         for updates in _rank_deficient(kind, count=2):
@@ -558,7 +560,7 @@ class TestKrylovGd:
             assert abs(got.iterations - want["iterations"]) <= 1
             assert len(got.objective_trace) == got.iterations + 1  # one per step tried
             assert not got.converged and got.step_warning
-            assert np.all(np.isfinite(got.weights))
+            assert np.all(np.isfinite(got.weights)) and np.isfinite(got.residual)
 
 
 def _spectrum_path(rng, eta, t_max):

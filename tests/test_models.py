@@ -517,3 +517,94 @@ class TestSgdTrainMatchesReference:
             assert res.steps == 3 * epochs
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 2
+
+    @staticmethod
+    def _two_layer_edge_problem():
+        """Unit 1 is inactive on every example, and units 2 and 3 meet rows
+        of x orthogonal to them, so their pre-activation is exactly 0 (active
+        by the >= 0 convention); output signs of both kinds sit on each."""
+        weights = np.array([[0.7, 0.2, -0.1],
+                            [-1.0, 0.0, 0.0],
+                            [0.0, 1.0, 0.0],
+                            [0.0, 0.0, -1.0],
+                            [0.3, -0.4, 0.5]])
+        model = TwoLayerReLU(weights, np.array([1.0, -1.0, -1.0, 1.0, -1.0]))
+        x = np.array([[1.0, 0.0, 0.0],
+                      [0.5, 0.0, 0.3],
+                      [0.2, -0.6, 0.0],
+                      [0.9, 0.4, -0.2],
+                      [0.1, 0.8, 0.5]])
+        y = np.array([0.3, -0.2, 0.5, 0.0, -0.7])
+        return model, x, y
+
+    def test_two_layer_gradient_on_dead_unit_and_zero_preactivation(self):
+        model, x, y = self._two_layer_edge_problem()
+        h = x @ model.weights.T
+        assert np.all(h[:, 1] < 0.0) and np.sum(h == 0.0) >= 3
+        grads = [np.empty_like(model.weights)]
+        loss_val = models._loss_and_grad(model, x, y, LOSS_SQUARED, grads)
+        want_loss, want_grad = _reference_loss_and_grad(model, x, y, LOSS_SQUARED)
+        assert loss_val == want_loss
+        assert np.array_equal(grads[0].ravel(), want_grad)
+        assert np.all(grads[0][1] == 0.0) and np.any(grads[0][2:4] != 0.0)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_two_layer_training_on_dead_unit_and_zero_preactivation(self, momentum):
+        model, x, y = self._two_layer_edge_problem()
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.2, 30, 5, momentum),
+                                        LOSS_SQUARED)
+        assert res.steps == 30 and np.array_equal(res.model.weights[1], model.weights[1])
+
+
+class TestTargetsCheckedOnce:
+    """sgd_train checks its targets once per call, against the model's output
+    on all examples, and bad targets fail before any step."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+
+        def counted(*args, _inner=getattr(models, name)):
+            calls.append(name)
+            return _inner(*args)
+        monkeypatch.setattr(models, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("batch_size", [16, 1000])
+    def test_one_check_per_call(self, monkeypatch, batch_size):
+        model, x, y = TestSgdTrainMatchesReference._mlp_problem(LOSS_SOFTMAX, [24])
+        calls = self._count(monkeypatch, "_check_targets")
+        for epochs in (0, 1, 5):
+            calls.clear()
+            sgd_train(model, x, y, TrainConfig(0.05, epochs, batch_size), loss=LOSS_SOFTMAX)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    @pytest.mark.parametrize("case, message", [
+        ("label_out_of_range", "label out of range"),
+        ("negative_label", "label out of range"),
+        ("label_shape", "labels must have shape"),
+        ("squared_mlp_shape", "targets must have shape"),
+        ("squared_two_layer_shape", "targets must have shape"),
+    ])
+    def test_bad_targets_raise_before_any_step(self, monkeypatch, epochs, case, message):
+        rng = np.random.default_rng(46)
+        x = rng.standard_normal((20, 4))
+        model, loss = init_mlp([4, 6, 3], seed=47), LOSS_SOFTMAX
+        labels = rng.integers(0, 3, size=20)
+        y = {
+            "label_out_of_range": np.where(np.arange(20) == 13, 3, labels),
+            "negative_label": np.where(np.arange(20) == 4, -1, labels),
+            "label_shape": labels[:, None],
+            "squared_mlp_shape": rng.standard_normal((20, 2)),
+            "squared_two_layer_shape": rng.standard_normal(19),
+        }[case]
+        if case == "squared_mlp_shape":
+            model, loss = init_mlp([4, 6, 3], seed=47, head=LOSS_SQUARED), LOSS_SQUARED
+        elif case == "squared_two_layer_shape":
+            model, loss = init_two_layer(6, 4, kappa=1.0, seed=47), LOSS_SQUARED
+        steps = self._count(monkeypatch, "_loss_and_grad")
+        for batch_size in (8, 1000):
+            with pytest.raises(ValueError, match=message):
+                sgd_train(model, x, y, TrainConfig(0.05, epochs, batch_size), loss=loss)
+        assert steps == []
