@@ -39,14 +39,13 @@ while a dense payload already holds d * d numbers.
 
 The Krylov path's stop test costs O(k log t_max) for k Ritz values, not
 O(k t_max). While eta * lambda_max <= 2, the step norm
-eta |(1 - eta theta)^(t-1) z| does not grow with t, and |W_t| lies between
-the norm of W0's part outside the basis and a closed-form bound from
-filt_t(theta) <= min(eta t, 2 / theta). Two bisections on the step norm
-therefore give the window of steps where the test can first hold, and only
-that window is swept, with the same arithmetic as a sweep over every t, so
-the stop step is the same. On the width-sweep and steps-sweep configs the
-window starts past t_max and nothing is swept. Above eta * lambda_max = 2,
-where gradient descent diverges, every t up to t_max is swept.
+eta |(1 - eta theta)^(t-1) z| does not grow with t, and |W_t| is at most a
+closed-form bound from filt_t(theta) <= min(eta t, 2 / theta). A bisection
+on the step norm therefore gives the first step where the test can hold, and
+the sweep runs from there to its first hit, with the same arithmetic as a
+sweep over every t, so the stop step is the same. On the width-sweep and steps-sweep configs
+that step is past t_max and nothing is swept. Above eta * lambda_max = 2,
+where gradient descent diverges, every t up to the first hit is swept.
 """
 
 from __future__ import annotations
@@ -361,21 +360,18 @@ class _KrylovGD:
         While eta * theta <= 2 the step norm does not grow with t, up to a
         factor ``growth`` from Ritz values that rounding left slightly
         negative, and filt_t(theta) <= growth * min(eta t, 2 / |theta|)
-        bounds |W_t| from above; |W0's part outside the basis| bounds it from
-        below. The test cannot hold before the first t whose step norm is
-        within the upper bound's tolerance, and must hold at the first t
-        whose step norm is within the lower bound's; two bisections find
-        both, each bound widened by _WINDOW_SLACK against rounding, and only
-        that window is swept, with the sweep's own arithmetic deciding the
-        first hit. Usually the window starts past t_max and nothing is swept.
-        Above eta * theta = 2, where steps grow and can overflow, every t is
-        swept.
+        bounds |W_t| from above. So the test cannot hold before the first t
+        whose step norm is within that bound's tolerance, widened by
+        _WINDOW_SLACK against rounding; a bisection finds that t, and the
+        sweep runs from it to its first hit. Usually that t is past t_max and
+        nothing is swept. Above eta * theta = 2, where steps grow and can
+        overflow, the sweep starts at t = 1.
         """
         t_max, eta = self.t_max, self.eta
         growth = np.exp(t_max * np.log1p(eta * max(0.0, -float(self.theta[0]))))
         with np.errstate(divide="ignore"):
             cap = growth * (2.0 / np.abs(self.theta))  # inf at theta = 0
-        a_norm, floor = float(np.linalg.norm(self.a)), float(np.sqrt(self.perp2))
+        a_norm = float(np.linalg.norm(self.a))
 
         def w_bound(t: int) -> float:
             filt = np.minimum(growth * eta * t, cap)
@@ -385,19 +381,11 @@ class _KrylovGD:
             tol = stop_tol * (1.0 + w_bound(t)) * growth * (1.0 + _WINDOW_SLACK)
             return self._step_norm(t) <= tol
 
-        def must_stop(t: int) -> bool:
-            return self._step_norm(t) * (1.0 + _WINDOW_SLACK) <= stop_tol * (1.0 + floor)
-
-        if not (eta * self.theta[-1] <= 2.0
+        lo = 1
+        if (eta * self.theta[-1] <= 2.0
                 and np.isfinite(growth * self._step_norm(1) + w_bound(t_max))):
-            return self._sweep(0, t_max, stop_tol) or (t_max, False, False)
-        lo = _bisect(may_stop, 0, t_max)
-        if lo > t_max:
-            return t_max, False, False
-        hi = min(_bisect(must_stop, lo - 1, t_max), t_max)
-        # Past hi the sweep only runs if rounding defeated the slack.
-        return (self._sweep(lo - 1, hi, stop_tol) or self._sweep(hi, t_max, stop_tol)
-                or (t_max, False, False))
+            lo = _bisect(may_stop, t_max)
+        return self._sweep(lo - 1, t_max, stop_tol) or (t_max, False, False)
 
     def objectives(self, count: int, f0: float) -> list[float]:
         """The objective at W_0 .. W_(count-1)."""
@@ -406,14 +394,14 @@ class _KrylovGD:
                 for v in _landweber(self.theta, self.eta, 2 * s)[1] @ z2]
 
 
-def _bisect(holds: Callable[[int], bool], start: int, stop: int) -> int:
-    """The t in start + 1 .. stop where bisection finds ``holds`` switch from
-    false to true, or stop + 1 if holds(stop) is false. ``holds`` is true at
-    the returned t, and false at t - 1 unless t = start + 1, so if ``holds``
-    is true at every t from some t* > start on, the returned t is at most t*."""
-    if stop <= start or not holds(stop):
+def _bisect(holds: Callable[[int], bool], stop: int) -> int:
+    """The t in 1 .. stop where bisection finds ``holds`` switch from false
+    to true, or stop + 1 if holds(stop) is false. ``holds`` is true at the
+    returned t, and false at t - 1 unless t = 1, so if ``holds`` is true at
+    every t from some t* on, the returned t is at most t*."""
+    if stop <= 0 or not holds(stop):
         return stop + 1
-    lo, hi = start, stop  # holds(hi); not holds(lo) unless lo = start
+    lo, hi = 0, stop  # holds(hi); not holds(lo) unless lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):

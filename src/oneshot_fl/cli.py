@@ -17,9 +17,10 @@ and the server merges the uplinks once per method.
 Each subcommand reads an optional INI config (key = value lines under
 [section] headers, inline ``;`` comments allowed), applies command-line flag
 overrides, writes one CSV row per (seed, method, sweep point), and exits 0 on
-success, 2 on a config error, 3 on numerical divergence. ``_CONFIG_KEYS``
-declares every key once: its attribute, parser, flag and the tasks (and, for
-``[data]`` keys, the data kinds) that read it. It drives the flags, and a key
+success, 2 on a config error, 3 on numerical divergence. Each field of
+:class:`ExperimentConfig` declares one key, once: its section, parser, flag
+and the tasks (and, for ``[data]`` keys, the data kinds) that read it.
+``_CONFIG_KEYS`` is derived from the fields and drives the flags, and a key
 set away from the task's default where it is not read is a config error.
 Rows are sorted by (seed, method, sweep) and floats carry 17 significant
 digits, so identical configs (with wall-time measurement disabled via
@@ -38,7 +39,7 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,84 +63,6 @@ class ConfigError(ValueError):
 
 class DivergenceError(RuntimeError):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    task: str = "one-shot"
-    # [data]
-    data_kind: str = "image-classes"  # synthetic | image-classes | idx | csv
-    clients: int = 5
-    per_client: int = 100
-    dim: int = 2
-    alpha: float = 0.1
-    n_train: int = 5000
-    n_test: int = 1000
-    classes: int = 10
-    side: int = 28
-    pixel_noise: float = 0.3
-    field_noise: float = 0.15
-    images_path: str = ""
-    labels_path: str = ""
-    test_images_path: str = ""
-    test_labels_path: str = ""
-    csv_path: str = ""
-    test_fraction: float = 0.2
-    val_fraction: float = 0.1
-    # [model]
-    width: int = 512
-    kappa: float = 0.5
-    hidden_dims: list[int] = field(default_factory=lambda: [64])
-    # [local]
-    loss: str = models.LOSS_SOFTMAX
-    eta: float = 0.01
-    momentum: float = 0.9
-    epochs_or_steps: int = 30
-    batch_size: int = 64  # 0 means full batch
-    # [server]
-    optimizer: str = "adam"
-    eta_s: float | None = 0.01  # None: auto step for gd
-    t_max: int = 2000
-    stop_tol: float = 1e-10
-    val_every: int = 100
-    # [run]
-    methods: list[str] = field(default_factory=lambda: [agg.METHOD_FEDAVG, agg.METHOD_DIAG])
-    seeds: list[int] = field(default_factory=lambda: list(range(5)))
-    widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256, 512])
-    steps_list: list[int] = field(default_factory=lambda: [2**k for k in range(4, 13)])
-    rounds: int = 3
-    out: str = ""
-    timing: bool = True
-    fisher_mode: str = "expected"
-    draws: int = 1
-    compress: bool = True
-    s_q: int = 4  # Kronecker-factor quantization in the compressed pipeline
-    s_q_list: list[int] = field(default_factory=lambda: [1, 2, 4, 8])
-
-
-def default_config(task: str) -> ExperimentConfig:
-    if task == "synthetic-width":
-        return ExperimentConfig(
-            task=task, data_kind="synthetic", clients=2, per_client=100, dim=2,
-            kappa=0.5, loss=models.LOSS_SQUARED,
-            eta=0.1, momentum=0.0, epochs_or_steps=2048, batch_size=0,
-            optimizer="gd", eta_s=0.001, t_max=20000, val_every=0,
-            methods=[agg.METHOD_FEDAVG, agg.METHOD_FULL],
-            seeds=list(range(10)), compress=False, fisher_mode="expected",
-        )
-    if task == "synthetic-steps":
-        cfg = default_config("synthetic-width")
-        return replace(cfg, task=task, width=512, widths=[], seeds=list(range(10)))
-    if task == "one-shot":
-        return ExperimentConfig(task=task)
-    if task == "few-shot":
-        cfg = ExperimentConfig(task=task)
-        return replace(cfg, rounds=3, compress=False,
-                       methods=[agg.METHOD_FEDAVG, agg.METHOD_DIAG], seeds=[0, 1, 2])
-    if task == "compress-bench":
-        cfg = ExperimentConfig(task=task)
-        return replace(cfg, seeds=[0], methods=[agg.METHOD_DIAG, agg.METHOD_KFAC])
-    raise ConfigError(f"unknown task {task!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -181,11 +104,11 @@ _IMAGES, _IDX, _CSV = ("image-classes",), ("idx",), ("csv",)  # data kinds of th
 
 
 class _Key(NamedTuple):
-    """One config key: the attribute it sets, the parser of its text, the
-    tasks that read it, and its command-line flag (None: INI only). A flag
-    with a ``switch`` takes no value and stands for the text ``switch``.
-    ``kinds`` narrows the readers to those tasks on these data kinds (None:
-    on every kind)."""
+    """The spec of one config key, read off the field that declares it: the
+    attribute it sets, the parser of its text, the tasks that read it, and
+    its command-line flag (None: INI only). A flag with a ``switch`` takes no
+    value and stands for the text ``switch``. ``kinds`` narrows the readers
+    to those tasks on these data kinds (None: on every kind)."""
 
     attr: str
     parse: Callable[[str], object]
@@ -195,52 +118,100 @@ class _Key(NamedTuple):
     kinds: tuple[str, ...] | None = None
 
 
-# (section, key) -> _Key: the one declaration of every config key.
+def _key(section: str, default, parse, tasks, flag=None, switch=None, kinds=None, key=None):
+    """The field that declares config key [``section``] ``key`` (default: the
+    attribute's name), with ``default`` its value (a list is copied per
+    config) and the rest of its :class:`_Key` in the field's metadata."""
+    meta = {"section": section, "key": key, "spec": _Key("", parse, tasks, flag, switch, kinds)}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class ExperimentConfig:
+    """A run's config; every field but ``task`` declares one config key (:func:`_key`)."""
+
+    task: str = "one-shot"
+    data_kind: str = _key("data", "image-classes", str, _CLASSIFY, "--data-kind",
+                          key="kind")  # synthetic | image-classes | idx | csv
+    clients: int = _key("data", 5, int, _ALL, "--clients")
+    per_client: int = _key("data", 100, int, _SYNTHETIC)
+    dim: int = _key("data", 2, int, _SYNTHETIC)
+    alpha: float = _key("data", 0.1, float, _CLASSIFY, "--alpha")
+    n_train: int = _key("data", 5000, int, _CLASSIFY, "--n-train", kinds=_IMAGES)
+    n_test: int = _key("data", 1000, int, _CLASSIFY, "--n-test", kinds=_IMAGES)
+    classes: int = _key("data", 10, int, _CLASSIFY, kinds=_IMAGES)
+    side: int = _key("data", 28, int, _CLASSIFY, kinds=_IMAGES)
+    pixel_noise: float = _key("data", 0.3, float, _CLASSIFY, kinds=_IMAGES)
+    field_noise: float = _key("data", 0.15, float, _CLASSIFY, kinds=_IMAGES)
+    images_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
+    labels_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
+    test_images_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
+    test_labels_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
+    csv_path: str = _key("data", "", str, _CLASSIFY, kinds=_CSV)
+    test_fraction: float = _key("data", 0.2, float, _CLASSIFY, kinds=_IDX + _CSV)
+    val_fraction: float = _key("data", 0.1, float, _CLASSIFY)
+    width: int = _key("model", 512, int, ("synthetic-steps",))
+    kappa: float = _key("model", 0.5, float, _SYNTHETIC)
+    hidden_dims: list[int] = _key("model", [64], _parse_int_list, _CLASSIFY)
+    loss: str = _key("local", models.LOSS_SOFTMAX, str, _ALL)
+    eta: float = _key("local", 0.01, float, _ALL, "--eta")
+    momentum: float = _key("local", 0.9, float, _ALL)
+    epochs_or_steps: int = _key("local", 30, int, _EPOCHS, "--epochs")
+    batch_size: int = _key("local", 64, int, _CLASSIFY, "--batch-size")  # 0 means full batch
+    optimizer: str = _key("server", "adam", str, _ALL)
+    eta_s: float | None = _key("server", 0.01, _parse_eta_s, _ALL, "--eta-s")  # None: auto step for gd
+    t_max: int = _key("server", 2000, int, _ALL, "--t-max")
+    stop_tol: float = _key("server", 1e-10, float, _ALL)
+    val_every: int = _key("server", 100, int, _CLASSIFY)
+    methods: list[str] = _key("run", [agg.METHOD_FEDAVG, agg.METHOD_DIAG], _parse_list, _ALL,
+                              "--methods")
+    seeds: list[int] = _key("run", list(range(5)), _parse_int_list, _ALL, "--seed-list")
+    widths: list[int] = _key("run", [32, 64, 128, 256, 512], _parse_int_list, ("synthetic-width",),
+                             "--widths")
+    steps_list: list[int] = _key("run", [2**k for k in range(4, 13)], _parse_int_list,
+                                 ("synthetic-steps",), "--steps-list")
+    rounds: int = _key("run", 3, int, ("few-shot",), "--rounds")
+    out: str = _key("run", "", str, _ALL, "--out")
+    timing: bool = _key("run", True, _parse_bool, _ALL, "--no-timing", switch="false")
+    fisher_mode: str = _key("run", "expected", str, _ALL, "--fisher-mode")
+    draws: int = _key("run", 1, int, _ALL)
+    compress: bool = _key("run", True, _parse_bool, _CODEC)
+    s_q: int = _key("run", 4, int, _CODEC)  # of Kronecker factors in the compressed pipeline
+    s_q_list: list[int] = _key("run", [1, 2, 4, 8], _parse_int_list, ("compress-bench",), "--s-q-list")
+
+
+# (section, key) -> _Key of every config key, in field order.
 _CONFIG_KEYS = {
-    ("data", "kind"): _Key("data_kind", str, _CLASSIFY, "--data-kind"),
-    ("data", "clients"): _Key("clients", int, _ALL, "--clients"),
-    ("data", "per_client"): _Key("per_client", int, _SYNTHETIC),
-    ("data", "dim"): _Key("dim", int, _SYNTHETIC),
-    ("data", "alpha"): _Key("alpha", float, _CLASSIFY, "--alpha"),
-    ("data", "n_train"): _Key("n_train", int, _CLASSIFY, "--n-train", kinds=_IMAGES),
-    ("data", "n_test"): _Key("n_test", int, _CLASSIFY, "--n-test", kinds=_IMAGES),
-    ("data", "classes"): _Key("classes", int, _CLASSIFY, kinds=_IMAGES),
-    ("data", "side"): _Key("side", int, _CLASSIFY, kinds=_IMAGES),
-    ("data", "pixel_noise"): _Key("pixel_noise", float, _CLASSIFY, kinds=_IMAGES),
-    ("data", "field_noise"): _Key("field_noise", float, _CLASSIFY, kinds=_IMAGES),
-    ("data", "images_path"): _Key("images_path", str, _CLASSIFY, kinds=_IDX),
-    ("data", "labels_path"): _Key("labels_path", str, _CLASSIFY, kinds=_IDX),
-    ("data", "test_images_path"): _Key("test_images_path", str, _CLASSIFY, kinds=_IDX),
-    ("data", "test_labels_path"): _Key("test_labels_path", str, _CLASSIFY, kinds=_IDX),
-    ("data", "csv_path"): _Key("csv_path", str, _CLASSIFY, kinds=_CSV),
-    ("data", "test_fraction"): _Key("test_fraction", float, _CLASSIFY, kinds=_IDX + _CSV),
-    ("data", "val_fraction"): _Key("val_fraction", float, _CLASSIFY),
-    ("model", "width"): _Key("width", int, ("synthetic-steps",)),
-    ("model", "kappa"): _Key("kappa", float, _SYNTHETIC),
-    ("model", "hidden_dims"): _Key("hidden_dims", _parse_int_list, _CLASSIFY),
-    ("local", "loss"): _Key("loss", str, _ALL),
-    ("local", "eta"): _Key("eta", float, _ALL, "--eta"),
-    ("local", "momentum"): _Key("momentum", float, _ALL),
-    ("local", "epochs_or_steps"): _Key("epochs_or_steps", int, _EPOCHS, "--epochs"),
-    ("local", "batch_size"): _Key("batch_size", int, _CLASSIFY, "--batch-size"),
-    ("server", "optimizer"): _Key("optimizer", str, _ALL),
-    ("server", "eta_s"): _Key("eta_s", _parse_eta_s, _ALL, "--eta-s"),
-    ("server", "t_max"): _Key("t_max", int, _ALL, "--t-max"),
-    ("server", "stop_tol"): _Key("stop_tol", float, _ALL),
-    ("server", "val_every"): _Key("val_every", int, _CLASSIFY),
-    ("run", "methods"): _Key("methods", _parse_list, _ALL, "--methods"),
-    ("run", "seeds"): _Key("seeds", _parse_int_list, _ALL, "--seed-list"),
-    ("run", "widths"): _Key("widths", _parse_int_list, ("synthetic-width",), "--widths"),
-    ("run", "steps_list"): _Key("steps_list", _parse_int_list, ("synthetic-steps",), "--steps-list"),
-    ("run", "rounds"): _Key("rounds", int, ("few-shot",), "--rounds"),
-    ("run", "out"): _Key("out", str, _ALL, "--out"),
-    ("run", "timing"): _Key("timing", _parse_bool, _ALL, "--no-timing", switch="false"),
-    ("run", "fisher_mode"): _Key("fisher_mode", str, _ALL, "--fisher-mode"),
-    ("run", "draws"): _Key("draws", int, _ALL),
-    ("run", "compress"): _Key("compress", _parse_bool, _CODEC),
-    ("run", "s_q"): _Key("s_q", int, _CODEC),
-    ("run", "s_q_list"): _Key("s_q_list", _parse_int_list, ("compress-bench",), "--s-q-list"),
+    (f.metadata["section"], f.metadata["key"] or f.name): f.metadata["spec"]._replace(attr=f.name)
+    for f in fields(ExperimentConfig) if f.metadata
 }
+
+
+def default_config(task: str) -> ExperimentConfig:
+    if task == "synthetic-width":
+        return ExperimentConfig(
+            task=task, data_kind="synthetic", clients=2, per_client=100, dim=2,
+            kappa=0.5, loss=models.LOSS_SQUARED,
+            eta=0.1, momentum=0.0, epochs_or_steps=2048, batch_size=0,
+            optimizer="gd", eta_s=0.001, t_max=20000,
+            methods=[agg.METHOD_FEDAVG, agg.METHOD_FULL],
+            seeds=list(range(10)), compress=False, fisher_mode="expected",
+        )
+    if task == "synthetic-steps":
+        cfg = default_config("synthetic-width")
+        return replace(cfg, task=task, width=512, widths=[], seeds=list(range(10)))
+    if task == "one-shot":
+        return ExperimentConfig(task=task)
+    if task == "few-shot":
+        cfg = ExperimentConfig(task=task)
+        return replace(cfg, rounds=3, compress=False,
+                       methods=[agg.METHOD_FEDAVG, agg.METHOD_DIAG], seeds=[0, 1, 2])
+    if task == "compress-bench":
+        cfg = ExperimentConfig(task=task)
+        return replace(cfg, seeds=[0], methods=[agg.METHOD_DIAG, agg.METHOD_KFAC])
+    raise ConfigError(f"unknown task {task!r}")
 
 
 def _parse_value(spec: _Key, text, where: str):
@@ -311,7 +282,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     sweep = _SWEEPS.get(cfg.task)
     if sweep and not getattr(cfg, sweep):
         raise ConfigError(f"task {cfg.task} needs at least one value in {sweep}")
-    if cfg.task in _CLASSIFY and cfg.val_every < 1:
+    if cfg.val_every < 1:
         raise ConfigError(f"val_every must be positive, got {cfg.val_every}")
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
     # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
@@ -325,9 +296,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"method {misfit} does not apply to the {net} of task {cfg.task}")
     if synthetic and agg.METHOD_FULL in cfg.methods:
         widest = max(cfg.widths) if cfg.task == "synthetic-width" else cfg.width
-        if widest * cfg.dim > 2000:  # dense curvature is (width*dim)^2 entries
-            raise ConfigError(
-                f"dense curvature needs width*dim <= 2000, got {widest * cfg.dim}")
+        if widest * cfg.dim > fisher.MAX_FULL_DIM:  # dense curvature is (width*dim)^2 entries
+            raise ConfigError(f"dense curvature needs width*dim <= {fisher.MAX_FULL_DIM}, "
+                              f"got {widest * cfg.dim}")
 
 
 @dataclass
@@ -371,7 +342,7 @@ class _Clock:
 def _server_config(cfg: ExperimentConfig, val_fn=None) -> agg.ServerConfig:
     return agg.ServerConfig(
         optimizer=cfg.optimizer, eta_s=cfg.eta_s, t_max=cfg.t_max,
-        stop_tol=cfg.stop_tol, val_every=max(cfg.val_every, 1), val_fn=val_fn,
+        stop_tol=cfg.stop_tol, val_every=cfg.val_every, val_fn=val_fn,
     )
 
 
@@ -660,9 +631,7 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
     elif cfg.data_kind == "csv":
         if not cfg.csv_path:
             raise ConfigError("csv data needs csv_path")
-        x_all, y_all, names = _read_data(datasets.load_csv, cfg, "csv_path")
-        if names is None:
-            raise ConfigError("csv label column must be categorical for classification")
+        x_all, y_all, _ = _read_data(datasets.load_csv, cfg, "csv_path")
         x_train, y_train, x_test, y_test = _holdout(x_all, y_all, cfg.test_fraction, seed)
     else:
         raise ConfigError(f"data kind {cfg.data_kind!r} is not a classification source")

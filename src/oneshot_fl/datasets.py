@@ -10,6 +10,7 @@ are independent of the number of clients and of each other.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -162,10 +163,12 @@ def dirichlet_partition(
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise ValueError(f"truncated IDX file: expected {count} bytes for {what}, got {len(buf)}")
-    return buf
+    """``count`` bytes of ``f``, checked against the bytes left in the file
+    before reading, so a corrupt header's huge count allocates nothing."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise ValueError(f"truncated IDX file: expected {count} bytes for {what}, got {left}")
+    return f.read(count)
 
 
 def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +197,12 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
     return x, labels.astype(np.int64)
 
 
-def load_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
+def load_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Read a tabular CSV with a header row; the final column is the label.
 
-    Returns (x, y, class_names). Labels that all parse as floats give a float
-    ``y`` and ``class_names=None``; otherwise labels are mapped to indices of
-    the sorted unique values, returned in ``class_names``.
+    Returns (x, y, class_names). The label column is categorical, numbers
+    included: each label is mapped to its index among the sorted distinct
+    label texts, returned in ``class_names``.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -221,14 +224,9 @@ def load_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric feature value ({exc})") from None
     raw_labels = [row[-1] for row in rows]
-    try:
-        y = np.array([float(v) for v in raw_labels], dtype=np.float64)
-        return x, y, None
-    except ValueError:
-        names = sorted(set(raw_labels))
-        index = {name: i for i, name in enumerate(names)}
-        y = np.array([index[v] for v in raw_labels], dtype=np.int64)
-        return x, y, names
+    names = sorted(set(raw_labels))
+    index = {name: i for i, name in enumerate(names)}
+    return x, np.array([index[v] for v in raw_labels], dtype=np.int64), names
 
 
 def _smooth_fields(rng: np.random.Generator, count: int, side: int, passes: int) -> np.ndarray:

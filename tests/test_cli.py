@@ -2,6 +2,8 @@
 
 import argparse
 import os
+import re
+import struct
 import subprocess
 import sys
 import time
@@ -435,6 +437,22 @@ _FLAGS = {
 }
 
 
+def _readme_table(header: str) -> list[tuple[tuple[str, str], list[str]]]:
+    """(key, readers) for every key in README's table under ``header``, with
+    "every task" and "every task but ..." spelled out as task lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme.split(f"\n{header}\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    entries = []
+    for line in body.splitlines():
+        keys, readers = line.strip("|").split(" | ")
+        names = re.findall(r"`([\w-]+)`", readers)
+        if readers.startswith("every task"):
+            names = [task for task in cli._RUNNERS if task not in names]
+        for section, group in re.findall(r"`\[(\w+)\] ([\w ]+)`", keys):
+            entries.extend(((section, key), sorted(names)) for key in group.split())
+    return entries
+
+
 class TestConfigTable:
     def test_one_row_per_field_and_unchanged_flags(self):
         rows = [spec.attr for spec in cli._CONFIG_KEYS.values()]
@@ -470,6 +488,17 @@ class TestConfigTable:
             assert cli.main(base + extra) == cli.EXIT_CONFIG
             assert f"does not read [{section}] {key}" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_readme_key_tables_match_declarations(self):
+        by_task = _readme_table("| keys | read by |")
+        assert sorted(key for key, _ in by_task) == sorted(cli._CONFIG_KEYS)  # each key once
+        for key, readers in by_task:
+            assert readers == sorted(cli._CONFIG_KEYS[key].tasks), key
+        kinds = {key: spec.kinds for key, spec in cli._CONFIG_KEYS.items() if spec.kinds}
+        by_kind = _readme_table("| keys | read on data kind |")
+        assert sorted(key for key, _ in by_kind) == sorted(kinds)
+        for key, readers in by_kind:
+            assert readers == sorted(kinds[key]), key
 
     def test_readme_ini_example_validates(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -742,16 +771,21 @@ class TestOneShotCommand:
         assert "images_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["idx missing", "idx truncated", "idx test images only",
-                                      "csv missing", "csv ragged"])
+                                      "idx oversized header", "csv missing", "csv ragged"])
     def test_unreadable_data_file_is_config_error(self, case, tmp_path, capsys):
         img, lab, none = tmp_path / "img.idx", tmp_path / "lab.idx", tmp_path / "none"
         write_idx(np.zeros((4, 3, 3)), np.zeros(4), str(img), str(lab))
+        huge = tmp_path / "huge.idx"  # a header claiming more bytes than an index can hold
+        huge.write_bytes(struct.pack(">IIII", datasets.IDX_MAGIC_IMAGES, 4_000_000_000,
+                                     60_000, 60_000))
         (tmp_path / "d.csv").write_text("f1,label\n0.5,a\n0.5,b,c\n")
         data, key = {
             "idx missing": (f"kind = idx\nimages_path = {none}\nlabels_path = {lab}", "images_path"),
             "idx truncated": (f"kind = idx\nimages_path = {lab}\nlabels_path = {lab}", "images_path"),
             "idx test images only": (f"kind = idx\nimages_path = {img}\nlabels_path = {lab}\n"
                                      f"test_images_path = {img}", "test_images_path"),
+            "idx oversized header": (f"kind = idx\nimages_path = {huge}\nlabels_path = {lab}",
+                                     "images_path"),
             "csv missing": (f"kind = csv\ncsv_path = {none}", "csv_path"),
             "csv ragged": (f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}", "csv_path"),
         }[case]
@@ -764,30 +798,31 @@ class TestOneShotCommand:
         assert not out.exists()
 
     def test_csv_data_kind(self, tmp_path):
-        rng = np.random.default_rng(5)
-        lines = ["f1,f2,species"]
-        for _ in range(60):
-            if rng.random() < 0.5:
-                lines.append(f"{rng.normal(-1):.4f},{rng.normal(-1):.4f},cat")
-            else:
-                lines.append(f"{rng.normal(1):.4f},{rng.normal(1):.4f},dog")
-        data_path = tmp_path / "pets.csv"
-        data_path.write_text("\n".join(lines) + "\n")
-        ini = tmp_path / "run.ini"
-        ini.write_text(
-            f"[data]\nkind = csv\ncsv_path = {data_path}\n"
-            "test_fraction = 0.25\nclients = 2\nalpha = 100\n"
-            "[model]\nhidden_dims = 8\n"
-            "[local]\nepochs_or_steps = 5\nbatch_size = 8\n"
-            "[run]\nseeds = 0\nmethods = fedavg, fedfisher-diag\ncompress = false\n"
-        )
-        out = tmp_path / "pets_out.csv"
-        assert cli.main(["one-shot", "--config", str(ini), "--no-timing",
-                        "--out", str(out)]) == cli.EXIT_OK
-        rows = _read_rows(out)
-        assert len(rows) == 2
-        for r in rows:
-            assert float(r[4]) >= 0.5  # separable classes, better than chance
+        for labels in (("cat", "dog"), ("0", "1")):  # integer labels are classes too
+            rng = np.random.default_rng(5)
+            lines = ["f1,f2,species"]
+            for _ in range(60):
+                if rng.random() < 0.5:
+                    lines.append(f"{rng.normal(-1):.4f},{rng.normal(-1):.4f},{labels[0]}")
+                else:
+                    lines.append(f"{rng.normal(1):.4f},{rng.normal(1):.4f},{labels[1]}")
+            data_path = tmp_path / "pets.csv"
+            data_path.write_text("\n".join(lines) + "\n")
+            ini = tmp_path / "run.ini"
+            ini.write_text(
+                f"[data]\nkind = csv\ncsv_path = {data_path}\n"
+                "test_fraction = 0.25\nclients = 2\nalpha = 100\n"
+                "[model]\nhidden_dims = 8\n"
+                "[local]\nepochs_or_steps = 5\nbatch_size = 8\n"
+                "[run]\nseeds = 0\nmethods = fedavg, fedfisher-diag\ncompress = false\n"
+            )
+            out = tmp_path / "pets_out.csv"
+            assert cli.main(["one-shot", "--config", str(ini), "--no-timing",
+                            "--out", str(out)]) == cli.EXIT_OK
+            rows = _read_rows(out)
+            assert len(rows) == 2
+            for r in rows:
+                assert float(r[4]) >= 0.5  # separable classes, better than chance
 
 
 class TestFewShotCommand:

@@ -221,12 +221,12 @@ class TestIdxRoundTrip:
 class TestLoadCsv:
     def test_numeric_labels(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("a,b,target\n1.0,2.0,0.5\n3.0,4.0,1.5\n")
+        p.write_text("a,b,target\n1.0,2.0,3\n3.0,4.0,1\n5.0,6.0,3\n")
         x, y, names = load_csv(str(p))
-        assert names is None
-        assert np.allclose(x, [[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(y, [0.5, 1.5])
-        assert y.dtype == np.float64
+        assert names == ["1", "3"]
+        assert np.allclose(x, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(y, [1, 0, 1])
+        assert y.dtype == np.int64
 
     def test_string_labels_sorted_codes(self, tmp_path):
         p = tmp_path / "d.csv"
