@@ -255,7 +255,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not comp.MIN_SQ <= s_q <= comp.MAX_SQ:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
     for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("n_test", 1),
-                      ("side", 1), ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1),
+                      ("side", 2), ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1),
                       ("width", 1), ("hidden_dims", 1), ("steps_list", 0), ("batch_size", 0)):
         if min(np.atleast_1d(getattr(cfg, name)), default=low) < low:  # every list entry too
             raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")

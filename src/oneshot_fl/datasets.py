@@ -229,25 +229,40 @@ def load_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return x, np.array([index[v] for v in raw_labels], dtype=np.int64), names
 
 
+def _blur(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """Three-tap box blur of ``src`` along ``axis`` into ``dst``, edge pixel repeated.
+
+    Each output pixel is ``(lo + mid) + hi``, then ``/ 3.0``, where lo and hi
+    are its neighbours along ``axis`` (the pixel itself at an edge).
+    """
+    s, d = np.swapaxes(src, 1, axis), np.swapaxes(dst, 1, axis)
+    np.add(s[:, :-1], s[:, 1:], out=d[:, 1:])
+    np.add(s[:, 0], s[:, 0], out=d[:, 0])
+    d[:, :-1] += s[:, 1:]
+    d[:, -1] += s[:, -1]
+    dst /= 3.0
+
+
 def _smooth_fields(rng: np.random.Generator, count: int, side: int, passes: int) -> np.ndarray:
     """Batch of random [0, 1] images with local spatial correlation.
 
     Gaussian pixel noise box-blurred ``passes`` times along both image axes
-    (edge-padded), then min-max scaled per image. Shape (count, side, side).
+    (edge pixel repeated), then min-max scaled per image. Shape (count, side,
+    side). The blur runs in place between two buffers (:func:`_blur`) and the
+    scaling in the result's own array, so nothing else the size of the batch
+    is allocated.
     """
     imgs = rng.standard_normal((count, side, side))
+    spare = np.empty_like(imgs)
     for _ in range(passes):
         for axis in (1, 2):
-            p = np.pad(imgs, [(0, 0)] * axis + [(1, 1)] + [(0, 0)] * (2 - axis), mode="edge")
-            sl = [slice(None)] * 3
-            lo_sl, mid_sl, hi_sl = list(sl), list(sl), list(sl)
-            lo_sl[axis] = slice(0, -2)
-            mid_sl[axis] = slice(1, -1)
-            hi_sl[axis] = slice(2, None)
-            imgs = (p[tuple(lo_sl)] + p[tuple(mid_sl)] + p[tuple(hi_sl)]) / 3.0
+            _blur(imgs, spare, axis)
+            imgs, spare = spare, imgs
     lo = imgs.min(axis=(1, 2), keepdims=True)
     hi = imgs.max(axis=(1, 2), keepdims=True)
-    return (imgs - lo) / (hi - lo)
+    imgs -= lo
+    imgs /= hi - lo
+    return imgs
 
 
 def gen_image_classes(
@@ -268,6 +283,8 @@ def gen_image_classes(
     """
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
+    if side < 2:  # a 1x1 image is constant, so min-max scaling has no range
+        raise ValueError(f"need a side of at least 2, got {side}")
     tmpl_rng = np.random.default_rng([seed, _TAG_TEMPLATES])
     templates = _smooth_fields(tmpl_rng, classes, side, 3)
 
@@ -276,9 +293,12 @@ def gen_image_classes(
     def make(n: int) -> tuple[np.ndarray, np.ndarray]:
         y = rng.integers(0, classes, size=n)
         imgs = templates[y]
-        imgs = imgs + field_noise * _smooth_fields(rng, n, side, 2)
-        imgs = imgs + pixel_noise * rng.standard_normal((n, side, side))
-        x = np.clip(imgs, 0.0, 1.0).reshape(n, side * side)
+        noise = _smooth_fields(rng, n, side, 2)
+        imgs += np.multiply(noise, field_noise, out=noise)
+        # the field is spent: its buffer takes the pixel noise
+        rng.standard_normal((n, side, side), out=noise)
+        imgs += np.multiply(noise, pixel_noise, out=noise)
+        x = np.clip(imgs, 0.0, 1.0, out=imgs).reshape(n, side * side)
         return x, y.astype(np.int64)
 
     x_train, y_train = make(n_train)

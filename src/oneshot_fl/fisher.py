@@ -194,8 +194,12 @@ def diag_fisher(
     for w, s in chunks:
         sq = [m + np.einsum("nc,cnk,cnk->nk", w, u, u) for m, u in zip(sq, s)]
     n = inputs[0].shape[0]
-    # (out, in+1) per layer: E[g_k^2] * a_i^2 per example
-    parts = [((sg.T @ a_aug**2) / n).ravel(order="F") for sg, a_aug in zip(sq, inputs)]
+    parts = []
+    for sg, a_aug in zip(sq, inputs):
+        # (out, in+1): E[g_k^2] * a_i^2 per example; the inputs are ours to square
+        g = sg.T @ np.square(a_aug, out=a_aug)
+        g /= n
+        parts.append(g.ravel(order="F"))
     return DiagFisher(np.concatenate(parts))
 
 
@@ -213,7 +217,9 @@ def kfac_fisher(
     A is the mean outer product of bias-augmented layer inputs; B the mean
     second moment of pre-activation score gradients. ``damping`` adds
     damping * mean(diag) * I to each factor (0 disables; tests comparing
-    against exact dense curvature use 0).
+    against exact dense curvature use 0). Each factor is built in place: the
+    Gram product is divided by n in its own array and the damping is added to
+    its diagonal, in the same operation order as ``a / n + c * np.eye(dim)``.
     """
     if not isinstance(model, MLP):
         raise ValueError("kfac_fisher requires an MLP")
@@ -226,12 +232,13 @@ def kfac_fisher(
     n = inputs[0].shape[0]
     layers = []
     for bsum, a_aug in zip(b_sums, inputs):
-        a = (a_aug.T @ a_aug) / n
-        b = bsum / n
-        if damping > 0:
-            a = a + damping * max(np.trace(a) / a.shape[0], 0.0) * np.eye(a.shape[0])
-            b = b + damping * max(np.trace(b) / b.shape[0], 0.0) * np.eye(b.shape[0])
-        layers.append(KFACLayer(a, b))
+        layer = KFACLayer(a_aug.T @ a_aug, bsum)  # both fresh arrays, ours to change
+        for f in (layer.a, layer.b):
+            f /= n
+            if damping > 0:
+                dim = f.shape[0]
+                f.flat[:: dim + 1] += damping * max(np.trace(f) / dim, 0.0)
+        layers.append(layer)
     return KFACFisher(layers)
 
 

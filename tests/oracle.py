@@ -6,6 +6,12 @@ eigendecomposition, Monte Carlo curvature estimates from sampled labels,
 finite-difference gradients, and a sampled Gram matrix of the relu feature
 kernel. They live with the tests, outside the package: nothing the runners
 call depends on them.
+
+The allocating references at the end build the client-side arrays the way
+the package used to, one new array per operation: the edge-padded image blur,
+the synthetic image generator, and the K-FAC and diagonal curvature builders
+with their ``np.eye`` damping. The in-place builders must match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from oneshot_fl import models
-from oneshot_fl.models import LOSS_SOFTMAX, LOSS_SQUARED, Model
+from oneshot_fl import datasets, fisher, models
+from oneshot_fl.models import LOSS_SOFTMAX, LOSS_SQUARED, MLP, Model
 
 _PINV_CUTOFF = 1e-10
 MAX_GRAM_POINTS = 500
@@ -185,3 +191,78 @@ def gram_lambda0(x: np.ndarray, mc_samples: int = 20000, seed=0) -> GramEstimate
     gram = inner * (acc / mc_samples)
     vals = np.linalg.eigvalsh((gram + gram.T) / 2.0)
     return GramEstimate(gram, float(vals[0]))
+
+
+def padded_smooth_fields(rng: np.random.Generator, count: int, side: int, passes: int) -> np.ndarray:
+    """``datasets._smooth_fields`` with ``np.pad`` and a new array per blur."""
+    imgs = rng.standard_normal((count, side, side))
+    for _ in range(passes):
+        for axis in (1, 2):
+            p = np.pad(imgs, [(0, 0)] * axis + [(1, 1)] + [(0, 0)] * (2 - axis), mode="edge")
+            sl = [slice(None)] * 3
+            lo_sl, mid_sl, hi_sl = list(sl), list(sl), list(sl)
+            lo_sl[axis] = slice(0, -2)
+            mid_sl[axis] = slice(1, -1)
+            hi_sl[axis] = slice(2, None)
+            imgs = (p[tuple(lo_sl)] + p[tuple(mid_sl)] + p[tuple(hi_sl)]) / 3.0
+    lo = imgs.min(axis=(1, 2), keepdims=True)
+    hi = imgs.max(axis=(1, 2), keepdims=True)
+    return (imgs - lo) / (hi - lo)
+
+
+def allocating_image_classes(
+    n_train: int,
+    n_test: int,
+    classes: int,
+    side: int,
+    seed: int,
+    pixel_noise: float = 0.3,
+    field_noise: float = 0.15,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``datasets.gen_image_classes`` with a new array per operation."""
+    tmpl_rng = np.random.default_rng([seed, datasets._TAG_TEMPLATES])
+    templates = padded_smooth_fields(tmpl_rng, classes, side, 3)
+    rng = np.random.default_rng([seed, datasets._TAG_EXAMPLES])
+
+    def make(n: int) -> tuple[np.ndarray, np.ndarray]:
+        y = rng.integers(0, classes, size=n)
+        imgs = templates[y]
+        imgs = imgs + field_noise * padded_smooth_fields(rng, n, side, 2)
+        imgs = imgs + pixel_noise * rng.standard_normal((n, side, side))
+        return np.clip(imgs, 0.0, 1.0).reshape(n, side * side), y.astype(np.int64)
+
+    x_train, y_train = make(n_train)
+    x_test, y_test = make(n_test)
+    return x_train, y_train, x_test, y_test
+
+
+def eye_damped_kfac(
+    model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed, damping: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer (A, B) of ``fisher.kfac_fisher``, damped by adding a scaled identity."""
+    inputs, chunks = fisher._scores(model, x, loss, mode, draws, seed)
+    b_sums = [0.0] * len(inputs)
+    for w, s in chunks:
+        b_sums = [m + np.einsum("nc,cnk,cnl->kl", w, u, u) for m, u in zip(b_sums, s)]
+    n = inputs[0].shape[0]
+    layers = []
+    for bsum, a_aug in zip(b_sums, inputs):
+        a = (a_aug.T @ a_aug) / n
+        b = bsum / n
+        if damping > 0:
+            a = a + damping * max(np.trace(a) / a.shape[0], 0.0) * np.eye(a.shape[0])
+            b = b + damping * max(np.trace(b) / b.shape[0], 0.0) * np.eye(b.shape[0])
+        layers.append((a, b))
+    return layers
+
+
+def allocating_diag(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed) -> np.ndarray:
+    """``fisher.diag_fisher(...).diag`` of an MLP, squaring a copy of each layer input."""
+    inputs, chunks = fisher._scores(model, x, loss, mode, draws, seed)
+    sq = [0.0] * len(inputs)
+    for w, s in chunks:
+        sq = [m + np.einsum("nc,cnk,cnk->nk", w, u, u) for m, u in zip(sq, s)]
+    n = inputs[0].shape[0]
+    return np.concatenate(
+        [((sg.T @ a_aug**2) / n).ravel(order="F") for sg, a_aug in zip(sq, inputs)]
+    )

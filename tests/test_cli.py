@@ -278,6 +278,8 @@ class TestValidation:
         ("one-shot", "[server]\nval_every = -3\n", "val_every must be positive"),
         # An empty test set would score every row NaN.
         ("one-shot", "[data]\nn_test = 0\n", "n_test must be at least 1"),
+        # A 1x1 image is constant: min-max scaling divided 0 by 0 (exit 3).
+        ("one-shot", "[data]\nside = 1\n", "side must be at least 2"),
         ("synthetic-width", "[local]\nloss = softmax-ce\n", "regresses with loss squared"),
         ("synthetic-steps", "[model]\nwidth = 0\n", "width must be at least 1"),
         ("synthetic-width", "[model]\nkappa = 0\n", "kappa must be positive"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oneshot_fl import datasets
 from oneshot_fl.datasets import (
     FederatedDataset,
     dirichlet_partition,
@@ -14,6 +15,7 @@ from oneshot_fl.datasets import (
 )
 
 from idx_files import write_idx
+from oracle import allocating_image_classes, padded_smooth_fields
 
 
 class TestNormalizeUnit:
@@ -292,6 +294,30 @@ class TestGenImageClasses:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             gen_image_classes(10, 5, classes=1)
+
+    def test_needs_side_two(self):
+        # A 1x1 image is constant: min-max scaling would divide 0 by 0.
+        with pytest.raises(ValueError, match="side of at least 2"):
+            gen_image_classes(10, 5, classes=2, side=1)
+
+
+class TestInPlaceImages:
+    """The in-place blur and generator against the allocating references."""
+
+    @pytest.mark.parametrize("side", [2, 3, 28])
+    @pytest.mark.parametrize("passes", [0, 1, 2, 3])
+    def test_smooth_fields_bit_identical(self, side, passes):
+        got = datasets._smooth_fields(np.random.default_rng(31), 7, side, passes)
+        want = padded_smooth_fields(np.random.default_rng(31), 7, side, passes)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("side", [6, 28])
+    def test_image_classes_bit_identical(self, side):
+        got = gen_image_classes(60, 20, classes=5, side=side, seed=4)
+        want = allocating_image_classes(60, 20, classes=5, side=side, seed=4)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
 
 
 class TestFederatedDataset:

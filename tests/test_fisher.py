@@ -5,6 +5,7 @@ import pytest
 
 from oneshot_fl import models
 from oneshot_fl.fisher import (
+    DEFAULT_KFAC_DAMPING,
     DiagFisher,
     FullFisher,
     KFACFisher,
@@ -22,7 +23,8 @@ from oneshot_fl.models import (
     init_two_layer,
 )
 
-from oracle import mc_fisher
+from memory import traced_peak
+from oracle import allocating_diag, eye_damped_kfac, mc_fisher
 
 
 def _unit_rows(rng, n, dim):
@@ -256,6 +258,48 @@ class TestKfacFisher:
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
             kfac_fisher(init_mlp([2, 2], seed=0), np.eye(2), damping=-1.0)
+
+
+class TestInPlaceBuild:
+    """K-FAC and diagonal builders against the allocating references, and
+    the memory the in-place K-FAC build holds."""
+
+    @staticmethod
+    def _case(dims):
+        x = np.random.default_rng(32).standard_normal((40, dims[0]))
+        return init_mlp(dims, seed=33), x
+
+    @pytest.mark.parametrize("dims", [[784, 64, 10], [4, 6, 5, 3]])
+    @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
+    @pytest.mark.parametrize("mode", ["expected", "sampled"])
+    @pytest.mark.parametrize("damping", [0.0, DEFAULT_KFAC_DAMPING])
+    def test_kfac_bit_identical(self, dims, loss, mode, damping):
+        model, x = self._case(dims)
+        got = kfac_fisher(model, x, loss, mode, draws=3, seed=34, damping=damping)
+        want = eye_damped_kfac(model, x, loss, mode, 3, 34, damping)
+        assert len(got.layers) == len(want)
+        for layer, (a, b) in zip(got.layers, want):
+            assert np.array_equal(layer.a, a)
+            assert np.array_equal(layer.b, b)
+
+    @pytest.mark.parametrize("dims", [[784, 64, 10], [4, 6, 5, 3]])
+    @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
+    @pytest.mark.parametrize("mode", ["expected", "sampled"])
+    def test_diag_bit_identical(self, dims, loss, mode):
+        model, x = self._case(dims)
+        got = diag_fisher(model, x, loss, mode, draws=3, seed=34)
+        assert np.array_equal(got.diag, allocating_diag(model, x, loss, mode, 3, 34))
+
+    @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
+    @pytest.mark.parametrize("mode", ["expected", "sampled"])
+    def test_kfac_peak_memory(self, loss, mode):
+        # Damping through a scaled np.eye would hold three 785 x 785 arrays at once.
+        model = init_mlp([784, 64, 10], seed=35)
+        x = np.random.default_rng(36).standard_normal((200, 784))
+        f, peak = traced_peak(kfac_fisher, model, x, loss, mode)
+        params = sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
+        outputs = sum(layer.a.nbytes + layer.b.nbytes for layer in f.layers)
+        assert peak < x.nbytes + params + outputs + 785 * 785 * 8
 
 
 class TestFisherMatvec:
