@@ -1,18 +1,27 @@
 """Experiment runners and the command-line front end.
 
-Every subcommand is a loop over one client round: clients train locally
-from a start model, each sends one uplink built by :func:`client_update`,
-and the server merges the uplinks once per method.
+Every subcommand runs one client round per sweep point: clients train
+locally, each sends one uplink built by :func:`client_update`, and the
+server merges the uplinks once per method. Tasks differ only in the axis
+they sweep, so each task is a list of sweep points (:func:`_points`) and
+one loop (:func:`_run`) runs seed x point x method. A point's round starts
+in one of four ways:
+
+- ``init``: the clients train from the initial model;
+- ``continue``: the previous point's clients train the extra steps;
+- ``merge``: each method's clients train from that method's previous merge;
+- ``same``: the previous point's round is merged again under a new codec.
 
 - ``synthetic-width``: unit-sphere regression, two-layer nets, sweep the
-  hidden width; one round per width, merged once per method.
+  hidden width; each width is an ``init`` point with its own initial net.
 - ``synthetic-steps``: same task at fixed width, sweep the local full-batch
-  step count.
-- ``one-shot``: heterogeneous image classification with an MLP, one round
-  merged once per method.
-- ``few-shot``: the same runner for a few broadcast rounds.
-- ``compress-bench``: the one-shot round under payload quantization,
-  sweeping the compression factor.
+  step count; without momentum each point continues the last, with
+  momentum each is an ``init`` point.
+- ``one-shot``: heterogeneous image classification with an MLP, one
+  ``init`` point.
+- ``few-shot``: one-shot's round, then ``merge`` rounds.
+- ``compress-bench``: one-shot's round, then ``same`` for each further
+  compression factor.
 
 Each subcommand reads an optional INI config (key = value lines under
 [section] headers, inline ``;`` comments allowed), applies command-line flag
@@ -99,7 +108,6 @@ _CLASSIFY = ("one-shot", "few-shot", "compress-bench")
 _ALL = _SYNTHETIC + _CLASSIFY
 _EPOCHS = ("synthetic-width",) + _CLASSIFY  # synthetic-steps trains for each of steps_list
 _CODEC = _SYNTHETIC + ("one-shot", "few-shot")  # compress-bench sweeps s_q_list instead
-_SWEEPS = {"synthetic-width": "widths", "synthetic-steps": "steps_list", "compress-bench": "s_q_list"}
 _IMAGES, _IDX, _CSV = ("image-classes",), ("idx",), ("csv",)  # data kinds of the classification tasks
 
 
@@ -244,9 +252,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown loss {cfg.loss!r}")
     if cfg.fisher_mode not in ("expected", "sampled"):
         raise ConfigError(f"unknown fisher_mode {cfg.fisher_mode!r}")
-    for name in ("seeds", "methods"):
-        if not getattr(cfg, name):
-            raise ConfigError(f"need at least one of {name}")
     if cfg.optimizer not in ("gd", "adam"):
         raise ConfigError(f"unknown server optimizer {cfg.optimizer!r}")
     if cfg.data_kind not in ("synthetic", "image-classes", "idx", "csv"):
@@ -279,9 +284,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         flag = f" ({spec.flag})" if spec.flag else ""
         raise ConfigError(f"{reader} does not read [{section}] {key}{flag}; "
                           f"leave it at its default {getattr(default, spec.attr)!r}")
-    sweep = _SWEEPS.get(cfg.task)
-    if sweep and not getattr(cfg, sweep):
-        raise ConfigError(f"task {cfg.task} needs at least one value in {sweep}")
+    # Each entry of these lists makes its own rows. hidden_dims may repeat a layer width.
+    for name in ("seeds", "methods", "widths", "steps_list", "s_q_list"):
+        values = getattr(cfg, name)
+        if not values and cfg.task in _CONFIG_KEYS[("run", name)].tasks:
+            raise ConfigError(f"task {cfg.task} needs at least one value in {name}")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} must not repeat an entry, got {values}")
     if cfg.val_every < 1:
         raise ConfigError(f"val_every must be positive, got {cfg.val_every}")
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
@@ -339,13 +348,6 @@ class _Clock:
         return time.perf_counter() if self.enabled else 0.0
 
 
-def _server_config(cfg: ExperimentConfig, val_fn=None) -> agg.ServerConfig:
-    return agg.ServerConfig(
-        optimizer=cfg.optimizer, eta_s=cfg.eta_s, t_max=cfg.t_max,
-        stop_tol=cfg.stop_tol, val_every=cfg.val_every, val_fn=val_fn,
-    )
-
-
 def _local_config(cfg: ExperimentConfig, n_examples: int, steps: int) -> models.TrainConfig:
     batch = cfg.batch_size if cfg.batch_size > 0 else n_examples
     return models.TrainConfig(
@@ -370,10 +372,6 @@ class Codec:
 
     s_q: int
     factor_s_q: int
-
-
-def _codec(cfg: ExperimentConfig) -> Codec | None:
-    return Codec(_WEIGHT_SQ, cfg.s_q) if cfg.compress else None
 
 
 # Curvature variant each method sends; fedavg sends its weights alone.
@@ -523,86 +521,6 @@ def merge_round(rnd: Round, method: str, codec: Codec | None,
 
 
 @dataclass
-class _Pipeline:
-    """What every merge of one seed's pipeline shares."""
-
-    clock: _Clock
-    init: models.Model
-    server_cfg: agg.ServerConfig
-    test: tuple | None = None  # (x, y) scored by accuracy; None for regression
-
-    def row(self, rnd: Round, method: str, codec: Codec | None, sweep: float,
-            train_seconds: float, earlier_bits: int = 0) -> tuple[ResultRow, np.ndarray]:
-        """Merge ``rnd`` with ``method`` into a row timed as ``train_seconds``
-        plus the measured merge, and return the merged weights too."""
-        t0 = self.clock.now()
-        merged, bits = merge_round(rnd, method, codec, self.server_cfg)
-        seconds = train_seconds + (self.clock.now() - t0)
-        model = models.with_flat_params(self.init, merged)
-        loss = models.loss_eval(model, rnd.data.x, rnd.data.y, rnd.cfg.loss)
-        acc = models.accuracy_eval(model, *self.test) if self.test else float("nan")
-        return ResultRow(rnd.seed, method, sweep, loss, acc, seconds, earlier_bits + bits), merged
-
-
-# ---------------------------------------------------------------------------
-# Synthetic regression sweeps
-# ---------------------------------------------------------------------------
-
-
-def run_width_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    clock = _Clock(cfg.timing)
-    rows = []
-    for seed in cfg.seeds:
-        data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, seed)
-        for width in cfg.widths:
-            init = models.init_two_layer(width, cfg.dim, cfg.kappa, [seed, width, 7])
-            run = _Pipeline(clock, init, _server_config(cfg))
-            t0 = clock.now()
-            rnd = train_round(cfg, data, [init] * data.num_clients,
-                              _local_config(cfg, data.x.shape[0], cfg.epochs_or_steps), seed, 0)
-            train_seconds = clock.now() - t0
-            rows.extend(run.row(rnd, method, _codec(cfg), float(width), train_seconds)[0]
-                        for method in cfg.methods)
-    return rows
-
-
-def run_local_steps_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Sweep the local full-batch step count at fixed width.
-
-    With zero momentum, full-batch descent is a deterministic trajectory, so
-    each client trains once to max(steps) and is snapshotted at every sweep
-    point; identical to independent runs, at a fraction of the cost. A row's
-    time is the measured training up to its snapshot plus its merge.
-    """
-    clock = _Clock(cfg.timing)
-    incremental = cfg.momentum == 0.0
-    rows = []
-    for seed in cfg.seeds:
-        data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, seed)
-        init = models.init_two_layer(cfg.width, cfg.dim, cfg.kappa, [seed, cfg.width, 7])
-        run = _Pipeline(clock, init, _server_config(cfg))
-        rnd, done, train_seconds = None, 0, 0.0
-        for k in sorted(set(cfg.steps_list)):
-            t0 = clock.now()
-            if incremental and rnd is not None:  # continue from the last snapshot
-                starts = rnd.trained
-            else:
-                starts, done, train_seconds = [init] * data.num_clients, 0, 0.0
-            local = _local_config(cfg, data.x.shape[0], k - done)
-            rnd = train_round(cfg, data, starts, local, seed, 0)
-            train_seconds += clock.now() - t0
-            done = k
-            rows.extend(run.row(rnd, method, _codec(cfg), float(k), train_seconds)[0]
-                        for method in cfg.methods)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Classification pipelines
-# ---------------------------------------------------------------------------
-
-
-@dataclass
 class _Splits:
     train: datasets.FederatedDataset
     val_x: np.ndarray
@@ -669,9 +587,67 @@ def _holdout(x, y, fraction, seed):
     return x[train_idx], y[train_idx], x[test_idx], y[test_idx]
 
 
-def _classification_start(cfg: ExperimentConfig, seed: int, clock: _Clock):
-    """The pipeline around the initial MLP and the first round trained from
-    it: (pipeline, round, training seconds)."""
+# ---------------------------------------------------------------------------
+# The runner: seed x sweep point x method
+# ---------------------------------------------------------------------------
+
+
+class _Point(NamedTuple):
+    """One sweep point: its CSV ``sweep`` value, where its round starts
+    (``init``, ``continue``, ``merge`` or ``same``; see the module
+    docstring), its local step count and its codec."""
+
+    sweep: float
+    start: str
+    steps: int
+    codec: Codec | None
+    width: int = 0  # hidden width of the two-layer initial model
+    index: int = 0  # round index; seeds client draws as [seed, index, client, ...]
+
+
+def _points(cfg: ExperimentConfig) -> list[_Point]:
+    """The sweep points of ``cfg.task``, in the order they run."""
+    codec = Codec(_WEIGHT_SQ, cfg.s_q) if cfg.compress else None
+    steps = cfg.epochs_or_steps
+    if cfg.task == "synthetic-width":
+        return [_Point(float(w), "init", steps, codec, w) for w in cfg.widths]
+    if cfg.task == "synthetic-steps":
+        ks = sorted(cfg.steps_list)
+        if cfg.momentum == 0.0:
+            # Full-batch descent without momentum is one deterministic
+            # trajectory: continuing the last point equals training anew.
+            return [_Point(float(k), "continue" if i else "init", k - done, codec, cfg.width)
+                    for i, (done, k) in enumerate(zip([0] + ks, ks))]
+        return [_Point(float(k), "init", k, codec, cfg.width) for k in ks]
+    if cfg.task == "compress-bench":
+        # The codec only touches the uplink, so one round serves every s_q.
+        return [_Point(float(s_q), "same" if i else "init", steps,
+                       Codec(s_q, s_q) if s_q > 1 else None)
+                for i, s_q in enumerate(cfg.s_q_list)]
+    if cfg.task == "one-shot":
+        return [_Point(0.0, "init", steps, codec)]
+    return [_Point(float(r + 1), "merge" if r else "init", steps, codec, index=r)
+            for r in range(cfg.rounds)]
+
+
+class _Seed(NamedTuple):
+    """What every point of one seed shares."""
+
+    data: datasets.FederatedDataset
+    init: Callable[[_Point], models.Model]  # the model an ``init`` point trains from
+    server_cfg: agg.ServerConfig
+    test: tuple | None  # (x, y) scored by accuracy; None for regression
+
+
+def _setup(cfg: ExperimentConfig, seed: int) -> _Seed:
+    """The data, initial models, server config and test split of one seed."""
+    server = dict(optimizer=cfg.optimizer, eta_s=cfg.eta_s, t_max=cfg.t_max,
+                  stop_tol=cfg.stop_tol, val_every=cfg.val_every)
+    if cfg.task in _SYNTHETIC:
+        data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, seed)
+        return _Seed(data, lambda point: models.init_two_layer(
+            point.width, cfg.dim, cfg.kappa, [seed, point.width, 7]),
+            agg.ServerConfig(**server), None)
     splits = _classification_data(cfg, seed)
     dims = [splits.train.x.shape[1]] + list(cfg.hidden_dims) + [splits.train.num_classes]
     init = models.init_mlp(dims, [seed, 17], head=cfg.loss)
@@ -682,84 +658,62 @@ def _classification_start(cfg: ExperimentConfig, seed: int, clock: _Clock):
 
     # With no validation examples the solver keeps its final iterate.
     val = val_fn if len(splits.val_y) else None
-    run = _Pipeline(clock, init, _server_config(cfg, val), (splits.test_x, splits.test_y))
-    t0 = clock.now()
-    first = train_round(cfg, splits.train, [init] * splits.train.num_clients,
-                        _local_config(cfg, splits.train.x.shape[0], cfg.epochs_or_steps),
-                        seed, 0)
-    return run, first, clock.now() - t0
+    return _Seed(splits.train, lambda point: init, agg.ServerConfig(**server, val_fn=val),
+                 (splits.test_x, splits.test_y))
 
 
-def _run_rounds(cfg: ExperimentConfig, rounds: int, sweep_of_round) -> list[ResultRow]:
-    """The classification runner: ``rounds`` broadcast rounds per method.
+def _run(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Every task's runner: per seed and sweep point, one row per method.
 
-    The first round trains once from the initial model and is merged with
-    every method; each later round trains the clients from that method's
-    merged model. A row's time is its round's measured training plus merge;
-    its bits sum the uplink over the rounds so far.
+    A row's time is its round's measured training (summed over ``continue``
+    points) plus its measured merge; scoring the row is not timed. Its bits
+    sum the uplink over the rounds so far.
     """
     clock = _Clock(cfg.timing)
+    points = _points(cfg)
     rows = []
     for seed in cfg.seeds:
-        run, first, first_seconds = _classification_start(cfg, seed, clock)
-        data = first.data
-        train_cfg = _local_config(cfg, data.x.shape[0], cfg.epochs_or_steps)
-        for method in cfg.methods:
-            rnd, train_seconds, bits = first, first_seconds, 0
-            for r in range(rounds):
-                if r > 0:
-                    t0 = clock.now()
-                    start = models.with_flat_params(run.init, merged)
-                    rnd = train_round(cfg, data, [start] * data.num_clients, train_cfg, seed, r)
-                    train_seconds = clock.now() - t0
-                row, merged = run.row(rnd, method, _codec(cfg), sweep_of_round(r),
-                                      train_seconds, bits)
-                bits = row.comm_bits
-                rows.append(row)
+        run = _setup(cfg, seed)
+
+        def train(starts: list, point: _Point) -> tuple[Round, float]:
+            t0 = clock.now()
+            local = _local_config(cfg, run.data.x.shape[0], point.steps)
+            rnd = train_round(cfg, run.data, starts, local, seed, point.index)
+            return rnd, clock.now() - t0
+
+        shared, last = None, {}  # (round, training seconds) of the point; method -> (weights, bits)
+        for point in points:
+            if point.start == "init":
+                shared = train([run.init(point)] * run.data.num_clients, point)
+            elif point.start == "continue":
+                more, seconds = train(shared[0].trained, point)
+                shared = more, shared[1] + seconds
+            for method in cfg.methods:
+                (rnd, seconds), bits = shared, 0
+                if point.start == "merge":
+                    weights, bits = last[method]
+                    start = models.with_flat_params(rnd.trained[0], weights)
+                    rnd, seconds = train([start] * run.data.num_clients, point)
+                t0 = clock.now()
+                weights, sent = merge_round(rnd, method, point.codec, run.server_cfg)
+                seconds += clock.now() - t0
+                last[method] = weights, bits + sent
+                model = models.with_flat_params(rnd.trained[0], weights)
+                loss = models.loss_eval(model, run.data.x, run.data.y, cfg.loss)
+                acc = models.accuracy_eval(model, *run.test) if run.test else float("nan")
+                rows.append(ResultRow(seed, method, point.sweep, loss, acc, seconds, bits + sent))
     return rows
 
 
-def run_one_shot(cfg: ExperimentConfig) -> list[ResultRow]:
-    return _run_rounds(cfg, 1, lambda r: 0.0)
-
-
-def run_few_shot(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Multi-round variant; the sweep column is the 1-based round index and
-    communication bits accumulate over rounds."""
-    return _run_rounds(cfg, cfg.rounds, lambda r: float(r + 1))
-
-
-def run_compress_bench(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Sweep the quantization factor; s_q = 1 is the uncompressed baseline.
-
-    One round of local training per seed serves every sweep point (the
-    codec only touches the uplink, never the training trajectory), and each
-    client builds each curvature variant once and encodes it once per point.
-    Each Kronecker factor is decomposed by SVD once per round; a point only
-    truncates and quantizes the kept triples.
-    """
-    clock = _Clock(cfg.timing)
-    rows = []
-    for seed in cfg.seeds:
-        run, rnd, train_seconds = _classification_start(cfg, seed, clock)
-        for s_q in cfg.s_q_list:
-            codec = Codec(s_q, s_q) if s_q > 1 else None
-            rows.extend(run.row(rnd, method, codec, float(s_q), train_seconds)[0]
-                        for method in cfg.methods)
-    return rows
+# The runner names the benchmark and the demos call; every task runs the one loop.
+run_width_sweep = run_local_steps_sweep = run_one_shot = run_few_shot = run_compress_bench = _run
 
 
 # ---------------------------------------------------------------------------
 # Command-line front end
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "synthetic-width": run_width_sweep,
-    "synthetic-steps": run_local_steps_sweep,
-    "one-shot": run_one_shot,
-    "few-shot": run_few_shot,
-    "compress-bench": run_compress_bench,
-}
+_RUNNERS = dict.fromkeys(_ALL, _run)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:

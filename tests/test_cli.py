@@ -226,6 +226,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="s_q"):
             validate_config(replace(default_config("compress-bench"), s_q_list=[]))
 
+    @pytest.mark.parametrize("task, flags, name", [
+        ("one-shot", ["--seed-list", "0,1,0"], "seeds"),
+        ("few-shot", ["--methods", "fedavg,fedavg"], "methods"),
+        ("synthetic-width", ["--widths", "8,8"], "widths"),
+        ("synthetic-steps", ["--steps-list", "4,4"], "steps_list"),
+        ("compress-bench", ["--s-q-list", "2,4,2"], "s_q_list"),
+    ])
+    def test_repeated_list_entry_rejected(self, task, flags, name, tmp_path, capsys):
+        # A repeat wrote duplicate rows, or was silently dropped (steps_list).
+        out = tmp_path / "x.csv"
+        code = cli.main([task, *flags, "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"{name} must not repeat an entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_hidden_width_accepted(self):
+        validate_config(replace(default_config("one-shot"), hidden_dims=[64, 64]))
+
     def test_dense_curvature_rejected_on_classification(self, tmp_path, capsys):
         for task in ("one-shot", "few-shot", "compress-bench"):
             cfg = replace(default_config(task), methods=[agg.METHOD_FULL])
@@ -1014,6 +1032,78 @@ class TestMeasuredTimes:
         steps = replace(default_config("synthetic-steps"), seeds=[0], width=8,
                         steps_list=[4, 8], t_max=50, timing=False)
         assert {r.wall_time_s for r in cli.run_local_steps_sweep(steps)} == {0.0}
+
+    def test_evaluation_is_not_timed(self, monkeypatch):
+        # Each row's train_loss is scored after its merge is timed, so a
+        # 100 s loss_eval leaves every time above as it is. accuracy_eval is
+        # not slowed: the server's val_fn calls it inside the timed merge.
+        loss_eval = models.loss_eval
+
+        def slow_loss_eval(*args, **kwargs):
+            cli.time.perf_counter.now += 100.0  # the _CountingClock of _rows
+            return loss_eval(*args, **kwargs)
+
+        monkeypatch.setattr(models, "loss_eval", slow_loss_eval)
+        self.test_few_shot_rows_hold_their_own_round(monkeypatch)
+        self.test_steps_rows_hold_training_up_to_their_snapshot(monkeypatch)
+        self.test_one_round_runners(monkeypatch)
+
+
+class TestTrainingCost:
+    """How often each runner trains a client, from which seed tag, and for
+    how many steps."""
+
+    def _train_steps(self, monkeypatch, runner, cfg) -> dict:
+        """Seed tag [seed, round, client] -> steps of each training run under it."""
+        runs = {}
+        sgd_train = models.sgd_train
+
+        def counted(*args, seed, **kwargs):
+            result = sgd_train(*args, seed=seed, **kwargs)
+            runs.setdefault(tuple(seed), []).append(result.steps)
+            return result
+
+        monkeypatch.setattr(models, "sgd_train", counted)
+        runner(cfg)
+        return runs
+
+    def test_width_sweep_trains_once_per_width(self, monkeypatch):
+        cfg = replace(default_config("synthetic-width"), widths=[4, 8, 16], seeds=[0, 1],
+                      epochs_or_steps=4, t_max=20, timing=False)
+        runs = self._train_steps(monkeypatch, cli.run_width_sweep, cfg)
+        assert runs == {(seed, 0, i): [4, 4, 4] for seed in (0, 1) for i in (0, 1)}  # 12 runs
+
+    def test_steps_sweep_continues_only_without_momentum(self, monkeypatch):
+        cfg = replace(default_config("synthetic-steps"), seeds=[0, 1], width=8,
+                      steps_list=[4, 16, 8], t_max=20, timing=False)
+        runs = self._train_steps(monkeypatch, cli.run_local_steps_sweep, cfg)
+        # Each client trains on to the next point: 4 + 4 + 8 = max k steps.
+        assert runs == {(seed, 0, i): [4, 4, 8] for seed in (0, 1) for i in (0, 1)}
+        runs = self._train_steps(monkeypatch, cli.run_local_steps_sweep,
+                                 replace(cfg, seeds=[0], momentum=0.5))
+        assert runs == {(0, 0, i): [4, 8, 16] for i in (0, 1)}  # 6 runs, 56 steps
+
+    def test_one_shot_trains_once_for_every_method(self, monkeypatch):
+        cfg = _tiny_image_cfg(seeds=[0, 1], methods=[
+            agg.METHOD_FEDAVG, agg.METHOD_DIAG, agg.METHOD_KFAC])
+        runs = self._train_steps(monkeypatch, cli.run_one_shot, cfg)
+        assert {tag: len(steps) for tag, steps in runs.items()} == {
+            (seed, 0, i): 1 for seed in (0, 1) for i in (0, 1)}
+
+    def test_few_shot_shares_only_the_first_round(self, monkeypatch):
+        cfg = replace(_tiny_image_cfg(task="few-shot"), seeds=[0, 1], rounds=3, methods=[
+            agg.METHOD_FEDAVG, agg.METHOD_DIAG, agg.METHOD_KFAC])
+        runs = self._train_steps(monkeypatch, cli.run_few_shot, cfg)
+        assert {tag: len(steps) for tag, steps in runs.items()} == {
+            (seed, r, i): 1 if r == 0 else 3 for seed in (0, 1) for r in range(3) for i in (0, 1)}
+
+    @pytest.mark.parametrize("s_q_list", [[4], [1, 2, 4, 8]])
+    def test_compress_bench_trains_once_for_every_point(self, s_q_list, monkeypatch):
+        cfg = replace(_tiny_image_cfg(task="compress-bench"), seeds=[0, 1],
+                      s_q_list=s_q_list, methods=[agg.METHOD_DIAG, agg.METHOD_KFAC])
+        runs = self._train_steps(monkeypatch, cli.run_compress_bench, cfg)
+        assert {tag: len(steps) for tag, steps in runs.items()} == {
+            (seed, 0, i): 1 for seed in (0, 1) for i in (0, 1)}
 
 
 def _diag_curvature_time_ratio() -> float:
