@@ -33,9 +33,11 @@ merges (widths 32-512, seed 0) the weights differ from the step-by-step
 loop's by at most 1.5e-15 relative at eta_s = 0.001, t_max = 1000 and 7.8e-13
 at the auto step with t_max = 10 000, and another start-block seed moves
 them by at most 1.3e-12. Adam, and gradient descent on diagonal or K-FAC
-curvature, run the step-by-step loop, where GD takes lambda_max from a power
-iteration: a basis of length-d vectors would outgrow their O(d) payloads,
-while a dense payload already holds d * d numbers.
+curvature, run the step-by-step loop: a basis of length-d vectors would
+outgrow their O(d) payloads, while a dense payload already holds d * d
+numbers. On diagonal curvature alone GD's lambda_max is the largest entry of
+the summed diagonal, exact and without applying the operator; only K-FAC
+curvature takes it from a power iteration.
 
 The Krylov path's stop test costs O(k log t_max) for k Ritz values, not
 O(k t_max). While eta * lambda_max <= 2, the step norm
@@ -119,7 +121,7 @@ class MergeResult:
     diverged: bool = False
     step_warning: bool = False
     residual: float = float("nan")
-    lambda_max: float = float("nan")  # GD only: top Ritz value if dense, else power iteration
+    lambda_max: float = float("nan")  # GD only: Ritz value, diagonal entry or power iteration
     objective_trace: list[float] | None = None
 
 
@@ -435,7 +437,8 @@ def fedfisher_solve(
     curvature with a dense part takes no steps: :class:`_KrylovGD` evaluates
     the same iterates, stop test, objectives and validation choice from the
     Ritz pairs of a block Krylov basis, and lambda_max is the largest Ritz
-    value; GD on diagonal or K-FAC curvature takes lambda_max from a power
+    value; GD on diagonal curvature alone takes the largest entry of the
+    summed diagonal, and GD on curvature with K-FAC blocks a power
     iteration. GD with cfg.eta_s=None steps by 1 / (1.01 * lambda_max); a
     manual GD step larger than 1 / lambda_max sets ``step_warning``. Adam
     needs no lambda_max, so its ``lambda_max`` stays NaN. With
@@ -463,8 +466,10 @@ def fedfisher_solve(
             g0 = op.matvec(w) - b
             basis = _block_krylov(op.apply_rows, g0)
             lam = float(basis[1][-1])
-        else:
+        elif op.kfacs:
             lam = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000).value
+        else:  # a diagonal operator's largest eigenvalue is its largest entry
+            lam = float(op.diag.max())
         if cfg.eta_s is None and lam <= 0.0:
             # No curvature anywhere: every point is stationary, keep the mean.
             return MergeResult(w, 0, True, residual=_scaled_norm(op.matvec(w) - b),

@@ -392,16 +392,6 @@ def _build_curvature(variant: str, model, x, cfg: ExperimentConfig, seed_tag):
     return fisher.kfac_fisher(model, x, cfg.loss, **kw)
 
 
-def _raw_payload(f) -> list[np.ndarray]:
-    if f is None:
-        return []
-    if isinstance(f, fisher.FullFisher):
-        return [f.matrix]
-    if isinstance(f, fisher.DiagFisher):
-        return [f.diag]
-    return [m for layer in f.layers for m in (layer.a, layer.b)]
-
-
 def _kfac_ranks(model, codec: Codec) -> list[int]:
     """Kept rank per layer of the K-FAC factors under ``codec``. The budget
     plan depends on the architecture alone, so one serves every client.
@@ -440,7 +430,7 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
         if variant not in built:
             built[variant] = _build_curvature(variant, model, x, cfg, seed_tag)
         f = built[variant]
-    sent_weights, sent_curvature = weights, _raw_payload(f)
+    sent_weights, sent_curvature = weights, f
     if codec is not None and method != agg.METHOD_FEDAVG:
         if built.get("codec") != codec:  # keep the latest codec's encodings only
             built["codec"], built["encoded"] = codec, {}

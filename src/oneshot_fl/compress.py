@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import KFACFisher, KFACLayer
+from .fisher import DiagFisher, FullFisher, KFACFisher, KFACLayer
 
 MIN_SQ, MAX_SQ = 1, 16
 
@@ -127,16 +127,25 @@ class BudgetPlan:
 def bit_cost(obj) -> int:
     """Exact communicated bits of a payload object.
 
-    Raw float arrays are charged 32 bits per element (float32 transport);
-    quantized vectors n * floor(32/s_q) + 32; structured payloads sum their
-    parts.
+    Raw float arrays are charged 32 bits per element (float32 transport), and
+    so are uncompressed curvature payloads, array by array; ``None`` (no
+    curvature, as fedavg sends) costs nothing. Quantized vectors cost
+    n * floor(32/s_q) + 32; structured payloads sum their parts.
     """
+    if obj is None:
+        return 0
     if isinstance(obj, QuantizedVector):
         return _quantized_bits(obj.n, obj.s_q)
     if isinstance(obj, CompressedFactor):
         return bit_cost(obj.qu) + bit_cost(obj.qs) + bit_cost(obj.qvt)
     if isinstance(obj, np.ndarray):
         return 32 * obj.size
+    if isinstance(obj, FullFisher):
+        return bit_cost(obj.matrix)
+    if isinstance(obj, DiagFisher):
+        return bit_cost(obj.diag)
+    if isinstance(obj, KFACFisher):
+        return sum(bit_cost(layer.a) + bit_cost(layer.b) for layer in obj.layers)
     if isinstance(obj, (list, tuple)):
         return sum(bit_cost(item) for item in obj)
     raise ValueError(f"no bit accounting for {type(obj).__name__}")

@@ -79,6 +79,22 @@ class TestEstimateLmax:
             got = fedfisher_solve(updates, ServerConfig(t_max=0)).lambda_max
             assert got == pytest.approx(want, rel=1e-3)
 
+    def test_diag_path_takes_the_largest_summed_entry(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("diagonal GD must read lambda_max off the summed diagonal")
+
+        monkeypatch.setattr(aggregate, "power_iteration_max_eig", forbidden)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            updates = [ClientUpdate(rng.standard_normal(9), DiagFisher(rng.random(9)),
+                                    int(rng.integers(1, 50))) for _ in range(3)]
+            summed = np.zeros(9)
+            for c, u in zip(aggregate._coefficients(updates), updates):
+                summed += c * u.fisher.diag
+            for t_max in (0, 20):
+                res = fedfisher_solve(updates, ServerConfig(t_max=t_max))
+                assert res.lambda_max == summed.max()
+
     def test_missing_fisher_rejected(self):
         with pytest.raises(ValueError):
             fedfisher_solve([ClientUpdate(np.zeros(2))])
@@ -718,7 +734,9 @@ class TestServerMatvecCount:
                                                              stop_tol=0.0))
         assert res.iterations == 50
         assert count["all"] - count["power"] == 50 + 1  # one per step, one final residual
-        assert (count["power"] > 0) == (optimizer == "gd")
+        # Diagonal GD reads lambda_max off the summed diagonal; only K-FAC
+        # curvature needs a power iteration.
+        assert (count["power"] > 0) == (method == "fedfisher-kfac")
 
 
 def _summed_matvec_reference(op, pairs, v):

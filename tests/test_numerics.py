@@ -14,7 +14,7 @@ def _matvec(mat):
 
 class TestPowerIteration:
     def test_diagonal_example(self):
-        # diag(3, 1): largest eigenvalue 3, reached from the all-ones start.
+        # diag(3, 1): largest eigenvalue 3, reached from the Gaussian start.
         mat = np.diag([3.0, 1.0])
         res = power_iteration_max_eig(_matvec(mat), 2)
         assert res.converged
@@ -32,8 +32,9 @@ class TestPowerIteration:
             assert res.value == pytest.approx(want, rel=1e-6)
 
     def test_restart_escapes_orthogonal_start(self):
-        # The all-ones start is an exact eigenvector for eigenvalue 1 here;
-        # only the seeded restart can see the dominant eigenvalue 5.
+        # The all-ones vector is an exact eigenvector for eigenvalue 1 here,
+        # so a run started there would stop at 1; the seeded Gaussian start
+        # is not orthogonal to the dominant eigenvector and reaches 5.
         q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         mat = q @ np.diag([1.0, 5.0]) @ q.T
         res = power_iteration_max_eig(_matvec(mat), 2, tol=1e-12)

@@ -1,7 +1,8 @@
 """Code outside the package that calls into it: the benchmark and the demos.
 
 ``bench/`` wraps package functions by name for its per-layer trace and builds
-its configs through the CLI; the demos import the public API directly.
+its configs through the CLI; ``tests/csv_digests.py`` runs its pipelines; the
+demos import the public API directly.
 Nothing else in the suite runs them, so a refactor that renames or drops a
 name they use would break ``--trace 1`` or a demo silently. These tests only
 read ``bench/``, ``demos/`` and the package source.
@@ -14,6 +15,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -85,6 +87,14 @@ def test_bench_reference_rows_hold():
     problems = json.loads(done.stdout.splitlines()[-1])
     assert sorted(problems) == sorted(_bench_module("workloads").WORKLOADS)
     assert not any(problems.values()), problems
+
+
+def test_csv_digest_tool_prints_one_line_per_pipeline():
+    done = subprocess.run([sys.executable, str(ROOT / "tests" / "csv_digests.py"),
+                           "--workload", "width-sweep", "--seed", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"width-sweep 0 [0-9a-f]{64}\n", done.stdout), done.stdout
 
 
 @pytest.mark.parametrize("demo", ["01_merge_two_quadratics.py", "04_payload_compression.py"])
