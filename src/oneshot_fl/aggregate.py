@@ -39,15 +39,15 @@ numbers. On diagonal curvature alone GD's lambda_max is the largest entry of
 the summed diagonal, exact and without applying the operator; only K-FAC
 curvature takes it from a power iteration.
 
-The Krylov path's stop test costs O(k log t_max) for k Ritz values, not
-O(k t_max). While eta * lambda_max <= 2, the step norm
+The Krylov path's stop test costs O(k) for k Ritz values when it cannot
+fire by t_max, not O(k t_max). While eta * lambda_max <= 2, the step norm
 eta |(1 - eta theta)^(t-1) z| does not grow with t, and |W_t| is at most a
-closed-form bound from filt_t(theta) <= min(eta t, 2 / theta). A bisection
-on the step norm therefore gives the first step where the test can hold, and
-the sweep runs from there to its first hit, with the same arithmetic as a
-sweep over every t, so the stop step is the same. On the width-sweep and steps-sweep configs
-that step is past t_max and nothing is swept. Above eta * lambda_max = 2,
-where gradient descent diverges, every t up to the first hit is swept.
+closed-form bound from filt_t(theta) <= min(eta t, 2 / theta) that does not
+shrink with t. So one test at t_max, of the step norm there against the
+tolerance of that bound there, decides that the test holds at no t <= t_max;
+on the width-sweep and steps-sweep configs it decides so and nothing is
+swept. Otherwise, and always above eta * lambda_max = 2, where gradient
+descent diverges, every t up to the first hit is evaluated.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ LANCZOS_BREAKDOWN = 1e-14
 # entries per chunk when summing dense curvature; bounds that scratch memory
 # at a few 256 KiB blocks.
 _SWEEP_BLOCK = 1 << 15
-# Relative widening of the bounds that place the stop test's window: far
-# above the rounding of a norm over k <= d Ritz coordinates (about k ulp),
-# far below what moves the window by more than a few steps.
-_WINDOW_SLACK = 1e-6
+# Relative widening of the bound that rules out a stop by t_max: far above
+# the rounding of a norm over k <= d Ritz coordinates (about k ulp), far
+# below what lets that test pass where the stop test could not hold.
+_BOUND_SLACK = 1e-6
 
 
 @dataclass
@@ -323,9 +323,9 @@ class _KrylovGD:
         self.a = self.ritz.T @ coords  # W0's part inside the basis, in Ritz coordinates
         self.perp2 = float(np.sum((w0 - self.q.T @ coords) ** 2))
 
-    def _blocks(self, start: int, stop: int):
+    def _blocks(self, stop: int):
         rows = max(1, _SWEEP_BLOCK // max(self.theta.size, 1))
-        for lo in range(start, stop, rows):
+        for lo in range(0, stop, rows):
             yield np.arange(lo, min(lo + rows, stop), dtype=np.float64)[:, None]
 
     def weights(self, t: int) -> np.ndarray:
@@ -337,10 +337,10 @@ class _KrylovGD:
         grad = _landweber(self.theta, self.eta, t - 1)[0] * self.z
         return self.eta * float(np.sqrt(np.sum(grad**2)))
 
-    def _sweep(self, start: int, stop: int, stop_tol: float) -> tuple[int, bool, bool] | None:
-        """The stop test at t = start + 1 .. stop, in blocks of steps: the
+    def _sweep(self, stop: int, stop_tol: float) -> tuple[int, bool, bool] | None:
+        """The stop test at t = 1 .. stop, in blocks of steps: the
         (iterations, converged, diverged) of its first hit, or None."""
-        for s in self._blocks(start, stop):
+        for s in self._blocks(stop):
             with np.errstate(over="ignore", invalid="ignore"):  # also 0 * inf at stop_tol = 0
                 grad = _landweber(self.theta, self.eta, s)[0] * self.z  # g_(t-1), Ritz coordinates
                 step = self.eta * np.sqrt(np.sum(grad**2, axis=1))
@@ -362,55 +362,31 @@ class _KrylovGD:
         While eta * theta <= 2 the step norm does not grow with t, up to a
         factor ``growth`` from Ritz values that rounding left slightly
         negative, and filt_t(theta) <= growth * min(eta t, 2 / |theta|)
-        bounds |W_t| from above. So the test cannot hold before the first t
-        whose step norm is within that bound's tolerance, widened by
-        _WINDOW_SLACK against rounding; a bisection finds that t, and the
-        sweep runs from it to its first hit. Usually that t is past t_max and
-        nothing is swept. Above eta * theta = 2, where steps grow and can
-        overflow, the sweep starts at t = 1.
+        bounds |W_t| from above, a bound that grows with t. So if the step
+        norm at t_max is above that bound's tolerance at t_max, widened by
+        _BOUND_SLACK against rounding, the test holds at no t <= t_max and
+        nothing is swept. Otherwise, and always above eta * theta = 2, where
+        steps grow and can overflow, every t from 1 up to the first hit is
+        evaluated.
         """
         t_max, eta = self.t_max, self.eta
-        growth = np.exp(t_max * np.log1p(eta * max(0.0, -float(self.theta[0]))))
-        with np.errstate(divide="ignore"):
-            cap = growth * (2.0 / np.abs(self.theta))  # inf at theta = 0
-        a_norm = float(np.linalg.norm(self.a))
-
-        def w_bound(t: int) -> float:
-            filt = np.minimum(growth * eta * t, cap)
-            return float(np.sqrt(self.perp2 + (a_norm + np.linalg.norm(filt * self.z)) ** 2))
-
-        def may_stop(t: int) -> bool:
-            tol = stop_tol * (1.0 + w_bound(t)) * growth * (1.0 + _WINDOW_SLACK)
-            return self._step_norm(t) <= tol
-
-        lo = 1
-        if (eta * self.theta[-1] <= 2.0
-                and np.isfinite(growth * self._step_norm(1) + w_bound(t_max))):
-            lo = _bisect(may_stop, t_max)
-        return self._sweep(lo - 1, t_max, stop_tol) or (t_max, False, False)
+        if eta * self.theta[-1] <= 2.0:
+            growth = np.exp(t_max * np.log1p(eta * max(0.0, -float(self.theta[0]))))
+            with np.errstate(divide="ignore"):
+                filt = growth * np.minimum(eta * t_max, 2.0 / np.abs(self.theta))
+            w_bound = np.sqrt(self.perp2 + (np.linalg.norm(self.a)
+                                            + np.linalg.norm(filt * self.z)) ** 2)
+            tol = stop_tol * (1.0 + w_bound) * growth * (1.0 + _BOUND_SLACK)
+            if (np.isfinite(growth * self._step_norm(1) + w_bound)
+                    and not self._step_norm(t_max) <= tol):
+                return t_max, False, False
+        return self._sweep(t_max, stop_tol) or (t_max, False, False)
 
     def objectives(self, count: int, f0: float) -> list[float]:
         """The objective at W_0 .. W_(count-1)."""
         z2 = self.z**2
-        return [f0 - float(v) for s in self._blocks(0, count)
+        return [f0 - float(v) for s in self._blocks(count)
                 for v in _landweber(self.theta, self.eta, 2 * s)[1] @ z2]
-
-
-def _bisect(holds: Callable[[int], bool], stop: int) -> int:
-    """The t in 1 .. stop where bisection finds ``holds`` switch from false
-    to true, or stop + 1 if holds(stop) is false. ``holds`` is true at the
-    returned t, and false at t - 1 unless t = 1, so if ``holds`` is true at
-    every t from some t* on, the returned t is at most t*."""
-    if stop <= 0 or not holds(stop):
-        return stop + 1
-    lo, hi = 0, stop  # holds(hi); not holds(lo) unless lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _scaled_norm(v: np.ndarray) -> float:

@@ -261,7 +261,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
     for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("n_test", 1),
                       ("side", 2), ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1),
-                      ("width", 1), ("hidden_dims", 1), ("steps_list", 0), ("batch_size", 0)):
+                      ("width", 1), ("hidden_dims", 1), ("steps_list", 0), ("batch_size", 0),
+                      ("seeds", 0)):
         if min(np.atleast_1d(getattr(cfg, name)), default=low) < low:  # every list entry too
             raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
     for name in ("eta", "alpha", "kappa"):
@@ -296,9 +297,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
     # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
     synthetic = cfg.task in _SYNTHETIC
-    if synthetic and cfg.loss != models.LOSS_SQUARED:
-        raise ConfigError(f"task {cfg.task} regresses with loss {models.LOSS_SQUARED}, "
-                          f"got {cfg.loss}")
+    loss, verb = ((models.LOSS_SQUARED, "regresses") if synthetic
+                  else (models.LOSS_SOFTMAX, "classifies"))
+    if cfg.loss != loss:
+        raise ConfigError(f"task {cfg.task} {verb} with loss {loss}, got {cfg.loss}")
     misfit = agg.METHOD_KFAC if synthetic else agg.METHOD_FULL
     if misfit in cfg.methods:
         net = "two-layer net" if synthetic else "MLP"
@@ -521,6 +523,7 @@ class _Splits:
 
 def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
     if cfg.data_kind == "image-classes":
+        keys = ("n_train", "classes")
         x_train, y_train, x_test, y_test = datasets.gen_image_classes(
             cfg.n_train, cfg.n_test, cfg.classes, cfg.side, seed,
             cfg.pixel_noise, cfg.field_noise)
@@ -529,6 +532,7 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
             raise ConfigError("idx data needs images_path and labels_path")
         if bool(cfg.test_images_path) != bool(cfg.test_labels_path):
             raise ConfigError("[data] set both test_images_path and test_labels_path, or neither")
+        keys = ("images_path", "labels_path")
         x_all, y_all = _read_data(datasets.load_idx, cfg, "images_path", "labels_path")
         if cfg.test_images_path:
             x_train, y_train = x_all, y_all
@@ -539,6 +543,7 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
     elif cfg.data_kind == "csv":
         if not cfg.csv_path:
             raise ConfigError("csv data needs csv_path")
+        keys = ("csv_path",)
         x_all, y_all, _ = _read_data(datasets.load_csv, cfg, "csv_path")
         x_train, y_train, x_test, y_test = _holdout(x_all, y_all, cfg.test_fraction, seed)
     else:
@@ -554,6 +559,9 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
         raise ConfigError(f"[data] clients (--clients) is {cfg.clients}, more than the "
                           f"{len(y_tr)} examples of the training split")
     classes = int(y_train.max()) + 1
+    if classes < 2:
+        raise ConfigError(f"[data] {', '.join(keys)}: the training split has {classes} class, "
+                          "and a classifier needs at least 2")
     partition = datasets.dirichlet_partition(y_tr, cfg.clients, cfg.alpha, seed)
     train = datasets.FederatedDataset(x_tr, y_tr, partition, num_classes=classes)
     return _Splits(train, x_train[val_idx], y_train[val_idx], x_test, y_test)

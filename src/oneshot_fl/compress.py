@@ -58,6 +58,11 @@ def _quantized_bits(n: int, s_q: int) -> int:
     return n * _element_bits(s_q) + 32
 
 
+def _factor_bits(dim: int, rank: int, s_q: int) -> int:
+    """Bits of one truncated factor: its u, s and vt, each quantized alone."""
+    return sum(_quantized_bits(n, s_q) for n in (dim * rank, rank, rank * dim))
+
+
 def level_count(s_q: int) -> int:
     """Number of positive quantization levels l_q for a compression factor."""
     return 2 ** (_element_bits(s_q) - 1) - 1
@@ -130,14 +135,16 @@ def bit_cost(obj) -> int:
     Raw float arrays are charged 32 bits per element (float32 transport), and
     so are uncompressed curvature payloads, array by array; ``None`` (no
     curvature, as fedavg sends) costs nothing. Quantized vectors cost
-    n * floor(32/s_q) + 32; structured payloads sum their parts.
+    n * floor(32/s_q) + 32, a truncated factor its u, s and vt at that rate
+    (``_factor_bits``, which the budget planner charges too); other
+    structured payloads sum their parts.
     """
     if obj is None:
         return 0
     if isinstance(obj, QuantizedVector):
         return _quantized_bits(obj.n, obj.s_q)
     if isinstance(obj, CompressedFactor):
-        return bit_cost(obj.qu) + bit_cost(obj.qs) + bit_cost(obj.qvt)
+        return _factor_bits(*obj.shape, obj.qs.s_q)
     if isinstance(obj, np.ndarray):
         return 32 * obj.size
     if isinstance(obj, FullFisher):
@@ -216,11 +223,7 @@ def decompress_kfac(layers: list[tuple[CompressedFactor, CompressedFactor]]) -> 
 
 
 def _plan_bits(layer_dims: list[tuple[int, int]], l_v: list[int], s_q: int) -> int:
-    # Every factor (A and B of each layer) sends its u, s and vt payloads.
-    return sum(_quantized_bits(n, s_q)
-               for (da, db), l in zip(layer_dims, l_v)
-               for dim in (da, db)
-               for n in (dim * l, l, l * dim))
+    return sum(_factor_bits(dim, l, s_q) for dims, l in zip(layer_dims, l_v) for dim in dims)
 
 
 def kfac_budget_plan(layer_dims: list[tuple[int, int]], d: int, s_q: int) -> BudgetPlan:

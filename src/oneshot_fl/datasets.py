@@ -175,12 +175,15 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
     """Read big-endian IDX image/label files into ((N, rows*cols), (N,)) arrays.
 
     Pixels are scaled to [0, 1]. Raises ValueError naming the offending field
-    on a bad magic number, a truncated file, or an image/label count mismatch.
+    on a bad magic number, an empty image shape, a truncated file, or an
+    image/label count mismatch.
     """
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
         if magic != IDX_MAGIC_IMAGES:
             raise ValueError(f"bad image magic number: expected {IDX_MAGIC_IMAGES}, got {magic}")
+        if not rows or not cols:
+            raise ValueError(f"image header gives {rows} rows and {cols} columns, need at least 1")
         pixels = np.frombuffer(_read_exact(f, n * rows * cols, "image data"), dtype=np.uint8)
         if f.read(1):
             raise ValueError("trailing bytes after image data")

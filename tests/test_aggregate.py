@@ -602,8 +602,10 @@ def _spectrum_path(rng, eta, t_max):
 
 
 class TestStopTestMatchesFullSweep:
-    """``_KrylovGD.run`` bisects for the window where the stop test can first
-    hold; it must return what the sweep over every t returns."""
+    """``_KrylovGD.run`` rules out a stop by t_max with one bound test at
+    t_max, or else sweeps from t = 1; it must return what the sweep over
+    every t returns, including where that bound test passes but the stop
+    test never holds."""
 
     def test_random_spectra(self):
         outcomes = set()
@@ -625,8 +627,10 @@ class TestStopTestMatchesFullSweep:
 
 
 class TestStopTestCost:
-    """Without a hit by t_max, the stop test evaluates O(k log t_max)
-    Landweber entries for k Ritz values, not 2k per step up to t_max."""
+    """Where the bound test at t_max rules out a hit, the stop test
+    evaluates 2k Landweber entries for k Ritz values (the step norms at
+    t = 1 and t = t_max), within the O(k log t_max) asserted, not 2k per
+    step up to t_max."""
 
     @pytest.fixture
     def entries(self, monkeypatch):

@@ -299,6 +299,9 @@ class TestValidation:
         # A 1x1 image is constant: min-max scaling divided 0 by 0 (exit 3).
         ("one-shot", "[data]\nside = 1\n", "side must be at least 2"),
         ("synthetic-width", "[local]\nloss = softmax-ce\n", "regresses with loss squared"),
+        # Integer labels met a squared loss's one-hot targets check (exit 1).
+        ("one-shot", "[local]\nloss = squared\n",
+         "task one-shot classifies with loss softmax-ce, got squared"),
         ("synthetic-steps", "[model]\nwidth = 0\n", "width must be at least 1"),
         ("synthetic-width", "[model]\nkappa = 0\n", "kappa must be positive"),
         ("synthetic-steps", "[run]\nsteps_list = 4, -1\n", "steps_list must be at least 0"),
@@ -312,6 +315,16 @@ class TestValidation:
                          "fedavg", "--no-timing", "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["synthetic-width", "one-shot"])
+    def test_negative_seed_rejected(self, task, tmp_path, capsys):
+        # numpy's seeding raised ValueError on it (exit 1).
+        out = tmp_path / "x.csv"
+        code = cli.main([task, "--seed-list", "-1", "--methods", "fedavg", "--no-timing",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "seeds must be at least 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_stop_tol_rejected(self, tmp_path, capsys):
@@ -815,6 +828,38 @@ class TestOneShotCommand:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "[data]" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_single_class_training_split_is_config_error(self, kind, tmp_path, capsys):
+        # A one-output model: softmax-ce raised ValueError (exit 1).
+        (tmp_path / "d.csv").write_text("f1,label\n" + "0.5,a\n" * 8)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(np.zeros((8, 3, 3)), np.zeros(8), str(img), str(lab))
+        data, keys = {
+            "csv": (f"csv_path = {tmp_path / 'd.csv'}", "[data] csv_path"),
+            "idx": (f"images_path = {img}\nlabels_path = {lab}", "[data] images_path, labels_path"),
+        }[kind]
+        ini, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        ini.write_text(f"[data]\nkind = {kind}\n{data}\nclients = 1\n"
+                       "[run]\nseeds = 0\nmethods = fedavg\n")
+        code = cli.main(["one-shot", "--config", str(ini), "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"{keys}: the training split has 1 class" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [(8, 0, 3), (8, 3, 0)])
+    def test_idx_images_without_pixels_are_config_error(self, shape, tmp_path, capsys):
+        # An input dimension of 0: building the MLP divided by zero (exit 1).
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(np.zeros(shape), np.arange(8) % 2, str(img), str(lab))
+        ini, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        ini.write_text(f"[data]\nkind = idx\nimages_path = {img}\nlabels_path = {lab}\n"
+                       "clients = 1\n[run]\nseeds = 0\nmethods = fedavg\n")
+        code = cli.main(["one-shot", "--config", str(ini), "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[data] images_path, labels_path" in err and "rows" in err and "columns" in err
         assert not out.exists()
 
     def test_csv_data_kind(self, tmp_path):

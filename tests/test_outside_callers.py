@@ -1,8 +1,8 @@
 """Code outside the package that calls into it: the benchmark and the demos.
 
 ``bench/`` wraps package functions by name for its per-layer trace and builds
-its configs through the CLI; ``tests/csv_digests.py`` runs its pipelines; the
-demos import the public API directly.
+its configs through the CLI; ``tests/csv_digests.py`` and ``tests/traffic.py``
+run its pipelines; the demos import the public API directly.
 Nothing else in the suite runs them, so a refactor that renames or drops a
 name they use would break ``--trace 1`` or a demo silently. These tests only
 read ``bench/``, ``demos/`` and the package source.
@@ -13,6 +13,7 @@ bench call. A public name that only tests reach belongs under ``tests/``.
 
 import ast
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import oneshot_fl
-from oneshot_fl import cli
+from oneshot_fl import cli, numerics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,6 +96,27 @@ def test_csv_digest_tool_prints_one_line_per_pipeline():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(r"width-sweep 0 [0-9a-f]{64}\n", done.stdout), done.stdout
+
+
+def test_traffic_tool_prints_unexecuted_line_runs():
+    done = subprocess.run([sys.executable, str(ROOT / "tests" / "traffic.py"),
+                           "--workload", "width-sweep", "--seed", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    runs = [re.fullmatch(r"oneshot_fl\.(\w+):(\d+)-(\d+)", line)
+            for line in done.stdout.splitlines()]
+    assert runs and all(runs), done.stdout
+    spans = [(m[1], int(m[2]), int(m[3])) for m in runs]
+    assert spans == sorted(spans)
+    assert all(1 <= first <= last for _, first, last in spans)
+    # Disjoint and not adjacent: each run is maximal.
+    assert all(a[0] != b[0] or a[2] + 1 < b[1] for a, b in zip(spans, spans[1:]))
+    modules = {p.stem for p in (ROOT / "src" / "oneshot_fl").glob("*.py")}
+    assert {name for name, _, _ in spans} <= modules
+    # The width sweep merges dense curvature and never applies a Kronecker block.
+    lines, start = inspect.getsourcelines(numerics.kron_matvec)
+    assert any(name == "numerics" and start < first and last < start + len(lines)
+               for name, first, last in spans)
 
 
 @pytest.mark.parametrize("demo", ["01_merge_two_quadratics.py", "04_payload_compression.py"])
