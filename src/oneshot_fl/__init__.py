@@ -16,8 +16,9 @@ curvature is read off the Ritz pairs of a block Krylov basis, whose largest
 Ritz value is its lambda_max), ``compress`` (codecs and bit accounting),
 ``cli`` (the client round, whose one uplink per client is charged
 ``compress.bit_cost`` of what the server receives, and the experiment
-runners built on it; every runner honours ``compress``). ``python -m
-oneshot_fl`` runs the ``oneshot-fl`` command.
+runners built on it; every runner but ``compress-bench``, which sweeps the
+codec's s_q, honours ``compress``). ``python -m oneshot_fl`` runs the
+``oneshot-fl`` command.
 """
 
 from . import aggregate, cli, compress, datasets, fisher, models, numerics

@@ -67,7 +67,7 @@ METHOD_KFAC = "fedfisher-kfac"
 METHOD_FISHERMERGE = "fishermerge"
 VALID_METHODS = (METHOD_FEDAVG, METHOD_FULL, METHOD_DIAG, METHOD_KFAC, METHOD_FISHERMERGE)
 
-DEFAULT_FISHER_FLOOR = 1e-6
+DEFAULT_FISHER_FLOOR = 1e-6  # fishermerge's least weight per coordinate
 
 # Adam server's moment decay rates and denominator offset.
 ADAM_BETA1 = 0.9
@@ -531,14 +531,12 @@ def fedfisher_solve(
                        objective_trace=trace)
 
 
-def fisher_merge_diag(updates: list[ClientUpdate], floor: float = DEFAULT_FISHER_FLOOR) -> np.ndarray:
+def fisher_merge_diag(updates: list[ClientUpdate]) -> np.ndarray:
     """Coordinatewise curvature-weighted average of client weights.
 
-    Each coordinate's weight is max(diagonal curvature, floor), so dead
-    coordinates fall back to the plain (coefficient-weighted) mean.
+    Each coordinate's weight is max(diagonal curvature, DEFAULT_FISHER_FLOOR),
+    so dead coordinates fall back to the plain (coefficient-weighted) mean.
     """
-    if floor <= 0:
-        raise ValueError(f"floor must be positive, got {floor}")
     d = _check_updates(updates, need_fisher=True)
     coeffs = _coefficients(updates)
     num = np.zeros(d)
@@ -546,7 +544,7 @@ def fisher_merge_diag(updates: list[ClientUpdate], floor: float = DEFAULT_FISHER
     for c, u in zip(coeffs, updates):
         if not isinstance(u.fisher, DiagFisher):
             raise ValueError("fisher_merge_diag requires diagonal curvature payloads")
-        weight = c * np.maximum(u.fisher.diag, floor)
+        weight = c * np.maximum(u.fisher.diag, DEFAULT_FISHER_FLOOR)
         num += weight * np.asarray(u.weights, dtype=np.float64)
         den += weight
     return num / den

@@ -163,7 +163,6 @@ class ExperimentConfig:
     width: int = _key("model", 512, int, ("synthetic-steps",))
     kappa: float = _key("model", 0.5, float, _SYNTHETIC)
     hidden_dims: list[int] = _key("model", [64], _parse_int_list, _CLASSIFY)
-    loss: str = _key("local", models.LOSS_SOFTMAX, str, _ALL)
     eta: float = _key("local", 0.01, float, _ALL, "--eta")
     momentum: float = _key("local", 0.9, float, _ALL)
     epochs_or_steps: int = _key("local", 30, int, _EPOCHS, "--epochs")
@@ -201,8 +200,7 @@ def default_config(task: str) -> ExperimentConfig:
     if task == "synthetic-width":
         return ExperimentConfig(
             task=task, data_kind="synthetic", clients=2, per_client=100, dim=2,
-            kappa=0.5, loss=models.LOSS_SQUARED,
-            eta=0.1, momentum=0.0, epochs_or_steps=2048, batch_size=0,
+            kappa=0.5, eta=0.1, momentum=0.0, epochs_or_steps=2048, batch_size=0,
             optimizer="gd", eta_s=0.001, t_max=20000,
             methods=[agg.METHOD_FEDAVG, agg.METHOD_FULL],
             seeds=list(range(10)), compress=False, fisher_mode="expected",
@@ -248,8 +246,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for method in cfg.methods:
         if method not in agg.VALID_METHODS:
             raise ConfigError(f"unknown method {method!r}, expected one of {agg.VALID_METHODS}")
-    if cfg.loss not in models.VALID_LOSSES:
-        raise ConfigError(f"unknown loss {cfg.loss!r}")
     if cfg.fisher_mode not in ("expected", "sampled"):
         raise ConfigError(f"unknown fisher_mode {cfg.fisher_mode!r}")
     if cfg.optimizer not in ("gd", "adam"):
@@ -285,6 +281,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         flag = f" ({spec.flag})" if spec.flag else ""
         raise ConfigError(f"{reader} does not read [{section}] {key}{flag}; "
                           f"leave it at its default {getattr(default, spec.attr)!r}")
+    # Sampled curvature alone draws, and only the K-FAC codec reads s_q.
+    for key, needs, reads in (
+            ("draws", "fisher_mode = sampled", cfg.fisher_mode == "sampled"),
+            ("s_q", f"compress = true and {agg.METHOD_KFAC} in methods",
+             cfg.compress and agg.METHOD_KFAC in cfg.methods)):
+        if not reads and getattr(cfg, key) != getattr(default, key):
+            raise ConfigError(f"task {cfg.task} reads [run] {key} only with {needs}; "
+                              f"leave it at its default {getattr(default, key)!r}")
     # Each entry of these lists makes its own rows. hidden_dims may repeat a layer width.
     for name in ("seeds", "methods", "widths", "steps_list", "s_q_list"):
         values = getattr(cfg, name)
@@ -297,10 +301,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
     # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
     synthetic = cfg.task in _SYNTHETIC
-    loss, verb = ((models.LOSS_SQUARED, "regresses") if synthetic
-                  else (models.LOSS_SOFTMAX, "classifies"))
-    if cfg.loss != loss:
-        raise ConfigError(f"task {cfg.task} {verb} with loss {loss}, got {cfg.loss}")
     misfit = agg.METHOD_KFAC if synthetic else agg.METHOD_FULL
     if misfit in cfg.methods:
         net = "two-layer net" if synthetic else "MLP"
@@ -390,8 +390,8 @@ def _build_curvature(variant: str, model, x, cfg: ExperimentConfig, seed_tag):
     if variant == "full":
         return fisher.full_fisher_two_layer(model, x, **kw)
     if variant == "diag":
-        return fisher.diag_fisher(model, x, cfg.loss, **kw)
-    return fisher.kfac_fisher(model, x, cfg.loss, **kw)
+        return fisher.diag_fisher(model, x, **kw)
+    return fisher.kfac_fisher(model, x, **kw)
 
 
 def _kfac_ranks(model, codec: Codec) -> list[int]:
@@ -484,8 +484,7 @@ def train_round(cfg: ExperimentConfig, data: datasets.FederatedDataset, starts: 
     trained = []
     for i, start in enumerate(starts):
         cx, cy = data.client_data(i)
-        result = models.sgd_train(start, cx, cy, train_cfg, loss=cfg.loss,
-                                  seed=[seed, index, i])
+        result = models.sgd_train(start, cx, cy, train_cfg, seed=[seed, index, i])
         if result.diverged:
             raise DivergenceError(f"client {i} diverged during local training")
         trained.append(result.model)
@@ -648,7 +647,7 @@ def _setup(cfg: ExperimentConfig, seed: int) -> _Seed:
             agg.ServerConfig(**server), None)
     splits = _classification_data(cfg, seed)
     dims = [splits.train.x.shape[1]] + list(cfg.hidden_dims) + [splits.train.num_classes]
-    init = models.init_mlp(dims, [seed, 17], head=cfg.loss)
+    init = models.init_mlp(dims, [seed, 17])
 
     def val_fn(weights: np.ndarray) -> float:
         return models.accuracy_eval(models.with_flat_params(init, weights),
@@ -697,7 +696,7 @@ def _run(cfg: ExperimentConfig) -> list[ResultRow]:
                 seconds += clock.now() - t0
                 last[method] = weights, bits + sent
                 model = models.with_flat_params(rnd.trained[0], weights)
-                loss = models.loss_eval(model, run.data.x, run.data.y, cfg.loss)
+                loss = models.loss_eval(model, run.data.x, run.data.y)
                 acc = models.accuracy_eval(model, *run.test) if run.test else float("nan")
                 rows.append(ResultRow(seed, method, point.sweep, loss, acc, seconds, bits + sent))
     return rows

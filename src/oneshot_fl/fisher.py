@@ -2,10 +2,11 @@
 
 All three variants approximate the average over the local inputs of the
 covariance of the log-likelihood gradient under the model's own predictive
-distribution (unit-variance Gaussian for the squared loss, categorical for
-softmax). ``mode="expected"`` evaluates that covariance analytically;
-``mode="sampled"`` draws labels from the predictive distribution and averages
-outer products of the resulting score vectors.
+distribution, which its ``head`` declares: unit-variance Gaussian for the
+squared loss (always, on a two-layer net), categorical for softmax. No
+function here takes a loss of its own. ``mode="expected"`` evaluates that
+covariance analytically; ``mode="sampled"`` draws labels from the predictive
+distribution and averages outer products of the resulting score vectors.
 
 Variants:
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .models import LOSS_SOFTMAX, LOSS_SQUARED, MLP, Model, TwoLayerReLU
+from .models import LOSS_SOFTMAX, MLP, Model, TwoLayerReLU
 from .numerics import kron_matvec
 
 MAX_FULL_DIM = 2000
@@ -125,7 +126,7 @@ def full_fisher_two_layer(
     return FullFisher(matrix)
 
 
-def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
+def _scores(model: MLP, x: np.ndarray, mode: str, draws: int, seed):
     """Bias-augmented layer inputs and the (w, s) chunks of the module docstring.
 
     :func:`models.forward_pass` gives the layer inputs and the relu masks
@@ -134,15 +135,14 @@ def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
     cotangents; sampled mode yields one chunk per draw, one at a time. Callers
     label r as c in einsum: its sums run in label order, and c < n fixes them.
     """
-    models._check_loss(loss)
     _check_mode(mode)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     z, acts = models.forward_pass(model, x)
     n, c_out = z.shape
-    if loss == LOSS_SOFTMAX and c_out < 2:
+    if model.head == LOSS_SOFTMAX and c_out < 2:
         raise ValueError("softmax-ce needs a multi-output model")
     inputs = [np.column_stack([a, np.ones(n)]) for a in [x, *acts.act]]
-    p = models._softmax(z)[0] if loss == LOSS_SOFTMAX else None
+    p = models._softmax(z)[0] if model.head == LOSS_SOFTMAX else None
     if mode == "expected":
         s = models.mlp_preact_grads(model, acts, np.repeat(np.eye(c_out)[:, None], n, axis=1))
         if p is None:  # E[eps eps^T] = I for y ~ N(z, I)
@@ -169,27 +169,23 @@ def _scores(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed):
 def diag_fisher(
     model: Model,
     x: np.ndarray,
-    loss: str = LOSS_SQUARED,
     mode: str = "expected",
     draws: int = 1,
     seed=0,
 ) -> DiagFisher:
     """Diagonal of the curvature matrix in flat-parameter coordinates.
 
-    For a two-layer net under the squared loss the expected-mode diagonal
-    equals the diagonal of :func:`full_fisher_two_layer` exactly.
+    For a two-layer net the expected-mode diagonal equals the diagonal of
+    :func:`full_fisher_two_layer` exactly.
     """
-    models._check_loss(loss)
     _check_mode(mode)
     if isinstance(model, TwoLayerReLU):
-        if loss != LOSS_SQUARED:
-            raise ValueError("TwoLayerReLU supports the squared loss only")
         phi = models.feature_map(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
         n = phi.shape[0]
         w = _sample_weights(n, mode, draws, seed)
         sq = phi**2 if w is None else (phi**2) * w[:, None]
         return DiagFisher(sq.mean(axis=0))
-    inputs, chunks = _scores(model, x, loss, mode, draws, seed)
+    inputs, chunks = _scores(model, x, mode, draws, seed)
     sq = [0.0] * len(inputs)  # per layer, (n, out_l) squared scores
     for w, s in chunks:
         sq = [m + np.einsum("nc,cnk,cnk->nk", w, u, u) for m, u in zip(sq, s)]
@@ -206,7 +202,6 @@ def diag_fisher(
 def kfac_fisher(
     model: MLP,
     x: np.ndarray,
-    loss: str = LOSS_SQUARED,
     mode: str = "expected",
     draws: int = 1,
     seed=0,
@@ -225,7 +220,7 @@ def kfac_fisher(
         raise ValueError("kfac_fisher requires an MLP")
     if damping < 0:
         raise ValueError(f"damping must be >= 0, got {damping}")
-    inputs, chunks = _scores(model, x, loss, mode, draws, seed)
+    inputs, chunks = _scores(model, x, mode, draws, seed)
     b_sums = [0.0] * len(inputs)  # per layer, (out_l, out_l) summed over examples
     for w, s in chunks:
         b_sums = [m + np.einsum("nc,cnk,cnl->kl", w, u, u) for m, u in zip(b_sums, s)]

@@ -31,7 +31,9 @@ flat-vector loop, which scales the mask by the signs in a third pass.
 
 Loss kinds: ``"squared"`` treats the output as the mean of a unit-variance
 Gaussian (0.5 * |y - f|^2 per example); ``"softmax-ce"`` is the categorical
-likelihood over integer labels.
+likelihood over integer labels. A model declares its own loss in ``head``:
+the two-layer net is fixed to the squared loss, an MLP's head is chosen when
+it is built. Training, scoring and curvature read it from there.
 
 Activation conventions: the two-layer feature map and gradient use an
 indicator active at zero (>= 0), so the squared-loss gradient is exactly
@@ -61,6 +63,7 @@ class TwoLayerReLU:
 
     weights: np.ndarray  # (m, dim), trained
     signs: np.ndarray  # (m,), fixed +/-1
+    head = LOSS_SQUARED  # the loss kind; a class constant, not a field
 
     @property
     def m(self) -> int:
@@ -77,7 +80,10 @@ class MLP:
 
     weights: list[np.ndarray]  # (out, in) per layer
     biases: list[np.ndarray]  # (out,) per layer
-    head: str = LOSS_SOFTMAX  # loss kind the network is meant for
+    head: str = LOSS_SOFTMAX  # the loss kind it is trained, scored and curved under
+
+    def __post_init__(self):
+        _check_loss(self.head)
 
     @property
     def dims(self) -> list[int]:
@@ -132,7 +138,6 @@ def init_mlp(dims: list[int], seed, head: str = LOSS_SOFTMAX) -> MLP:
     """He-initialized MLP: W ~ N(0, 2/fan_in), biases zero."""
     if len(dims) < 2:
         raise ValueError(f"dims needs an input and an output size, got {dims}")
-    _check_loss(head)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -254,18 +259,13 @@ def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, lse
 
 
-def _check_targets(model: Model, n: int, y: np.ndarray, loss: str) -> np.ndarray:
-    """``y`` checked against the loss and the output of ``model`` on ``n``
+def _check_targets(model: Model, n: int, y: np.ndarray) -> np.ndarray:
+    """``y`` checked against the head and the output of ``model`` on ``n``
     examples: int64 labels of shape (n,) in range for softmax-ce, float64
     targets of the output's shape for the squared loss (a 1-d ``y`` serves a
     one-output MLP). Raises ValueError otherwise."""
-    if isinstance(model, TwoLayerReLU):
-        if loss != LOSS_SQUARED:
-            raise ValueError("TwoLayerReLU supports the squared loss only")
-        shape = (n,)
-    else:
-        shape = (n, model.out_dim)
-    if loss == LOSS_SOFTMAX:
+    shape = (n,) if isinstance(model, TwoLayerReLU) else (n, model.out_dim)
+    if model.head == LOSS_SOFTMAX:
         if shape[1] < 2:
             raise ValueError("softmax-ce needs a multi-output model")
         y = np.asarray(y)
@@ -296,11 +296,10 @@ def _loss(z: np.ndarray, y: np.ndarray, loss: str) -> tuple[float, np.ndarray]:
     return float(np.add.reduce(lse - z[np.arange(n), y]) / n), dz
 
 
-def loss_eval(model: Model, x: np.ndarray, y: np.ndarray, loss: str = LOSS_SQUARED) -> float:
-    """Mean per-example loss over the batch."""
-    _check_loss(loss)
+def loss_eval(model: Model, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean per-example loss of the model's head over the batch."""
     z, _ = forward_pass(model, _as_batch(x)[0])
-    return _loss(z, _check_targets(model, z.shape[0], y, loss), loss)[0]
+    return _loss(z, _check_targets(model, z.shape[0], y), model.head)[0]
 
 
 def accuracy_eval(model: MLP, x: np.ndarray, y: np.ndarray) -> float:
@@ -375,7 +374,7 @@ def _with_arrays(model: Model, params: list[np.ndarray]) -> Model:
 
 
 def _loss_and_grad(
-    model: Model, x: np.ndarray, y: np.ndarray, loss: str,
+    model: Model, x: np.ndarray, y: np.ndarray,
     grads: list[np.ndarray], acts: Activations | None = None,
 ) -> float:
     """Mean loss over the batch, for targets checked by :func:`_check_targets`;
@@ -393,7 +392,7 @@ def _loss_and_grad(
     sign of an all-zero gradient row can differ, and that reaches no weight."""
     n = x.shape[0]
     z, acts = forward_pass(model, x, acts)
-    loss_val, dz = _loss(z, y, loss)
+    loss_val, dz = _loss(z, y, model.head)
     if isinstance(model, TwoLayerReLU):
         coef = np.greater_equal(acts.h[0], 0.0, out=acts.d[0])
         dz *= 1.0 / math.sqrt(model.m)
@@ -410,13 +409,12 @@ def _loss_and_grad(
     return loss_val
 
 
-def gradient(model: Model, x: np.ndarray, y: np.ndarray, loss: str = LOSS_SQUARED) -> np.ndarray:
-    """Flat gradient of the mean loss over the given example(s)."""
-    _check_loss(loss)
+def gradient(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat gradient of the mean loss of the model's head over the given example(s)."""
     x, _ = _as_batch(x)
-    y = _check_targets(model, x.shape[0], y, loss)
+    y = _check_targets(model, x.shape[0], y)
     grads = [np.empty(p.shape) for p in _param_arrays(model)]
-    _loss_and_grad(model, x, y, loss, grads)
+    _loss_and_grad(model, x, y, grads)
     return get_flat_params(_with_arrays(model, grads))
 
 
@@ -425,18 +423,17 @@ def sgd_train(
     x: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    loss: str = LOSS_SQUARED,
     seed=0,
 ) -> TrainResult:
-    """SGD with momentum on the mean loss.
+    """SGD with momentum on the mean loss of the model's head.
 
     When ``cfg.batch_size >= n`` the loop runs ``cfg.epochs_or_steps``
     full-batch gradient steps (the deterministic regime the merging theory
     assumes); otherwise it runs that many epochs of shuffled mini-batches,
     one permutation per epoch, sliced from one gather of the inputs. The
-    targets are checked once per call, against the model's output on all n
-    examples, so bad targets raise ValueError before any step, even with
-    zero steps; the final loss reuses the checked targets.
+    targets are checked once per call, against the head and the model's
+    output on all n examples, so bad targets raise ValueError before any
+    step, even with zero steps; the final loss reuses the checked targets.
 
     The loop works on each parameter array in place: current and next
     parameters, velocity, gradient and :class:`Activations` are
@@ -453,7 +450,6 @@ def sgd_train(
     verified step becomes current by swapping the two parameter buffers
     together with their wrappers.
     """
-    _check_loss(loss)
     if cfg.eta <= 0:
         raise ValueError(f"eta must be positive, got {cfg.eta}")
     if not 0.0 <= cfg.momentum < 1.0:
@@ -464,7 +460,7 @@ def sgd_train(
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     x, _ = _as_batch(x)
     n = x.shape[0]
-    y = _check_targets(model, n, y, loss)
+    y = _check_targets(model, n, y)
     rng = np.random.default_rng(seed)
 
     if isinstance(model, TwoLayerReLU):  # the result shares no array with the input
@@ -489,7 +485,7 @@ def sgd_train(
                     yield xp[start : start + cfg.batch_size], yp[start : start + cfg.batch_size]
 
     for xb, yb in batches():
-        loss_val = _loss_and_grad(current_model, xb, yb, loss, grads, acts)
+        loss_val = _loss_and_grad(current_model, xb, yb, grads, acts)
         if not math.isfinite(loss_val):
             return TrainResult(current_model, True, steps, loss_val)
         sq_norm = 0.0
@@ -504,5 +500,5 @@ def sgd_train(
         current, following = following, current
         current_model, following_model = following_model, current_model
         steps += 1
-    final_loss = _loss(forward_pass(current_model, x)[0], y, loss)[0]
+    final_loss = _loss(forward_pass(current_model, x)[0], y, model.head)[0]
     return TrainResult(current_model, False, steps, final_loss)

@@ -79,10 +79,20 @@ def constrained_min_norm_solution(
     return ConstrainedSolution(mean + correction, int(keep.sum()), vecs[:, ~keep])
 
 
-def _score_gradient(model: Model, x_row: np.ndarray, y, loss: str) -> np.ndarray:
+def _declaring(model: Model, loss: str) -> Model:
+    """``model`` with ``loss`` as its head. The package reads the loss off the
+    model; these references take it as an argument, so a test states it."""
+    if isinstance(model, MLP):
+        return MLP(model.weights, model.biases, loss)
+    if loss != LOSS_SQUARED:
+        raise ValueError(f"a two-layer net has the squared loss, got {loss!r}")
+    return model
+
+
+def _score_gradient(model: Model, x_row: np.ndarray, y) -> np.ndarray:
     """Gradient of the log-likelihood of one example (negated loss gradient)."""
     y_arr = np.array([y]) if np.ndim(y) == 0 else np.asarray(y)[None, :]
-    return -models.gradient(model, x_row[None, :], y_arr, loss)
+    return -models.gradient(model, x_row[None, :], y_arr)
 
 
 def mc_fisher(model: Model, x: np.ndarray, loss: str, draws: int, seed=0) -> np.ndarray:
@@ -95,6 +105,7 @@ def mc_fisher(model: Model, x: np.ndarray, loss: str, draws: int, seed=0) -> np.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    model = _declaring(model, loss)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     rng = np.random.default_rng(seed)
@@ -108,7 +119,7 @@ def mc_fisher(model: Model, x: np.ndarray, loss: str, draws: int, seed=0) -> np.
             c_out = z_j.shape[0]
             # Rows of the output Jacobian, via score evaluated at y = z + e_c.
             jac = np.stack([
-                _score_gradient(model, x[j], z_j + _unit(c_out, c) if c_out > 1 else float(z_j[0] + 1.0), loss)
+                _score_gradient(model, x[j], z_j + _unit(c_out, c) if c_out > 1 else float(z_j[0] + 1.0))
                 for c in range(c_out)
             ])
             eps = rng.standard_normal((draws, c_out))
@@ -120,7 +131,7 @@ def mc_fisher(model: Model, x: np.ndarray, loss: str, draws: int, seed=0) -> np.
             for c, count in enumerate(counts):
                 if count == 0:
                     continue
-                g = _score_gradient(model, x[j], c, loss)
+                g = _score_gradient(model, x[j], c)
                 total += (count / draws) * np.outer(g, g)
         else:
             raise ValueError(f"unknown loss kind {loss!r}")
@@ -145,14 +156,15 @@ def fd_gradient(
     """Central-difference gradient of the mean loss in flat coordinates."""
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"step h must be in [1e-7, 1e-3], got {h}")
+    model = _declaring(model, loss)
     flat = models.get_flat_params(model)
     grad = np.empty_like(flat)
     for k in range(flat.size):
         bumped = flat.copy()
         bumped[k] = flat[k] + h
-        up = models.loss_eval(models.with_flat_params(model, bumped), x, y, loss)
+        up = models.loss_eval(models.with_flat_params(model, bumped), x, y)
         bumped[k] = flat[k] - h
-        down = models.loss_eval(models.with_flat_params(model, bumped), x, y, loss)
+        down = models.loss_eval(models.with_flat_params(model, bumped), x, y)
         grad[k] = (up - down) / (2.0 * h)
     return grad
 
@@ -240,7 +252,7 @@ def eye_damped_kfac(
     model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed, damping: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per layer (A, B) of ``fisher.kfac_fisher``, damped by adding a scaled identity."""
-    inputs, chunks = fisher._scores(model, x, loss, mode, draws, seed)
+    inputs, chunks = fisher._scores(_declaring(model, loss), x, mode, draws, seed)
     b_sums = [0.0] * len(inputs)
     for w, s in chunks:
         b_sums = [m + np.einsum("nc,cnk,cnl->kl", w, u, u) for m, u in zip(b_sums, s)]
@@ -258,7 +270,7 @@ def eye_damped_kfac(
 
 def allocating_diag(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed) -> np.ndarray:
     """``fisher.diag_fisher(...).diag`` of an MLP, squaring a copy of each layer input."""
-    inputs, chunks = fisher._scores(model, x, loss, mode, draws, seed)
+    inputs, chunks = fisher._scores(_declaring(model, loss), x, mode, draws, seed)
     sq = [0.0] * len(inputs)
     for w, s in chunks:
         sq = [m + np.einsum("nc,cnk,cnk->nk", w, u, u) for m, u in zip(sq, s)]

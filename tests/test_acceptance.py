@@ -67,7 +67,7 @@ def test_criterion_2_curvature_identity_and_mc_agreement():
         phi = models.feature_map(model, x)
         outer_mean = sum(np.outer(row, row) for row in phi) / n
         worst_exact = max(worst_exact, float(np.max(np.abs(full - outer_mean))))
-        mc = oracle.mc_fisher(model, x, models.LOSS_SQUARED, draws, seed=seed)
+        mc = oracle.mc_fisher(model, x, model.head, draws, seed=seed)
         worst_mc = max(worst_mc, np.linalg.norm(mc - full) / np.linalg.norm(full))
     elapsed = time.perf_counter() - t0
     ok = worst_exact <= 1e-12 and worst_mc <= budget and elapsed < 30.0
@@ -95,8 +95,8 @@ def test_criterion_3_gradients_match_finite_differences():
             x = rng.standard_normal((4, 3))
             y = (rng.standard_normal((4, 3)) if loss == models.LOSS_SQUARED
                  else rng.integers(0, 3, size=4))
-        got = models.gradient(model, x, y, loss)
-        want = oracle.fd_gradient(model, x, y, loss)
+        got = models.gradient(model, x, y)
+        want = oracle.fd_gradient(model, x, y, model.head)
         worst = max(worst, np.linalg.norm(got - want)
                     / max(np.linalg.norm(want), 1e-10))
     elapsed = time.perf_counter() - t0

@@ -19,7 +19,7 @@ from oneshot_fl.aggregate import (
 )
 from oneshot_fl.datasets import FederatedDataset, gen_synthetic
 from oneshot_fl.fisher import DiagFisher, FullFisher, KFACFisher, KFACLayer, fisher_matvec
-from oneshot_fl.models import LOSS_SQUARED, TrainConfig, init_two_layer
+from oneshot_fl.models import TrainConfig, init_two_layer
 
 from merge_instances import rank_deficient_instance as _rand_instance
 from oracle import constrained_min_norm_solution
@@ -828,17 +828,12 @@ class TestFisherMergeDiag:
             ClientUpdate(np.array([0.0]), DiagFisher(np.array([0.0]))),
             ClientUpdate(np.array([4.0]), DiagFisher(np.array([1e-12]))),
         ]
-        assert np.allclose(fisher_merge_diag(updates, floor=1e-6), [2.0])
+        assert np.allclose(fisher_merge_diag(updates), [2.0])
 
     def test_rejects_non_diag(self):
         updates = [ClientUpdate(np.zeros(2), FullFisher(np.eye(2)))]
         with pytest.raises(ValueError):
             fisher_merge_diag(updates)
-
-    def test_rejects_bad_floor(self):
-        updates = [ClientUpdate(np.zeros(2), DiagFisher(np.ones(2)))]
-        with pytest.raises(ValueError):
-            fisher_merge_diag(updates, floor=0.0)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
@@ -881,7 +876,7 @@ class TestMergeUpdates:
 class TestFewShotRounds:
     """Broadcast rounds built from ``cli.train_round`` and ``cli.merge_round``."""
 
-    _CFG = cli.default_config("synthetic-width")  # squared loss, expected curvature
+    _CFG = cli.default_config("synthetic-width")  # expected curvature
 
     def _tiny_dataset(self, seed=0):
         return gen_synthetic(clients=2, per_client=25, dim=2, seed=seed)
@@ -907,7 +902,7 @@ class TestFewShotRounds:
         updates = []
         for i in range(2):
             cx, cy = ds.client_data(i)
-            trained = models.sgd_train(model, cx, cy, local, loss=LOSS_SQUARED, seed=[9, 0, i])
+            trained = models.sgd_train(model, cx, cy, local, seed=[9, 0, i])
             from oneshot_fl.fisher import full_fisher_two_layer
 
             f = full_fisher_two_layer(trained.model, cx, seed=[9, 0, i, 99])

@@ -58,7 +58,6 @@ class TestDefaults:
         assert cfg.epochs_or_steps == 2048
         assert cfg.momentum == 0.0
         assert cfg.batch_size == 0
-        assert cfg.loss == models.LOSS_SQUARED
         assert cfg.seeds == list(range(10))
         assert cfg.widths == [32, 64, 128, 256, 512]
         assert agg.METHOD_FULL in cfg.methods
@@ -165,11 +164,6 @@ class TestValidation:
     def test_unknown_method(self):
         cfg = replace(default_config("one-shot"), methods=["fedprox"])
         with pytest.raises(ConfigError, match="unknown method"):
-            validate_config(cfg)
-
-    def test_unknown_loss(self):
-        cfg = replace(default_config("one-shot"), loss="hinge")
-        with pytest.raises(ConfigError, match="unknown loss"):
             validate_config(cfg)
 
     def test_unknown_fisher_mode(self):
@@ -298,10 +292,19 @@ class TestValidation:
         ("one-shot", "[data]\nn_test = 0\n", "n_test must be at least 1"),
         # A 1x1 image is constant: min-max scaling divided 0 by 0 (exit 3).
         ("one-shot", "[data]\nside = 1\n", "side must be at least 2"),
-        ("synthetic-width", "[local]\nloss = softmax-ce\n", "regresses with loss squared"),
-        # Integer labels met a squared loss's one-hot targets check (exit 1).
-        ("one-shot", "[local]\nloss = squared\n",
-         "task one-shot classifies with loss softmax-ce, got squared"),
+        # The task's model declares its loss, so there is no key to set it.
+        ("synthetic-width", "[local]\nloss = softmax-ce\n", "unknown config key [local] loss"),
+        ("one-shot", "[local]\nloss = squared\n", "unknown config key [local] loss"),
+        # Expected curvature draws nothing, and s_q sets only the K-FAC codec:
+        # these wrote the same bytes as the defaults.
+        ("one-shot", "[run]\ndraws = 7\n",
+         "task one-shot reads [run] draws only with fisher_mode = sampled"),
+        ("synthetic-steps", "[run]\nfisher_mode = expected\ndraws = 7\n",
+         "reads [run] draws only with fisher_mode = sampled"),
+        ("one-shot", "[run]\ns_q = 8\n",
+         "task one-shot reads [run] s_q only with compress = true and fedfisher-kfac in methods"),
+        ("few-shot", "[run]\ncompress = false\ns_q = 8\n",
+         "reads [run] s_q only with compress = true and fedfisher-kfac in methods"),
         ("synthetic-steps", "[model]\nwidth = 0\n", "width must be at least 1"),
         ("synthetic-width", "[model]\nkappa = 0\n", "kappa must be positive"),
         ("synthetic-steps", "[run]\nsteps_list = 4, -1\n", "steps_list must be at least 0"),
@@ -334,6 +337,11 @@ class TestValidation:
                          "--seed-list", "0", "--no-timing", "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_CONFIG
         assert "stop_tol must be nonnegative" in capsys.readouterr().err
+
+    def test_draws_and_s_q_accepted_where_read(self):
+        validate_config(replace(default_config("one-shot"), fisher_mode="sampled", draws=7))
+        validate_config(replace(default_config("one-shot"), s_q=8,
+                                methods=[agg.METHOD_FEDAVG, agg.METHOD_KFAC]))
 
     def test_auto_and_zero_counts_accepted(self):
         validate_config(replace(default_config("synthetic-width"), eta_s=None,
@@ -628,15 +636,13 @@ class TestWidthSweepCommand:
         updates = []
         for i in range(2):
             cx, cy = data.client_data(i)
-            trained = models.sgd_train(init, cx, cy, local, loss=models.LOSS_SQUARED,
-                                       seed=[1, 0, i]).model
+            trained = models.sgd_train(init, cx, cy, local, seed=[1, 0, i]).model
             f = fisher.full_fisher_two_layer(trained, cx, mode="sampled", draws=1,
                                              seed=[1, 0, i, 99])
             updates.append(agg.ClientUpdate(models.get_flat_params(trained), f, 100))
         server = agg.ServerConfig(eta_s=0.001, t_max=300, stop_tol=cfg.stop_tol)
         merged = agg.fedfisher_solve(updates, server).weights
-        want = models.loss_eval(models.with_flat_params(init, merged), data.x, data.y,
-                                models.LOSS_SQUARED)
+        want = models.loss_eval(models.with_flat_params(init, merged), data.x, data.y)
         assert row.train_loss == pytest.approx(want, rel=1e-12)
 
     def test_compress_quantizes_synthetic_payloads(self):
@@ -658,7 +664,7 @@ class TestStepsSweepCommand:
         assert len(rows) == 2  # fedavg + fedfisher-full
         data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, 0)
         init = models.init_two_layer(8, cfg.dim, cfg.kappa, [0, 8, 7])
-        want = models.loss_eval(init, data.x, data.y, models.LOSS_SQUARED)
+        want = models.loss_eval(init, data.x, data.y)
         for row in rows:
             assert row.train_loss == pytest.approx(want, rel=1e-12)
 
@@ -700,17 +706,17 @@ class TestOneShotCommand:
         rows = cli.run_one_shot(cfg)
         assert len(rows) == 1
         splits = cli._classification_data(cfg, 0)
-        init = models.init_mlp([36, 16, 3], [0, 17], head=cfg.loss)
+        init = models.init_mlp([36, 16, 3], [0, 17])
         local = models.TrainConfig(cfg.eta, cfg.epochs_or_steps, cfg.batch_size, cfg.momentum)
         updates = []
         for i in range(cfg.clients):
             cx, cy = splits.train.client_data(i)
-            trained = models.sgd_train(init, cx, cy, local, loss=cfg.loss, seed=[0, 0, i])
+            trained = models.sgd_train(init, cx, cy, local, seed=[0, 0, i])
             updates.append(agg.ClientUpdate(models.get_flat_params(trained.model), None,
                                             cx.shape[0]))
         merged = agg.fedavg(updates)
         model = models.with_flat_params(init, merged)
-        want_loss = models.loss_eval(model, splits.train.x, splits.train.y, cfg.loss)
+        want_loss = models.loss_eval(model, splits.train.x, splits.train.y)
         want_acc = models.accuracy_eval(model, splits.test_x, splits.test_y)
         assert rows[0].train_loss == want_loss
         assert rows[0].test_accuracy == want_acc
@@ -1161,8 +1167,7 @@ def _diag_curvature_time_ratio() -> float:
 
     def train_once():
         t0 = time.process_time()
-        result = models.sgd_train(init, x, y, train_cfg,
-                                  loss=models.LOSS_SOFTMAX, seed=[0, 0, 0])
+        result = models.sgd_train(init, x, y, train_cfg, seed=[0, 0, 0])
         return time.process_time() - t0, result.model
 
     t_train, trained = min(train_once() for _ in range(3))

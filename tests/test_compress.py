@@ -296,8 +296,8 @@ def _trained_mlp_kfac() -> KFACFisher:
     x, y, _, _ = datasets.gen_image_classes(120, 10, 4, 6, seed=3)
     model = models.init_mlp([x.shape[1], 12, 4], [3, 17])
     trained = models.sgd_train(model, x, y, models.TrainConfig(0.05, 3, 16, 0.9),
-                               loss=models.LOSS_SOFTMAX, seed=[3, 0, 0]).model
-    return kfac_fisher(trained, x, models.LOSS_SOFTMAX)
+                               seed=[3, 0, 0]).model
+    return kfac_fisher(trained, x)
 
 
 class TestStoredDecomposition:

@@ -84,7 +84,7 @@ class TestFullFisher:
         rng = np.random.default_rng(11)
         x = _unit_rows(rng, 5, 3)
         want = full_fisher_two_layer(model, x).matrix
-        got = mc_fisher(model, x, LOSS_SQUARED, draws=100_000, seed=12)
+        got = mc_fisher(model, x, model.head, draws=100_000, seed=12)
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= 5.0 / np.sqrt(100_000)
 
@@ -116,7 +116,7 @@ class TestDiagFisher:
             model = init_two_layer(5, 3, kappa=1.0, seed=seed)
             x = _unit_rows(rng, 9, 3)
             full = full_fisher_two_layer(model, x).matrix
-            diag = diag_fisher(model, x, LOSS_SQUARED).diag
+            diag = diag_fisher(model, x).diag
             assert np.allclose(diag, np.diag(full), rtol=1e-12, atol=1e-16)
 
     def test_mlp_squared_matches_dense_diag(self):
@@ -130,11 +130,11 @@ class TestDiagFisher:
         for j in range(6):
             for c in range(2):
                 g = -models.gradient(
-                    model, x[j : j + 1], models.forward(model, x[j : j + 1]) + np.eye(2)[c][None, :], LOSS_SQUARED
+                    model, x[j : j + 1], models.forward(model, x[j : j + 1]) + np.eye(2)[c][None, :]
                 )
                 dense += np.outer(g, g)
         dense /= 6
-        got = diag_fisher(model, x, LOSS_SQUARED).diag
+        got = diag_fisher(model, x).diag
         assert np.allclose(got, np.diag(dense), atol=1e-10)
 
     def test_softmax_two_class_closed_form(self):
@@ -151,7 +151,7 @@ class TestDiagFisher:
         var = p[0] * p[1]  # two-class score variance per logit
         a_aug = np.array([0.7, -0.5, 1.0])
         want = np.concatenate([var * a_aug[i] ** 2 * np.ones(2) for i in range(3)])
-        got = diag_fisher(model, a, LOSS_SOFTMAX).diag
+        got = diag_fisher(model, a).diag
         assert np.allclose(got, want, atol=1e-12)
 
     def test_mlp_softmax_matches_exact_fisher(self):
@@ -163,17 +163,17 @@ class TestDiagFisher:
         z = models.forward(model, x)
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        want = np.mean([sum(p[n, c] * models.gradient(model, x[n], [c], LOSS_SOFTMAX) ** 2
+        want = np.mean([sum(p[n, c] * models.gradient(model, x[n], [c]) ** 2
                             for c in range(3)) for n in range(7)], axis=0)
-        got = diag_fisher(model, x, LOSS_SOFTMAX).diag
+        got = diag_fisher(model, x).diag
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_sampled_converges_to_expected(self):
         model = init_mlp([3, 5, 4], seed=18)
         rng = np.random.default_rng(19)
         x = rng.standard_normal((8, 3))
-        want = diag_fisher(model, x, LOSS_SOFTMAX).diag
-        got = diag_fisher(model, x, LOSS_SOFTMAX, mode="sampled", draws=40_000, seed=20).diag
+        want = diag_fisher(model, x).diag
+        got = diag_fisher(model, x, mode="sampled", draws=40_000, seed=20).diag
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= 5.0 / np.sqrt(40_000)
 
@@ -183,14 +183,14 @@ class TestDiagFisher:
         x = rng.standard_normal((10, 4))
         for loss in (LOSS_SQUARED, LOSS_SOFTMAX):
             m = model if loss == LOSS_SOFTMAX else init_mlp([4, 6, 3], seed=21, head=loss)
-            assert np.all(diag_fisher(m, x, loss).diag >= 0.0)
+            assert np.all(diag_fisher(m, x).diag >= 0.0)
 
     def test_mode_validation(self):
         model = init_two_layer(2, 2, kappa=1.0, seed=0)
         with pytest.raises(ValueError):
-            diag_fisher(model, np.eye(2), LOSS_SQUARED, mode="exact")
+            diag_fisher(model, np.eye(2), mode="exact")
         with pytest.raises(ValueError):
-            diag_fisher(model, np.eye(2), LOSS_SQUARED, mode="sampled", draws=0)
+            diag_fisher(model, np.eye(2), mode="sampled", draws=0)
 
 
 class TestKfacFisher:
@@ -201,7 +201,7 @@ class TestKfacFisher:
         b = np.array([0.2])
         model = models.MLP([w], [b], head=LOSS_SQUARED)
         a = np.array([[2.0, 1.0]])
-        f = kfac_fisher(model, a, LOSS_SQUARED, damping=0.0)
+        f = kfac_fisher(model, a, damping=0.0)
         a_aug = np.array([2.0, 1.0, 1.0])
         assert np.allclose(f.layers[0].a, np.outer(a_aug, a_aug))
         assert np.allclose(f.layers[0].b, np.eye(1))
@@ -212,7 +212,7 @@ class TestKfacFisher:
     def test_zero_inputs_zero_a_blocks(self):
         model = init_mlp([3, 4, 2], seed=23, head=LOSS_SQUARED)
         x = np.zeros((5, 3))
-        f = kfac_fisher(model, x, LOSS_SQUARED, damping=0.0)
+        f = kfac_fisher(model, x, damping=0.0)
         # Bias coordinate keeps a 1 in A; the input block is zero.
         a0 = f.layers[0].a
         assert np.all(a0[:3, :3] == 0.0)
@@ -223,7 +223,7 @@ class TestKfacFisher:
         rng = np.random.default_rng(25)
         x = rng.standard_normal((12, 5))
         for mode, draws in (("expected", 1), ("sampled", 3)):
-            f = kfac_fisher(model, x, LOSS_SOFTMAX, mode=mode, draws=draws, seed=26)
+            f = kfac_fisher(model, x, mode=mode, draws=draws, seed=26)
             for layer in f.layers:
                 for factor in (layer.a, layer.b):
                     assert np.allclose(factor, factor.T)
@@ -233,9 +233,9 @@ class TestKfacFisher:
     def test_sampled_b_factors_converge_to_expected(self):
         model = init_mlp([4, 6, 5, 3], seed=42)
         x = np.random.default_rng(43).standard_normal((8, 4))
-        want = kfac_fisher(model, x, LOSS_SOFTMAX, damping=0.0)
+        want = kfac_fisher(model, x, damping=0.0)
         draws = 40_000
-        got = kfac_fisher(model, x, LOSS_SOFTMAX, mode="sampled", draws=draws, seed=44,
+        got = kfac_fisher(model, x, mode="sampled", draws=draws, seed=44,
                           damping=0.0)
         for g, w in zip(got.layers, want.layers):
             assert np.array_equal(g.a, w.a)  # the input factor does not sample
@@ -245,8 +245,8 @@ class TestKfacFisher:
         model = init_mlp([3, 4, 2], seed=27)
         rng = np.random.default_rng(28)
         x = rng.standard_normal((6, 3))
-        raw = kfac_fisher(model, x, LOSS_SOFTMAX, damping=0.0)
-        damped = kfac_fisher(model, x, LOSS_SOFTMAX, damping=1e-2)
+        raw = kfac_fisher(model, x, damping=0.0)
+        damped = kfac_fisher(model, x, damping=1e-2)
         for lr, ld in zip(raw.layers, damped.layers):
             bump = 1e-2 * np.trace(lr.a) / lr.a.shape[0]
             assert np.allclose(ld.a, lr.a + bump * np.eye(lr.a.shape[0]), atol=1e-12)
@@ -265,18 +265,18 @@ class TestInPlaceBuild:
     the memory the in-place K-FAC build holds."""
 
     @staticmethod
-    def _case(dims):
+    def _case(dims, loss):
         x = np.random.default_rng(32).standard_normal((40, dims[0]))
-        return init_mlp(dims, seed=33), x
+        return init_mlp(dims, seed=33, head=loss), x
 
     @pytest.mark.parametrize("dims", [[784, 64, 10], [4, 6, 5, 3]])
     @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
     @pytest.mark.parametrize("mode", ["expected", "sampled"])
     @pytest.mark.parametrize("damping", [0.0, DEFAULT_KFAC_DAMPING])
     def test_kfac_bit_identical(self, dims, loss, mode, damping):
-        model, x = self._case(dims)
-        got = kfac_fisher(model, x, loss, mode, draws=3, seed=34, damping=damping)
-        want = eye_damped_kfac(model, x, loss, mode, 3, 34, damping)
+        model, x = self._case(dims, loss)
+        got = kfac_fisher(model, x, mode, draws=3, seed=34, damping=damping)
+        want = eye_damped_kfac(model, x, model.head, mode, 3, 34, damping)
         assert len(got.layers) == len(want)
         for layer, (a, b) in zip(got.layers, want):
             assert np.array_equal(layer.a, a)
@@ -286,17 +286,17 @@ class TestInPlaceBuild:
     @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
     @pytest.mark.parametrize("mode", ["expected", "sampled"])
     def test_diag_bit_identical(self, dims, loss, mode):
-        model, x = self._case(dims)
-        got = diag_fisher(model, x, loss, mode, draws=3, seed=34)
-        assert np.array_equal(got.diag, allocating_diag(model, x, loss, mode, 3, 34))
+        model, x = self._case(dims, loss)
+        got = diag_fisher(model, x, mode, draws=3, seed=34)
+        assert np.array_equal(got.diag, allocating_diag(model, x, model.head, mode, 3, 34))
 
     @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
     @pytest.mark.parametrize("mode", ["expected", "sampled"])
     def test_kfac_peak_memory(self, loss, mode):
         # Damping through a scaled np.eye would hold three 785 x 785 arrays at once.
-        model = init_mlp([784, 64, 10], seed=35)
+        model = init_mlp([784, 64, 10], seed=35, head=loss)
         x = np.random.default_rng(36).standard_normal((200, 784))
-        f, peak = traced_peak(kfac_fisher, model, x, loss, mode)
+        f, peak = traced_peak(kfac_fisher, model, x, mode)
         params = sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
         outputs = sum(layer.a.nbytes + layer.b.nbytes for layer in f.layers)
         assert peak < x.nbytes + params + outputs + 785 * 785 * 8
@@ -316,7 +316,7 @@ class TestFisherMatvec:
         model = init_mlp([3, 5, 2], seed=30)
         rng = np.random.default_rng(31)
         x = rng.standard_normal((8, 3))
-        f = kfac_fisher(model, x, LOSS_SOFTMAX)
+        f = kfac_fisher(model, x)
         dense = _dense_kfac(f)
         for _ in range(5):
             v = rng.standard_normal(f.dim)
@@ -327,7 +327,7 @@ class TestFisherMatvec:
 
     def test_kfac_dim_matches_model_params(self):
         model = init_mlp([3, 5, 2], seed=32)
-        f = kfac_fisher(model, np.zeros((2, 3)), LOSS_SOFTMAX)
+        f = kfac_fisher(model, np.zeros((2, 3)))
         assert f.dim == models.param_count(model)
 
     def test_psd_quadratic_form_all_variants(self):
@@ -338,9 +338,9 @@ class TestFisherMatvec:
         xm = rng.standard_normal((6, 3))
         variants = [
             full_fisher_two_layer(model2, x2),
-            diag_fisher(model2, x2, LOSS_SQUARED),
-            diag_fisher(mlp, xm, LOSS_SOFTMAX),
-            kfac_fisher(mlp, xm, LOSS_SOFTMAX),
+            diag_fisher(model2, x2),
+            diag_fisher(mlp, xm),
+            kfac_fisher(mlp, xm),
         ]
         for f in variants:
             trace = {

@@ -64,6 +64,10 @@ class TestInit:
         assert model.weights[1].shape == (3, 7)
         assert all(np.all(b == 0.0) for b in model.biases)
 
+    def test_mlp_rejects_unknown_head(self):
+        with pytest.raises(ValueError, match="unknown loss kind 'hinge'"):
+            MLP([np.zeros((3, 2))], [np.zeros(3)], head="hinge")
+
     def test_mlp_needs_two_dims(self):
         with pytest.raises(ValueError):
             init_mlp([4], seed=0)
@@ -145,7 +149,7 @@ class TestLossEval:
         rng = np.random.default_rng(10)
         x = _unit_rows(rng, 5, 3)
         y = forward(model, x)
-        assert loss_eval(model, x, y, LOSS_SQUARED) == pytest.approx(0.0, abs=1e-15)
+        assert loss_eval(model, x, y) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_model_gives_half_mean_square(self):
         model = init_two_layer(4, 3, kappa=1e-30, seed=11)
@@ -153,7 +157,7 @@ class TestLossEval:
         x = _unit_rows(rng, 7, 3)
         y = rng.standard_normal(7)
         want = 0.5 * np.mean(y**2)
-        assert loss_eval(model, x, y, LOSS_SQUARED) == pytest.approx(want, rel=1e-9)
+        assert loss_eval(model, x, y) == pytest.approx(want, rel=1e-9)
 
     def test_uniform_classifier_accuracy_near_chance(self):
         # Identical logits per class break ties at index 0; instead use a
@@ -173,18 +177,16 @@ class TestLossEval:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((200, 6)) * 0.01
         y = rng.integers(0, 5, size=200)
-        val = loss_eval(model, x, y, LOSS_SOFTMAX)
+        val = loss_eval(model, x, y)
         assert abs(val - np.log(5)) < 0.05
 
     def test_label_validation(self):
         model = init_mlp([3, 4, 3], seed=17)
         x = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            loss_eval(model, x, np.array([0, 3]), LOSS_SOFTMAX)
+            loss_eval(model, x, np.array([0, 3]))
         with pytest.raises(ValueError):
-            loss_eval(model, x, np.array([0]), LOSS_SOFTMAX)
-        with pytest.raises(ValueError):
-            loss_eval(model, x, np.zeros(2), "hinge")
+            loss_eval(model, x, np.array([0]))
 
 
 class TestGradient:
@@ -193,7 +195,7 @@ class TestGradient:
         rng = np.random.default_rng(19)
         x = _unit_rows(rng, 6, 4)
         y = forward(model, x)
-        g = gradient(model, x, y, LOSS_SQUARED)
+        g = gradient(model, x, y)
         assert np.allclose(g, 0.0, atol=1e-14)
 
     def test_two_layer_matches_residual_phi_formula(self):
@@ -204,7 +206,7 @@ class TestGradient:
         res = forward(model, x) - y
         phi = feature_map(model, x)
         want = (phi * res[:, None]).mean(axis=0)
-        got = gradient(model, x, y, LOSS_SQUARED)
+        got = gradient(model, x, y)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_matches_finite_differences_all_cases(self):
@@ -229,15 +231,10 @@ class TestGradient:
                     if loss == LOSS_SQUARED
                     else rng.integers(0, 3, size=4)
                 )
-            got = gradient(model, x, y, loss)
-            want = fd_gradient(model, x, y, loss)
+            got = gradient(model, x, y)
+            want = fd_gradient(model, x, y, model.head)
             denom = max(np.linalg.norm(want), 1e-10)
             assert np.linalg.norm(got - want) / denom <= 1e-4
-
-    def test_two_layer_rejects_softmax(self):
-        model = init_two_layer(3, 2, kappa=1.0, seed=0)
-        with pytest.raises(ValueError):
-            gradient(model, np.eye(2), np.array([0, 1]), LOSS_SOFTMAX)
 
 
 class TestFlatParams:
@@ -299,7 +296,7 @@ class TestSgdTrain:
         w_true = np.array([1.0, -2.0])
         y = x @ w_true
         model = init_two_layer(64, 2, kappa=1.0, seed=29)
-        losses = [loss_eval(model, x, y, LOSS_SQUARED)]
+        losses = [loss_eval(model, x, y)]
         current = model
         for _ in range(15):
             res = sgd_train(current, x, y, TrainConfig(0.05, 1, 1000), seed=0)
@@ -315,7 +312,7 @@ class TestSgdTrain:
         ds = gen_synthetic(clients=1, per_client=100, dim=2, seed=42)
         x, y = ds.client_data(0)
         model = init_two_layer(512, 2, kappa=0.5, seed=31)
-        start = loss_eval(model, x, y, LOSS_SQUARED)
+        start = loss_eval(model, x, y)
         res = sgd_train(model, x, y, TrainConfig(0.1, 2048, 10_000), seed=0)
         assert not res.diverged
         assert res.steps == 2048
@@ -327,9 +324,9 @@ class TestSgdTrain:
         y = rng.integers(0, 3, size=40)
         model = init_mlp([3, 8, 3], seed=33)
         cfg = TrainConfig(eta=0.05, epochs_or_steps=3, batch_size=16, momentum=0.9)
-        a = sgd_train(model, x, y, cfg, loss=LOSS_SOFTMAX, seed=7)
-        b = sgd_train(model, x, y, cfg, loss=LOSS_SOFTMAX, seed=7)
-        c = sgd_train(model, x, y, cfg, loss=LOSS_SOFTMAX, seed=8)
+        a = sgd_train(model, x, y, cfg, seed=7)
+        b = sgd_train(model, x, y, cfg, seed=7)
+        c = sgd_train(model, x, y, cfg, seed=8)
         assert np.allclose(get_flat_params(a.model), get_flat_params(b.model))
         assert not np.allclose(get_flat_params(a.model), get_flat_params(c.model))
         # 3 epochs x ceil(40/16) batches.
@@ -437,12 +434,12 @@ def _reference_sgd(model, x, y, cfg, loss, seed):
             return current, True, steps, loss_val
         current = with_flat_params(current, flat)
         steps += 1
-    return current, False, steps, loss_eval(current, x, y, loss)
+    return current, False, steps, loss_eval(current, x, y)
 
 
-def _assert_same_as_reference(model, x, y, cfg, loss, seed=5):
-    got = sgd_train(model, x, y, cfg, loss=loss, seed=seed)
-    model_want, diverged, steps, final_loss = _reference_sgd(model, x, y, cfg, loss, seed)
+def _assert_same_as_reference(model, x, y, cfg, seed=5):
+    got = sgd_train(model, x, y, cfg, seed=seed)
+    model_want, diverged, steps, final_loss = _reference_sgd(model, x, y, cfg, model.head, seed)
     assert np.array_equal(get_flat_params(got.model), get_flat_params(model_want))
     assert (got.steps, got.diverged) == (steps, diverged)
     assert np.array_equal(got.final_loss, final_loss, equal_nan=True)
@@ -469,8 +466,7 @@ class TestSgdTrainMatchesReference:
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_mlp(self, loss, hidden, batch_size, momentum):
         model, x, y = self._mlp_problem(loss, hidden)
-        res = _assert_same_as_reference(model, x, y, TrainConfig(0.05, 4, batch_size, momentum),
-                                        loss)
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.05, 4, batch_size, momentum))
         assert not res.diverged and res.steps == (12 if batch_size == 16 else 4)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -479,8 +475,7 @@ class TestSgdTrainMatchesReference:
         x = _unit_rows(rng, 30, 3)
         y = rng.standard_normal(30)
         model = init_two_layer(24, 3, kappa=0.5, seed=43)
-        res = _assert_same_as_reference(model, x, y, TrainConfig(0.1, 50, 30, momentum),
-                                        LOSS_SQUARED)
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.1, 50, 30, momentum))
         assert res.steps == 50
 
     @pytest.mark.parametrize("eta", [1e6, 1e200])  # the norm passes 1e12; the iterate overflows
@@ -490,16 +485,16 @@ class TestSgdTrainMatchesReference:
         x2 = _unit_rows(rng, 10, 2)
         two_layer = init_two_layer(32, 2, kappa=1.0, seed=45)
         with np.errstate(over="ignore"):  # the reference's norm overflows at eta = 1e200
-            res = _assert_same_as_reference(model, x, y, TrainConfig(eta, 4, 16), LOSS_SQUARED)
+            res = _assert_same_as_reference(model, x, y, TrainConfig(eta, 4, 16))
             assert res.diverged and np.all(np.isfinite(get_flat_params(res.model)))
             res = _assert_same_as_reference(two_layer, x2, rng.standard_normal(10),
-                                            TrainConfig(eta, 200, 100), LOSS_SQUARED)
+                                            TrainConfig(eta, 200, 100))
         assert res.diverged and res.steps < 200
 
     def test_nan_input_stops_at_its_batch(self):
         model, x, y = self._mlp_problem(LOSS_SOFTMAX, [24])
         x[25, 2] = np.nan
-        res = _assert_same_as_reference(model, x, y, TrainConfig(0.05, 3, 16, 0.9), LOSS_SOFTMAX)
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.05, 3, 16, 0.9))
         assert res.diverged and 0 <= res.steps < 3 and np.isnan(res.final_loss)
 
     def test_flat_vector_round_trips_stay_out_of_the_step(self, monkeypatch):
@@ -513,7 +508,7 @@ class TestSgdTrainMatchesReference:
         counts = []
         for epochs in (1, 8):
             calls.clear()
-            res = sgd_train(model, x, y, TrainConfig(0.05, epochs, 16), loss=LOSS_SOFTMAX)
+            res = sgd_train(model, x, y, TrainConfig(0.05, epochs, 16))
             assert res.steps == 3 * epochs
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 2
@@ -542,8 +537,8 @@ class TestSgdTrainMatchesReference:
         h = x @ model.weights.T
         assert np.all(h[:, 1] < 0.0) and np.sum(h == 0.0) >= 3
         grads = [np.empty_like(model.weights)]
-        loss_val = models._loss_and_grad(model, x, y, LOSS_SQUARED, grads)
-        want_loss, want_grad = _reference_loss_and_grad(model, x, y, LOSS_SQUARED)
+        loss_val = models._loss_and_grad(model, x, y, grads)
+        want_loss, want_grad = _reference_loss_and_grad(model, x, y, model.head)
         assert loss_val == want_loss
         assert np.array_equal(grads[0].ravel(), want_grad)
         assert np.all(grads[0][1] == 0.0) and np.any(grads[0][2:4] != 0.0)
@@ -551,8 +546,7 @@ class TestSgdTrainMatchesReference:
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_two_layer_training_on_dead_unit_and_zero_preactivation(self, momentum):
         model, x, y = self._two_layer_edge_problem()
-        res = _assert_same_as_reference(model, x, y, TrainConfig(0.2, 30, 5, momentum),
-                                        LOSS_SQUARED)
+        res = _assert_same_as_reference(model, x, y, TrainConfig(0.2, 30, 5, momentum))
         assert res.steps == 30 and np.array_equal(res.model.weights[1], model.weights[1])
 
 
@@ -576,7 +570,7 @@ class TestTargetsCheckedOnce:
         calls = self._count(monkeypatch, "_check_targets")
         for epochs in (0, 1, 5):
             calls.clear()
-            sgd_train(model, x, y, TrainConfig(0.05, epochs, batch_size), loss=LOSS_SOFTMAX)
+            sgd_train(model, x, y, TrainConfig(0.05, epochs, batch_size))
             assert len(calls) == 1
 
     @pytest.mark.parametrize("epochs", [0, 3])
@@ -590,7 +584,7 @@ class TestTargetsCheckedOnce:
     def test_bad_targets_raise_before_any_step(self, monkeypatch, epochs, case, message):
         rng = np.random.default_rng(46)
         x = rng.standard_normal((20, 4))
-        model, loss = init_mlp([4, 6, 3], seed=47), LOSS_SOFTMAX
+        model = init_mlp([4, 6, 3], seed=47)
         labels = rng.integers(0, 3, size=20)
         y = {
             "label_out_of_range": np.where(np.arange(20) == 13, 3, labels),
@@ -600,11 +594,11 @@ class TestTargetsCheckedOnce:
             "squared_two_layer_shape": rng.standard_normal(19),
         }[case]
         if case == "squared_mlp_shape":
-            model, loss = init_mlp([4, 6, 3], seed=47, head=LOSS_SQUARED), LOSS_SQUARED
+            model = init_mlp([4, 6, 3], seed=47, head=LOSS_SQUARED)
         elif case == "squared_two_layer_shape":
-            model, loss = init_two_layer(6, 4, kappa=1.0, seed=47), LOSS_SQUARED
+            model = init_two_layer(6, 4, kappa=1.0, seed=47)
         steps = self._count(monkeypatch, "_loss_and_grad")
         for batch_size in (8, 1000):
             with pytest.raises(ValueError, match=message):
-                sgd_train(model, x, y, TrainConfig(0.05, epochs, batch_size), loss=loss)
+                sgd_train(model, x, y, TrainConfig(0.05, epochs, batch_size))
         assert steps == []
