@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -182,8 +183,6 @@ class ExperimentConfig:
     rounds: int = _key("run", 3, int, ("few-shot",), "--rounds")
     out: str = _key("run", "", str, _ALL, "--out")
     timing: bool = _key("run", True, _parse_bool, _ALL, "--no-timing", switch="false")
-    fisher_mode: str = _key("run", "expected", str, _ALL, "--fisher-mode")
-    draws: int = _key("run", 1, int, _ALL)
     compress: bool = _key("run", True, _parse_bool, _CODEC)
     s_q: int = _key("run", 4, int, _CODEC)  # of Kronecker factors in the compressed pipeline
     s_q_list: list[int] = _key("run", [1, 2, 4, 8], _parse_int_list, ("compress-bench",), "--s-q-list")
@@ -203,7 +202,7 @@ def default_config(task: str) -> ExperimentConfig:
             kappa=0.5, eta=0.1, momentum=0.0, epochs_or_steps=2048, batch_size=0,
             optimizer="gd", eta_s=0.001, t_max=20000,
             methods=[agg.METHOD_FEDAVG, agg.METHOD_FULL],
-            seeds=list(range(10)), compress=False, fisher_mode="expected",
+            seeds=list(range(10)), compress=False,
         )
     if task == "synthetic-steps":
         cfg = default_config("synthetic-width")
@@ -246,8 +245,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for method in cfg.methods:
         if method not in agg.VALID_METHODS:
             raise ConfigError(f"unknown method {method!r}, expected one of {agg.VALID_METHODS}")
-    if cfg.fisher_mode not in ("expected", "sampled"):
-        raise ConfigError(f"unknown fisher_mode {cfg.fisher_mode!r}")
     if cfg.optimizer not in ("gd", "adam"):
         raise ConfigError(f"unknown server optimizer {cfg.optimizer!r}")
     if cfg.data_kind not in ("synthetic", "image-classes", "idx", "csv"):
@@ -256,9 +253,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not comp.MIN_SQ <= s_q <= comp.MAX_SQ:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
     for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("n_test", 1),
-                      ("side", 2), ("classes", 2), ("draws", 1), ("rounds", 1), ("widths", 1),
-                      ("width", 1), ("hidden_dims", 1), ("steps_list", 0), ("batch_size", 0),
-                      ("seeds", 0)):
+                      ("side", 2), ("classes", 2), ("rounds", 1), ("widths", 1), ("width", 1),
+                      ("hidden_dims", 1), ("steps_list", 0), ("batch_size", 0), ("seeds", 0)):
         if min(np.atleast_1d(getattr(cfg, name)), default=low) < low:  # every list entry too
             raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
     for name in ("eta", "alpha", "kappa"):
@@ -281,14 +277,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         flag = f" ({spec.flag})" if spec.flag else ""
         raise ConfigError(f"{reader} does not read [{section}] {key}{flag}; "
                           f"leave it at its default {getattr(default, spec.attr)!r}")
-    # Sampled curvature alone draws, and only the K-FAC codec reads s_q.
-    for key, needs, reads in (
-            ("draws", "fisher_mode = sampled", cfg.fisher_mode == "sampled"),
-            ("s_q", f"compress = true and {agg.METHOD_KFAC} in methods",
-             cfg.compress and agg.METHOD_KFAC in cfg.methods)):
-        if not reads and getattr(cfg, key) != getattr(default, key):
-            raise ConfigError(f"task {cfg.task} reads [run] {key} only with {needs}; "
-                              f"leave it at its default {getattr(default, key)!r}")
+    # Only the K-FAC codec reads s_q.
+    if not (cfg.compress and agg.METHOD_KFAC in cfg.methods) and cfg.s_q != default.s_q:
+        raise ConfigError(f"task {cfg.task} reads [run] s_q only with compress = true and "
+                          f"{agg.METHOD_KFAC} in methods; leave it at its default {default.s_q!r}")
     # Each entry of these lists makes its own rows. hidden_dims may repeat a layer width.
     for name in ("seeds", "methods", "widths", "steps_list", "s_q_list"):
         values = getattr(cfg, name)
@@ -385,13 +377,14 @@ _VARIANTS = {
 }
 
 
-def _build_curvature(variant: str, model, x, cfg: ExperimentConfig, seed_tag):
-    kw = dict(mode=cfg.fisher_mode, draws=cfg.draws, seed=seed_tag)
+def _build_curvature(variant: str, model, x):
+    # Each builder is looked up on the module at call time, so a wrapper
+    # installed there sees every build.
     if variant == "full":
-        return fisher.full_fisher_two_layer(model, x, **kw)
+        return fisher.full_fisher_two_layer(model, x)
     if variant == "diag":
-        return fisher.diag_fisher(model, x, **kw)
-    return fisher.kfac_fisher(model, x, **kw)
+        return fisher.diag_fisher(model, x)
+    return fisher.kfac_fisher(model, x)
 
 
 def _kfac_ranks(model, codec: Codec) -> list[int]:
@@ -408,8 +401,7 @@ def _kfac_ranks(model, codec: Codec) -> list[int]:
     return plan.l_v
 
 
-def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
-                  codec: Codec | None = None, seed_tag=0,
+def client_update(model, x: np.ndarray, method: str, codec: Codec | None = None,
                   built: dict | None = None,
                   kfac_ranks: list[int] | None = None) -> tuple[agg.ClientUpdate, int]:
     """One client's uplink for ``method``: the update the server merges, and
@@ -417,7 +409,8 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
 
     Builds the curvature variant the method needs from the client's inputs
     ``x``, unless ``built`` (variant -> payload, for this trained model)
-    already holds it. Applies ``codec`` unless the method is fedavg, encoding
+    already holds it. Curvature is exact and draws nothing, so the uplink
+    depends on ``model``, ``x``, ``method`` and ``codec`` alone. Applies ``codec`` unless the method is fedavg, encoding
     the weights and the diagonal once per codec (``built`` keeps the latest
     codec's) and K-FAC factors at ``kfac_ranks`` (default: planned from
     ``model`` by :func:`_kfac_ranks`). Each K-FAC factor is decomposed once,
@@ -430,7 +423,7 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
     variant = _VARIANTS.get(method)
     if variant is not None:
         if variant not in built:
-            built[variant] = _build_curvature(variant, model, x, cfg, seed_tag)
+            built[variant] = _build_curvature(variant, model, x)
         f = built[variant]
     sent_weights, sent_curvature = weights, f
     if codec is not None and method != agg.METHOD_FEDAVG:
@@ -459,28 +452,27 @@ def client_update(model, x: np.ndarray, method: str, cfg: ExperimentConfig,
 
 @dataclass
 class Round:
-    """Client models after one round of local training.
+    """Client models after one round of local training, with the data they
+    trained on.
 
     Every method and codec merged from a round shares it, so each client
     trains once per round, builds each curvature variant at most once, and
-    decomposes each Kronecker factor at most once.
+    decomposes each Kronecker factor at most once. Merging draws nothing, so
+    a round carries no seed.
     """
 
-    cfg: ExperimentConfig
     data: datasets.FederatedDataset
     trained: list  # client i's model
-    seed: int
-    index: int  # 0-based; seeds client draws as [seed, index, client, ...]
     built: list[dict] = field(init=False)
 
     def __post_init__(self):
         self.built = [{} for _ in self.trained]
 
 
-def train_round(cfg: ExperimentConfig, data: datasets.FederatedDataset, starts: list,
-                train_cfg: models.TrainConfig, seed: int, index: int) -> Round:
-    """Train client i of ``data`` from ``starts[i]``; divergence raises
-    :class:`DivergenceError`."""
+def train_round(data: datasets.FederatedDataset, starts: list, train_cfg: models.TrainConfig,
+                seed: int, index: int) -> Round:
+    """Train client i of ``data`` from ``starts[i]``, its mini-batches drawn
+    from [``seed``, ``index``, i]; divergence raises :class:`DivergenceError`."""
     trained = []
     for i, start in enumerate(starts):
         cx, cy = data.client_data(i)
@@ -488,7 +480,7 @@ def train_round(cfg: ExperimentConfig, data: datasets.FederatedDataset, starts: 
         if result.diverged:
             raise DivergenceError(f"client {i} diverged during local training")
         trained.append(result.model)
-    return Round(cfg, data, trained, seed, index)
+    return Round(data, trained)
 
 
 def merge_round(rnd: Round, method: str, codec: Codec | None,
@@ -500,9 +492,7 @@ def merge_round(rnd: Round, method: str, codec: Codec | None,
     updates, bits = [], 0
     for i, model in enumerate(rnd.trained):
         cx, _ = rnd.data.client_data(i)
-        update, client_bits = client_update(model, cx, method, rnd.cfg, codec,
-                                            [rnd.seed, rnd.index, i, 99], rnd.built[i],
-                                            ranks)
+        update, client_bits = client_update(model, cx, method, codec, rnd.built[i], ranks)
         updates.append(update)
         bits += client_bits
     merged, result = agg.merge_updates(method, updates, server_cfg)
@@ -675,7 +665,7 @@ def _run(cfg: ExperimentConfig) -> list[ResultRow]:
         def train(starts: list, point: _Point) -> tuple[Round, float]:
             t0 = clock.now()
             local = _local_config(cfg, run.data.x.shape[0], point.steps)
-            rnd = train_round(cfg, run.data, starts, local, seed, point.index)
+            rnd = train_round(run.data, starts, local, seed, point.index)
             return rnd, clock.now() - t0
 
         shared, last = None, {}  # (round, training seconds) of the point; method -> (weights, bits)
@@ -743,6 +733,12 @@ def build_config(task: str, args: argparse.Namespace) -> ExperimentConfig:
     cfg = _apply_flags(cfg, args)
     if not cfg.out:
         cfg = replace(cfg, out=f"{task}.csv")
+    # Checked before the run, here and not in validate_config, which also
+    # takes configs that write no file.
+    if os.path.isdir(cfg.out):
+        raise ConfigError(f"[run] out (--out): {cfg.out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError(f"[run] out (--out): {cfg.out!r} is in a directory that does not exist")
     validate_config(cfg)
     return cfg
 

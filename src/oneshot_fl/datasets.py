@@ -205,7 +205,8 @@ def load_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
     Returns (x, y, class_names). The label column is categorical, numbers
     included: each label is mapped to its index among the sorted distinct
-    label texts, returned in ``class_names``.
+    label texts, returned in ``class_names``. Every feature must be a finite
+    number; ValueError names the line of the first one that is not.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -226,6 +227,10 @@ def load_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
         x = np.array([[float(v) for v in row[:-1]] for row in rows], dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric feature value ({exc})") from None
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"{path}:{i + 2}: non-finite feature value {rows[i][j]!r}")
     raw_labels = [row[-1] for row in rows]
     names = sorted(set(raw_labels))
     index = {name: i for i, name in enumerate(names)}

@@ -4,15 +4,14 @@ All three variants approximate the average over the local inputs of the
 covariance of the log-likelihood gradient under the model's own predictive
 distribution, which its ``head`` declares: unit-variance Gaussian for the
 squared loss (always, on a two-layer net), categorical for softmax. No
-function here takes a loss of its own. ``mode="expected"`` evaluates that
-covariance analytically; ``mode="sampled"`` draws labels from the predictive
-distribution and averages outer products of the resulting score vectors.
+function here takes a loss of its own. The covariance is taken exactly, as
+an expectation over that distribution; no label is sampled.
 
 Variants:
 
 - :class:`FullFisher`: dense (d, d) matrix; two-layer networks only, where the
-  score is residual times feature map, so the expected matrix is the mean
-  feature outer product.
+  score is residual times feature map, so the matrix is the mean feature
+  outer product.
 - :class:`DiagFisher`: the diagonal of the same matrix, any architecture.
 - :class:`KFACFisher`: per-layer Kronecker factorization A kron B, where A is
   the covariance of bias-augmented layer inputs and B the covariance of
@@ -20,11 +19,10 @@ Variants:
   slices defined in :mod:`oneshot_fl.models`.
 
 For an MLP, K-FAC's B factor and the diagonal come from each layer's
-pre-activation scores: a stack s of shape (R, n, out_l) with weights w of
-shape (n, R), giving example n the second moment sum_r w[n, r] s[r, n] s[r, n]^T.
-Expected mode takes r over the C classes (w the predictive probabilities and
-s centred by its w-mean under softmax, w = 1 under the squared loss); sampled
-mode takes r over the draws, with w = 1/draws.
+pre-activation scores: a stack s of shape (C, n, out_l) over the C outputs,
+with weights w of shape (n, C), giving example n the second moment
+sum_c w[n, c] s[c, n] s[c, n]^T. Under softmax w holds the predictive
+probabilities and s is centred by its w-mean; under the squared loss w = 1.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ from .numerics import kron_matvec
 
 MAX_FULL_DIM = 2000
 DEFAULT_KFAC_DAMPING = 1e-4
-
-_MODES = ("expected", "sampled")
 
 
 @dataclass
@@ -79,134 +75,63 @@ class KFACFisher:
 FisherApprox = FullFisher | DiagFisher | KFACFisher
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
-
-
-def _sample_weights(n: int, mode: str, draws: int, seed) -> np.ndarray | None:
-    """Per-example weights replacing the unit Gaussian second moment.
-
-    Expected mode uses E[eps^2] = 1 exactly (None); sampled mode returns the
-    empirical mean of eps^2 over ``draws`` noise draws per example.
-    """
-    if mode == "expected":
-        return None
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n, draws))
-    return (eps**2).mean(axis=1)
-
-
-def full_fisher_two_layer(
-    model: TwoLayerReLU,
-    x: np.ndarray,
-    mode: str = "expected",
-    draws: int = 1,
-    seed=0,
-) -> FullFisher:
-    """Dense curvature of a two-layer net under the squared loss.
-
-    Expected mode gives exactly the mean outer product of the feature map.
-    Requires d = m * dim <= MAX_FULL_DIM.
+def full_fisher_two_layer(model: TwoLayerReLU, x: np.ndarray) -> FullFisher:
+    """Dense curvature of a two-layer net under the squared loss: exactly the
+    mean outer product of the feature map. Requires d = m * dim <= MAX_FULL_DIM.
     """
     if not isinstance(model, TwoLayerReLU):
         raise ValueError("full_fisher_two_layer requires a TwoLayerReLU model")
-    _check_mode(mode)
     d = model.m * model.dim
     if d > MAX_FULL_DIM:
         raise ValueError(f"dense curvature needs m*dim <= {MAX_FULL_DIM}, got {d}")
     phi = models.feature_map(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    n = phi.shape[0]
-    w = _sample_weights(n, mode, draws, seed)
-    weighted = phi if w is None else phi * w[:, None]
-    matrix = weighted.T @ phi
-    matrix /= n
+    matrix = phi.T @ phi
+    matrix /= phi.shape[0]
     return FullFisher(matrix)
 
 
-def _scores(model: MLP, x: np.ndarray, mode: str, draws: int, seed):
-    """Bias-augmented layer inputs and the (w, s) chunks of the module docstring.
+def _scores(model: MLP, x: np.ndarray):
+    """Bias-augmented layer inputs and the w and per-layer s of the module docstring.
 
     :func:`models.forward_pass` gives the layer inputs and the relu masks
-    that :func:`models.mlp_preact_grads` carries output scores back through.
-    Expected mode is one chunk, from one backward pass of the C stacked one-hot
-    cotangents; sampled mode yields one chunk per draw, one at a time. Callers
-    label r as c in einsum: its sums run in label order, and c < n fixes them.
+    that :func:`models.mlp_preact_grads` carries output scores back through,
+    in one backward pass of the C stacked one-hot cotangents. Callers label
+    the class axis c in einsum: its sums run in label order, and c < n fixes them.
     """
-    _check_mode(mode)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     z, acts = models.forward_pass(model, x)
     n, c_out = z.shape
     if model.head == LOSS_SOFTMAX and c_out < 2:
         raise ValueError("softmax-ce needs a multi-output model")
     inputs = [np.column_stack([a, np.ones(n)]) for a in [x, *acts.act]]
-    p = models._softmax(z)[0] if model.head == LOSS_SOFTMAX else None
-    if mode == "expected":
-        s = models.mlp_preact_grads(model, acts, np.repeat(np.eye(c_out)[:, None], n, axis=1))
-        if p is None:  # E[eps eps^T] = I for y ~ N(z, I)
-            return inputs, [(np.ones((n, c_out)), s)]
-        return inputs, [(p, [u - np.einsum("nc,cnk->nk", p, u) for u in s])]
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-
-    def sampled():
-        rng = np.random.default_rng(seed)
-        w = np.full((n, 1), 1.0 / draws)
-        cum = None if p is None else np.cumsum(p, axis=1)
-        for _ in range(draws):
-            if p is None:
-                dz = rng.standard_normal((n, c_out))  # score of y ~ N(z, I)
-            else:
-                dz = -p.copy()  # score of a label drawn from p
-                dz[np.arange(n), (rng.random((n, 1)) > cum).sum(axis=1)] += 1.0
-            yield w, [dh[None] for dh in models.mlp_preact_grads(model, acts, dz)]
-
-    return inputs, sampled()
+    s = models.mlp_preact_grads(model, acts, np.repeat(np.eye(c_out)[:, None], n, axis=1))
+    if model.head != LOSS_SOFTMAX:  # E[eps eps^T] = I for y ~ N(z, I)
+        return inputs, np.ones((n, c_out)), s
+    p = models._softmax(z)[0]
+    return inputs, p, [u - np.einsum("nc,cnk->nk", p, u) for u in s]
 
 
-def diag_fisher(
-    model: Model,
-    x: np.ndarray,
-    mode: str = "expected",
-    draws: int = 1,
-    seed=0,
-) -> DiagFisher:
+def diag_fisher(model: Model, x: np.ndarray) -> DiagFisher:
     """Diagonal of the curvature matrix in flat-parameter coordinates.
 
-    For a two-layer net the expected-mode diagonal equals the diagonal of
+    For a two-layer net it equals the diagonal of
     :func:`full_fisher_two_layer` exactly.
     """
-    _check_mode(mode)
     if isinstance(model, TwoLayerReLU):
         phi = models.feature_map(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        n = phi.shape[0]
-        w = _sample_weights(n, mode, draws, seed)
-        sq = phi**2 if w is None else (phi**2) * w[:, None]
-        return DiagFisher(sq.mean(axis=0))
-    inputs, chunks = _scores(model, x, mode, draws, seed)
-    sq = [0.0] * len(inputs)  # per layer, (n, out_l) squared scores
-    for w, s in chunks:
-        sq = [m + np.einsum("nc,cnk,cnk->nk", w, u, u) for m, u in zip(sq, s)]
+        return DiagFisher((phi**2).mean(axis=0))
+    inputs, w, s = _scores(model, x)
     n = inputs[0].shape[0]
     parts = []
-    for sg, a_aug in zip(sq, inputs):
+    for u, a_aug in zip(s, inputs):
         # (out, in+1): E[g_k^2] * a_i^2 per example; the inputs are ours to square
-        g = sg.T @ np.square(a_aug, out=a_aug)
+        g = np.einsum("nc,cnk,cnk->nk", w, u, u).T @ np.square(a_aug, out=a_aug)
         g /= n
         parts.append(g.ravel(order="F"))
     return DiagFisher(np.concatenate(parts))
 
 
-def kfac_fisher(
-    model: MLP,
-    x: np.ndarray,
-    mode: str = "expected",
-    draws: int = 1,
-    seed=0,
-    damping: float = DEFAULT_KFAC_DAMPING,
-) -> KFACFisher:
+def kfac_fisher(model: MLP, x: np.ndarray, damping: float = DEFAULT_KFAC_DAMPING) -> KFACFisher:
     """Kronecker-factored curvature: per layer A (inputs) and B (score grads).
 
     A is the mean outer product of bias-augmented layer inputs; B the mean
@@ -220,14 +145,12 @@ def kfac_fisher(
         raise ValueError("kfac_fisher requires an MLP")
     if damping < 0:
         raise ValueError(f"damping must be >= 0, got {damping}")
-    inputs, chunks = _scores(model, x, mode, draws, seed)
-    b_sums = [0.0] * len(inputs)  # per layer, (out_l, out_l) summed over examples
-    for w, s in chunks:
-        b_sums = [m + np.einsum("nc,cnk,cnl->kl", w, u, u) for m, u in zip(b_sums, s)]
+    inputs, w, s = _scores(model, x)
     n = inputs[0].shape[0]
     layers = []
-    for bsum, a_aug in zip(b_sums, inputs):
-        layer = KFACLayer(a_aug.T @ a_aug, bsum)  # both fresh arrays, ours to change
+    for u, a_aug in zip(s, inputs):
+        # both fresh arrays, ours to change
+        layer = KFACLayer(a_aug.T @ a_aug, np.einsum("nc,cnk,cnl->kl", w, u, u))
         for f in (layer.a, layer.b):
             f /= n
             if damping > 0:

@@ -249,18 +249,15 @@ def allocating_image_classes(
 
 
 def eye_damped_kfac(
-    model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed, damping: float
+    model: MLP, x: np.ndarray, loss: str, damping: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per layer (A, B) of ``fisher.kfac_fisher``, damped by adding a scaled identity."""
-    inputs, chunks = fisher._scores(_declaring(model, loss), x, mode, draws, seed)
-    b_sums = [0.0] * len(inputs)
-    for w, s in chunks:
-        b_sums = [m + np.einsum("nc,cnk,cnl->kl", w, u, u) for m, u in zip(b_sums, s)]
+    inputs, w, s = fisher._scores(_declaring(model, loss), x)
     n = inputs[0].shape[0]
     layers = []
-    for bsum, a_aug in zip(b_sums, inputs):
+    for u, a_aug in zip(s, inputs):
         a = (a_aug.T @ a_aug) / n
-        b = bsum / n
+        b = np.einsum("nc,cnk,cnl->kl", w, u, u) / n
         if damping > 0:
             a = a + damping * max(np.trace(a) / a.shape[0], 0.0) * np.eye(a.shape[0])
             b = b + damping * max(np.trace(b) / b.shape[0], 0.0) * np.eye(b.shape[0])
@@ -268,13 +265,11 @@ def eye_damped_kfac(
     return layers
 
 
-def allocating_diag(model: MLP, x: np.ndarray, loss: str, mode: str, draws: int, seed) -> np.ndarray:
+def allocating_diag(model: MLP, x: np.ndarray, loss: str) -> np.ndarray:
     """``fisher.diag_fisher(...).diag`` of an MLP, squaring a copy of each layer input."""
-    inputs, chunks = fisher._scores(_declaring(model, loss), x, mode, draws, seed)
-    sq = [0.0] * len(inputs)
-    for w, s in chunks:
-        sq = [m + np.einsum("nc,cnk,cnk->nk", w, u, u) for m, u in zip(sq, s)]
+    inputs, w, s = fisher._scores(_declaring(model, loss), x)
     n = inputs[0].shape[0]
     return np.concatenate(
-        [((sg.T @ a_aug**2) / n).ravel(order="F") for sg, a_aug in zip(sq, inputs)]
+        [((np.einsum("nc,cnk,cnk->nk", w, u, u).T @ a_aug**2) / n).ravel(order="F")
+         for u, a_aug in zip(s, inputs)]
     )

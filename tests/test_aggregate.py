@@ -485,8 +485,8 @@ def width_512_merge():
     data = gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, 0)
     init = init_two_layer(512, cfg.dim, cfg.kappa, [0, 512, 7])
     local = cli._local_config(cfg, data.x.shape[0], 128)
-    rnd = cli.train_round(cfg, data, [init] * 2, local, 0, 0)
-    return [cli.client_update(m, data.client_data(i)[0], METHOD_FULL, cfg)[0]
+    rnd = cli.train_round(data, [init] * 2, local, 0, 0)
+    return [cli.client_update(m, data.client_data(i)[0], METHOD_FULL)[0]
             for i, m in enumerate(rnd.trained)]
 
 
@@ -876,8 +876,6 @@ class TestMergeUpdates:
 class TestFewShotRounds:
     """Broadcast rounds built from ``cli.train_round`` and ``cli.merge_round``."""
 
-    _CFG = cli.default_config("synthetic-width")  # expected curvature
-
     def _tiny_dataset(self, seed=0):
         return gen_synthetic(clients=2, per_client=25, dim=2, seed=seed)
 
@@ -885,7 +883,7 @@ class TestFewShotRounds:
         weights = []
         start = model
         for r in range(rounds):
-            rnd = cli.train_round(self._CFG, ds, [start] * ds.num_clients, local, seed, r)
+            rnd = cli.train_round(ds, [start] * ds.num_clients, local, seed, r)
             merged, _ = cli.merge_round(rnd, method, None, server)
             weights.append(merged)
             start = models.with_flat_params(model, merged)
@@ -905,7 +903,7 @@ class TestFewShotRounds:
             trained = models.sgd_train(model, cx, cy, local, seed=[9, 0, i])
             from oneshot_fl.fisher import full_fisher_two_layer
 
-            f = full_fisher_two_layer(trained.model, cx, seed=[9, 0, i, 99])
+            f = full_fisher_two_layer(trained.model, cx)
             updates.append(ClientUpdate(models.get_flat_params(trained.model), f, cx.shape[0]))
         want = fedfisher_solve(updates, server).weights
         assert np.allclose(got, want, atol=1e-12)

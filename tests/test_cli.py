@@ -33,7 +33,7 @@ _FLAG_ATTRS = dict(
     config=None, out=None, seed_list=None, methods=None, no_timing=False,
     clients=None, alpha=None, eta=None, eta_s=None, epochs=None,
     batch_size=None, t_max=None, widths=None, steps_list=None, rounds=None,
-    s_q_list=None, fisher_mode=None, data_kind=None, n_train=None, n_test=None,
+    s_q_list=None, data_kind=None, n_train=None, n_test=None,
 )
 
 
@@ -166,11 +166,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown method"):
             validate_config(cfg)
 
-    def test_unknown_fisher_mode(self):
-        cfg = replace(default_config("one-shot"), fisher_mode="empirical")
-        with pytest.raises(ConfigError, match="fisher_mode"):
-            validate_config(cfg)
-
     def test_empty_seeds_and_methods(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config(replace(default_config("one-shot"), seeds=[]))
@@ -285,7 +280,13 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("task, ini, message", [
-        ("synthetic-width", "[run]\nfisher_mode = sampled\ndraws = 0\n", "draws must be at least 1"),
+        # Curvature is exact: there is no key to choose a sampled one or its draws.
+        ("synthetic-width", "[run]\nfisher_mode = sampled\ndraws = 0\n",
+         "unknown config key [run] fisher_mode"),
+        ("one-shot", "[run]\ndraws = 1\n", "unknown config key [run] draws"),
+        ("one-shot", "[run]\ndraws = 7\n", "unknown config key [run] draws"),
+        ("synthetic-steps", "[run]\nfisher_mode = expected\ndraws = 7\n",
+         "unknown config key [run] fisher_mode"),
         ("synthetic-width", "[local]\nmomentum = 1.5\n", "momentum must be in [0, 1)"),
         ("one-shot", "[server]\nval_every = -3\n", "val_every must be positive"),
         # An empty test set would score every row NaN.
@@ -295,12 +296,7 @@ class TestValidation:
         # The task's model declares its loss, so there is no key to set it.
         ("synthetic-width", "[local]\nloss = softmax-ce\n", "unknown config key [local] loss"),
         ("one-shot", "[local]\nloss = squared\n", "unknown config key [local] loss"),
-        # Expected curvature draws nothing, and s_q sets only the K-FAC codec:
-        # these wrote the same bytes as the defaults.
-        ("one-shot", "[run]\ndraws = 7\n",
-         "task one-shot reads [run] draws only with fisher_mode = sampled"),
-        ("synthetic-steps", "[run]\nfisher_mode = expected\ndraws = 7\n",
-         "reads [run] draws only with fisher_mode = sampled"),
+        # s_q sets only the K-FAC codec: these wrote the same bytes as the defaults.
         ("one-shot", "[run]\ns_q = 8\n",
          "task one-shot reads [run] s_q only with compress = true and fedfisher-kfac in methods"),
         ("few-shot", "[run]\ncompress = false\ns_q = 8\n",
@@ -338,8 +334,27 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert "stop_tol must be nonnegative" in capsys.readouterr().err
 
-    def test_draws_and_s_q_accepted_where_read(self):
-        validate_config(replace(default_config("one-shot"), fisher_mode="sampled", draws=7))
+    def test_fisher_mode_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(_tiny_width_args(tmp_path / "x.csv", ["--fisher-mode", "expected"]))
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --fisher-mode expected" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_rejected_before_training(self, where, tmp_path, capsys, monkeypatch):
+        # The whole run finished, then writing raised FileNotFoundError or
+        # IsADirectoryError (exit 1).
+        out = {"missing directory": tmp_path / "none" / "x.csv", "directory": tmp_path}[where]
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_round", no_training)
+        assert cli.main(_tiny_width_args(out)) == cli.EXIT_CONFIG
+        assert f"[run] out (--out): {str(out)!r}" in capsys.readouterr().err
+
+    def test_s_q_accepted_where_read(self):
         validate_config(replace(default_config("one-shot"), s_q=8,
                                 methods=[agg.METHOD_FEDAVG, agg.METHOD_KFAC]))
 
@@ -411,8 +426,7 @@ class TestApplyFlags:
         ns = _ns(out="x.csv", seed_list="3,4", methods="fedavg", no_timing=True,
                  clients=7, alpha=0.3, eta=0.2, eta_s="auto", epochs=5,
                  batch_size=8, t_max=99, widths="4,8", steps_list="16",
-                 rounds=2, s_q_list="2,4", fisher_mode="sampled",
-                 data_kind="synthetic", n_train=50, n_test=10)
+                 rounds=2, s_q_list="2,4", data_kind="synthetic", n_train=50, n_test=10)
         cfg = cli._apply_flags(default_config("one-shot"), ns)
         assert cfg.out == "x.csv"
         assert cfg.seeds == [3, 4]
@@ -429,7 +443,6 @@ class TestApplyFlags:
         assert cfg.steps_list == [16]
         assert cfg.rounds == 2
         assert cfg.s_q_list == [2, 4]
-        assert cfg.fisher_mode == "sampled"
         assert cfg.data_kind == "synthetic"
         assert cfg.n_train == 50
         assert cfg.n_test == 10
@@ -474,7 +487,7 @@ _UNREAD = [(task, section, key) for (section, key), spec in cli._CONFIG_KEYS.ite
 _FLAGS = {
     "--config", "--out", "--seed-list", "--methods", "--no-timing", "--clients", "--alpha",
     "--eta", "--eta-s", "--epochs", "--batch-size", "--t-max", "--widths", "--steps-list",
-    "--rounds", "--s-q-list", "--fisher-mode", "--data-kind", "--n-train", "--n-test",
+    "--rounds", "--s-q-list", "--data-kind", "--n-train", "--n-test",
 }
 
 
@@ -623,27 +636,6 @@ class TestWidthSweepCommand:
         assert code == cli.EXIT_DIVERGED
         assert "divergence" in capsys.readouterr().err
         assert not out.exists()
-
-
-    def test_sampled_curvature_is_seeded_by_run_seed(self):
-        cfg = replace(default_config("synthetic-width"), widths=[8], seeds=[1],
-                      epochs_or_steps=8, t_max=300, timing=False,
-                      fisher_mode="sampled", methods=[agg.METHOD_FULL])
-        (row,) = cli.run_width_sweep(cfg)
-        data = datasets.gen_synthetic(2, 100, 2, 1)
-        init = models.init_two_layer(8, 2, 0.5, [1, 8, 7])
-        local = models.TrainConfig(eta=0.1, epochs_or_steps=8, batch_size=100)
-        updates = []
-        for i in range(2):
-            cx, cy = data.client_data(i)
-            trained = models.sgd_train(init, cx, cy, local, seed=[1, 0, i]).model
-            f = fisher.full_fisher_two_layer(trained, cx, mode="sampled", draws=1,
-                                             seed=[1, 0, i, 99])
-            updates.append(agg.ClientUpdate(models.get_flat_params(trained), f, 100))
-        server = agg.ServerConfig(eta_s=0.001, t_max=300, stop_tol=cfg.stop_tol)
-        merged = agg.fedfisher_solve(updates, server).weights
-        want = models.loss_eval(models.with_flat_params(init, merged), data.x, data.y)
-        assert row.train_loss == pytest.approx(want, rel=1e-12)
 
     def test_compress_quantizes_synthetic_payloads(self):
         cfg = replace(default_config("synthetic-width"), widths=[8], seeds=[0],
@@ -810,7 +802,8 @@ class TestOneShotCommand:
         assert "images_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["idx missing", "idx truncated", "idx test images only",
-                                      "idx oversized header", "csv missing", "csv ragged"])
+                                      "idx oversized header", "csv missing", "csv ragged",
+                                      "csv non-finite"])
     def test_unreadable_data_file_is_config_error(self, case, tmp_path, capsys):
         img, lab, none = tmp_path / "img.idx", tmp_path / "lab.idx", tmp_path / "none"
         write_idx(np.zeros((4, 3, 3)), np.zeros(4), str(img), str(lab))
@@ -818,6 +811,8 @@ class TestOneShotCommand:
         huge.write_bytes(struct.pack(">IIII", datasets.IDX_MAGIC_IMAGES, 4_000_000_000,
                                      60_000, 60_000))
         (tmp_path / "d.csv").write_text("f1,label\n0.5,a\n0.5,b,c\n")
+        # A NaN feature trained to NaN weights: "client 0 diverged" (exit 3).
+        (tmp_path / "nan.csv").write_text("f1,label\n" + "0.5,a\n0.2,b\n" * 10 + "nan,a\n")
         data, key = {
             "idx missing": (f"kind = idx\nimages_path = {none}\nlabels_path = {lab}", "images_path"),
             "idx truncated": (f"kind = idx\nimages_path = {lab}\nlabels_path = {lab}", "images_path"),
@@ -827,6 +822,7 @@ class TestOneShotCommand:
                                      "images_path"),
             "csv missing": (f"kind = csv\ncsv_path = {none}", "csv_path"),
             "csv ragged": (f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}", "csv_path"),
+            "csv non-finite": (f"kind = csv\ncsv_path = {tmp_path / 'nan.csv'}", "csv_path"),
         }[case]
         ini, out = tmp_path / "run.ini", tmp_path / "x.csv"
         ini.write_text(f"[data]\n{data}\nclients = 1\n[run]\nseeds = 0\nmethods = fedavg\n")
@@ -1174,8 +1170,7 @@ def _diag_curvature_time_ratio() -> float:
 
     def fisher_once():
         t0 = time.process_time()
-        cli.client_update(trained, x, agg.METHOD_DIAG, default_config("one-shot"),
-                          seed_tag=[0, 0, 0, 99])
+        cli.client_update(trained, x, agg.METHOD_DIAG)
         return time.process_time() - t0
 
     t_fisher = min(fisher_once() for _ in range(3))

@@ -259,6 +259,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(str(p))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        # float() parses these, and training on them diverged.
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,y\n1,2,x\n3,4,y\n5,{value},x\n")
+        with pytest.raises(ValueError, match=f"d.csv:4: non-finite feature value '{value}'"):
+            load_csv(str(p))
+
     def test_single_column_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("y\n1\n")

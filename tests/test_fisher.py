@@ -88,15 +88,6 @@ class TestFullFisher:
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= 5.0 / np.sqrt(100_000)
 
-    def test_sampled_mode_converges_to_expected(self):
-        model = init_two_layer(4, 2, kappa=1.0, seed=13)
-        rng = np.random.default_rng(14)
-        x = _unit_rows(rng, 6, 2)
-        want = full_fisher_two_layer(model, x).matrix
-        got = full_fisher_two_layer(model, x, mode="sampled", draws=40_000, seed=15).matrix
-        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert rel <= 5.0 / np.sqrt(40_000)
-
     def test_dimension_cap(self):
         model = init_two_layer(1001, 2, kappa=1.0, seed=0)
         with pytest.raises(ValueError, match="m\\*dim"):
@@ -168,15 +159,6 @@ class TestDiagFisher:
         got = diag_fisher(model, x).diag
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_sampled_converges_to_expected(self):
-        model = init_mlp([3, 5, 4], seed=18)
-        rng = np.random.default_rng(19)
-        x = rng.standard_normal((8, 3))
-        want = diag_fisher(model, x).diag
-        got = diag_fisher(model, x, mode="sampled", draws=40_000, seed=20).diag
-        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert rel <= 5.0 / np.sqrt(40_000)
-
     def test_nonnegative_entries(self):
         model = init_mlp([4, 6, 3], seed=21)
         rng = np.random.default_rng(22)
@@ -184,13 +166,6 @@ class TestDiagFisher:
         for loss in (LOSS_SQUARED, LOSS_SOFTMAX):
             m = model if loss == LOSS_SOFTMAX else init_mlp([4, 6, 3], seed=21, head=loss)
             assert np.all(diag_fisher(m, x).diag >= 0.0)
-
-    def test_mode_validation(self):
-        model = init_two_layer(2, 2, kappa=1.0, seed=0)
-        with pytest.raises(ValueError):
-            diag_fisher(model, np.eye(2), mode="exact")
-        with pytest.raises(ValueError):
-            diag_fisher(model, np.eye(2), mode="sampled", draws=0)
 
 
 class TestKfacFisher:
@@ -222,24 +197,11 @@ class TestKfacFisher:
         model = init_mlp([5, 7, 4], seed=24)
         rng = np.random.default_rng(25)
         x = rng.standard_normal((12, 5))
-        for mode, draws in (("expected", 1), ("sampled", 3)):
-            f = kfac_fisher(model, x, mode=mode, draws=draws, seed=26)
-            for layer in f.layers:
-                for factor in (layer.a, layer.b):
-                    assert np.allclose(factor, factor.T)
-                    vals = np.linalg.eigvalsh(factor)
-                    assert vals[0] >= -1e-8 * max(np.trace(factor), 1e-30)
-
-    def test_sampled_b_factors_converge_to_expected(self):
-        model = init_mlp([4, 6, 5, 3], seed=42)
-        x = np.random.default_rng(43).standard_normal((8, 4))
-        want = kfac_fisher(model, x, damping=0.0)
-        draws = 40_000
-        got = kfac_fisher(model, x, mode="sampled", draws=draws, seed=44,
-                          damping=0.0)
-        for g, w in zip(got.layers, want.layers):
-            assert np.array_equal(g.a, w.a)  # the input factor does not sample
-            assert np.linalg.norm(g.b - w.b) <= 5.0 / np.sqrt(draws) * np.linalg.norm(w.b)
+        for layer in kfac_fisher(model, x).layers:
+            for factor in (layer.a, layer.b):
+                assert np.allclose(factor, factor.T)
+                vals = np.linalg.eigvalsh(factor)
+                assert vals[0] >= -1e-8 * max(np.trace(factor), 1e-30)
 
     def test_damping_adds_scaled_identity(self):
         model = init_mlp([3, 4, 2], seed=27)
@@ -271,12 +233,11 @@ class TestInPlaceBuild:
 
     @pytest.mark.parametrize("dims", [[784, 64, 10], [4, 6, 5, 3]])
     @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
-    @pytest.mark.parametrize("mode", ["expected", "sampled"])
     @pytest.mark.parametrize("damping", [0.0, DEFAULT_KFAC_DAMPING])
-    def test_kfac_bit_identical(self, dims, loss, mode, damping):
+    def test_kfac_bit_identical(self, dims, loss, damping):
         model, x = self._case(dims, loss)
-        got = kfac_fisher(model, x, mode, draws=3, seed=34, damping=damping)
-        want = eye_damped_kfac(model, x, model.head, mode, 3, 34, damping)
+        got = kfac_fisher(model, x, damping=damping)
+        want = eye_damped_kfac(model, x, model.head, damping)
         assert len(got.layers) == len(want)
         for layer, (a, b) in zip(got.layers, want):
             assert np.array_equal(layer.a, a)
@@ -284,19 +245,17 @@ class TestInPlaceBuild:
 
     @pytest.mark.parametrize("dims", [[784, 64, 10], [4, 6, 5, 3]])
     @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
-    @pytest.mark.parametrize("mode", ["expected", "sampled"])
-    def test_diag_bit_identical(self, dims, loss, mode):
+    def test_diag_bit_identical(self, dims, loss):
         model, x = self._case(dims, loss)
-        got = diag_fisher(model, x, mode, draws=3, seed=34)
-        assert np.array_equal(got.diag, allocating_diag(model, x, model.head, mode, 3, 34))
+        got = diag_fisher(model, x)
+        assert np.array_equal(got.diag, allocating_diag(model, x, model.head))
 
     @pytest.mark.parametrize("loss", [LOSS_SQUARED, LOSS_SOFTMAX])
-    @pytest.mark.parametrize("mode", ["expected", "sampled"])
-    def test_kfac_peak_memory(self, loss, mode):
+    def test_kfac_peak_memory(self, loss):
         # Damping through a scaled np.eye would hold three 785 x 785 arrays at once.
         model = init_mlp([784, 64, 10], seed=35, head=loss)
         x = np.random.default_rng(36).standard_normal((200, 784))
-        f, peak = traced_peak(kfac_fisher, model, x, mode)
+        f, peak = traced_peak(kfac_fisher, model, x)
         params = sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
         outputs = sum(layer.a.nbytes + layer.b.nbytes for layer in f.layers)
         assert peak < x.nbytes + params + outputs + 785 * 785 * 8
