@@ -115,6 +115,10 @@ class ServerConfig:
 
 @dataclass
 class MergeResult:
+    """What :func:`fedfisher_solve` returns. ``step_warning`` means the GD step
+    may exceed 1 / lambda_max: a manual step above 1 / lambda_max, or any step
+    after a power iteration (Kronecker curvature) that did not converge."""
+
     weights: np.ndarray
     iterations: int
     converged: bool
@@ -416,7 +420,9 @@ def fedfisher_solve(
     value; GD on diagonal curvature alone takes the largest entry of the
     summed diagonal, and GD on curvature with K-FAC blocks a power
     iteration. GD with cfg.eta_s=None steps by 1 / (1.01 * lambda_max); a
-    manual GD step larger than 1 / lambda_max sets ``step_warning``. Adam
+    manual GD step larger than 1 / lambda_max sets ``step_warning``, and so
+    does a power iteration that did not converge: its estimate may lie below
+    lambda_max, so even the auto step may be too large. Adam
     needs no lambda_max, so its ``lambda_max`` stays NaN. With
     ``cfg.val_fn`` (flat weights to a score, higher is better) the iterate is
     scored at the start, every ``cfg.val_every`` steps and at the end, and
@@ -443,7 +449,8 @@ def fedfisher_solve(
             basis = _block_krylov(op.apply_rows, g0)
             lam = float(basis[1][-1])
         elif op.kfacs:
-            lam = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000).value
+            power = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000)
+            lam, warning = power.value, not power.converged  # unconverged: may lie below lambda_max
         else:  # a diagonal operator's largest eigenvalue is its largest entry
             lam = float(op.diag.max())
         if cfg.eta_s is None and lam <= 0.0:
@@ -451,7 +458,7 @@ def fedfisher_solve(
             return MergeResult(w, 0, True, residual=_scaled_norm(op.matvec(w) - b),
                                lambda_max=lam, objective_trace=trace)
         eta = 1.0 / (1.01 * lam) if cfg.eta_s is None else cfg.eta_s
-        warning = lam > 0 and eta * lam > 1.0 + 1e-9
+        warning = warning or lam > 0 and eta * lam > 1.0 + 1e-9
     elif cfg.optimizer == "adam":
         eta = 0.01 if cfg.eta_s is None else cfg.eta_s
         m, v, scratch = np.zeros(d), np.zeros(d), np.empty(d)

@@ -28,9 +28,10 @@ Each subcommand reads an optional INI config (key = value lines under
 overrides, writes one CSV row per (seed, method, sweep point), and exits 0 on
 success, 2 on a config error, 3 on numerical divergence. Each field of
 :class:`ExperimentConfig` declares one key, once: its section, parser, flag
-and the tasks (and, for ``[data]`` keys, the data kinds) that read it.
-``_CONFIG_KEYS`` is derived from the fields and drives the flags, and a key
-set away from the task's default where it is not read is a config error.
+and readers, the tasks, data kinds, methods and ``compress`` setting under
+which a run reads it. ``_CONFIG_KEYS`` is derived from the fields and drives
+the flags, and a key set away from the task's default where no part of the
+run reads it is a config error, as is a float value that is not finite.
 Rows are sorted by (seed, method, sweep) and floats carry 17 significant
 digits, so identical configs (with wall-time measurement disabled via
 --no-timing) produce byte-identical CSVs.
@@ -110,28 +111,28 @@ _ALL = _SYNTHETIC + _CLASSIFY
 _EPOCHS = ("synthetic-width",) + _CLASSIFY  # synthetic-steps trains for each of steps_list
 _CODEC = _SYNTHETIC + ("one-shot", "few-shot")  # compress-bench sweeps s_q_list instead
 _IMAGES, _IDX, _CSV = ("image-classes",), ("idx",), ("csv",)  # data kinds of the classification tasks
+_SOLVED = (agg.METHOD_FULL, agg.METHOD_DIAG, agg.METHOD_KFAC)  # the methods fedfisher_solve merges
 
 
 class _Key(NamedTuple):
-    """The spec of one config key, read off the field that declares it: the
-    attribute it sets, the parser of its text, the tasks that read it, and
-    its command-line flag (None: INI only). A flag with a ``switch`` takes no
-    value and stands for the text ``switch``. ``kinds`` narrows the readers
-    to those tasks on these data kinds (None: on every kind)."""
+    """One config key, as its field declares it: the attribute it sets, the
+    parser of its text, its readers and its flag (None: INI only; a ``switch``
+    flag takes no value and stands for ``switch``). ``readers`` is a group of
+    names per part of a run (task, data kind, methods, ``compress = true|false``);
+    a run reads the key when each group, unless None or left off, meets its part."""
 
     attr: str
     parse: Callable[[str], object]
-    tasks: tuple[str, ...]
+    readers: tuple[tuple[str, ...] | None, ...]
     flag: str | None = None
     switch: str | None = None
-    kinds: tuple[str, ...] | None = None
 
 
-def _key(section: str, default, parse, tasks, flag=None, switch=None, kinds=None, key=None):
+def _key(section: str, default, parse, *readers, flag=None, switch=None, key=None):
     """The field that declares config key [``section``] ``key`` (default: the
     attribute's name), with ``default`` its value (a list is copied per
     config) and the rest of its :class:`_Key` in the field's metadata."""
-    meta = {"section": section, "key": key, "spec": _Key("", parse, tasks, flag, switch, kinds)}
+    meta = {"section": section, "key": key, "spec": _Key("", parse, readers, flag, switch)}
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=meta)
     return field(default=default, metadata=meta)
@@ -142,50 +143,52 @@ class ExperimentConfig:
     """A run's config; every field but ``task`` declares one config key (:func:`_key`)."""
 
     task: str = "one-shot"
-    data_kind: str = _key("data", "image-classes", str, _CLASSIFY, "--data-kind",
+    data_kind: str = _key("data", "image-classes", str, _CLASSIFY, flag="--data-kind",
                           key="kind")  # synthetic | image-classes | idx | csv
-    clients: int = _key("data", 5, int, _ALL, "--clients")
+    clients: int = _key("data", 5, int, _ALL, flag="--clients")
     per_client: int = _key("data", 100, int, _SYNTHETIC)
     dim: int = _key("data", 2, int, _SYNTHETIC)
-    alpha: float = _key("data", 0.1, float, _CLASSIFY, "--alpha")
-    n_train: int = _key("data", 5000, int, _CLASSIFY, "--n-train", kinds=_IMAGES)
-    n_test: int = _key("data", 1000, int, _CLASSIFY, "--n-test", kinds=_IMAGES)
-    classes: int = _key("data", 10, int, _CLASSIFY, kinds=_IMAGES)
-    side: int = _key("data", 28, int, _CLASSIFY, kinds=_IMAGES)
-    pixel_noise: float = _key("data", 0.3, float, _CLASSIFY, kinds=_IMAGES)
-    field_noise: float = _key("data", 0.15, float, _CLASSIFY, kinds=_IMAGES)
-    images_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
-    labels_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
-    test_images_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
-    test_labels_path: str = _key("data", "", str, _CLASSIFY, kinds=_IDX)
-    csv_path: str = _key("data", "", str, _CLASSIFY, kinds=_CSV)
-    test_fraction: float = _key("data", 0.2, float, _CLASSIFY, kinds=_IDX + _CSV)
+    alpha: float = _key("data", 0.1, float, _CLASSIFY, flag="--alpha")
+    n_train: int = _key("data", 5000, int, _CLASSIFY, _IMAGES, flag="--n-train")
+    n_test: int = _key("data", 1000, int, _CLASSIFY, _IMAGES, flag="--n-test")
+    classes: int = _key("data", 10, int, _CLASSIFY, _IMAGES)
+    side: int = _key("data", 28, int, _CLASSIFY, _IMAGES)
+    pixel_noise: float = _key("data", 0.3, float, _CLASSIFY, _IMAGES)
+    field_noise: float = _key("data", 0.15, float, _CLASSIFY, _IMAGES)
+    images_path: str = _key("data", "", str, _CLASSIFY, _IDX)
+    labels_path: str = _key("data", "", str, _CLASSIFY, _IDX)
+    test_images_path: str = _key("data", "", str, _CLASSIFY, _IDX)
+    test_labels_path: str = _key("data", "", str, _CLASSIFY, _IDX)
+    csv_path: str = _key("data", "", str, _CLASSIFY, _CSV)
+    test_fraction: float = _key("data", 0.2, float, _CLASSIFY, _IDX + _CSV)
     val_fraction: float = _key("data", 0.1, float, _CLASSIFY)
     width: int = _key("model", 512, int, ("synthetic-steps",))
     kappa: float = _key("model", 0.5, float, _SYNTHETIC)
     hidden_dims: list[int] = _key("model", [64], _parse_int_list, _CLASSIFY)
-    eta: float = _key("local", 0.01, float, _ALL, "--eta")
+    eta: float = _key("local", 0.01, float, _ALL, flag="--eta")
     momentum: float = _key("local", 0.9, float, _ALL)
-    epochs_or_steps: int = _key("local", 30, int, _EPOCHS, "--epochs")
-    batch_size: int = _key("local", 64, int, _CLASSIFY, "--batch-size")  # 0 means full batch
-    optimizer: str = _key("server", "adam", str, _ALL)
-    eta_s: float | None = _key("server", 0.01, _parse_eta_s, _ALL, "--eta-s")  # None: auto step for gd
-    t_max: int = _key("server", 2000, int, _ALL, "--t-max")
-    stop_tol: float = _key("server", 1e-10, float, _ALL)
-    val_every: int = _key("server", 100, int, _CLASSIFY)
+    epochs_or_steps: int = _key("local", 30, int, _EPOCHS, flag="--epochs")
+    batch_size: int = _key("local", 64, int, _CLASSIFY, flag="--batch-size")  # 0 means full batch
+    optimizer: str = _key("server", "adam", str, _ALL, None, _SOLVED)
+    eta_s: float | None = _key("server", 0.01, _parse_eta_s, _ALL, None, _SOLVED, flag="--eta-s")
+    t_max: int = _key("server", 2000, int, _ALL, None, _SOLVED, flag="--t-max")
+    stop_tol: float = _key("server", 1e-10, float, _ALL, None, _SOLVED)
+    val_every: int = _key("server", 100, int, _CLASSIFY, None, _SOLVED)
     methods: list[str] = _key("run", [agg.METHOD_FEDAVG, agg.METHOD_DIAG], _parse_list, _ALL,
-                              "--methods")
-    seeds: list[int] = _key("run", list(range(5)), _parse_int_list, _ALL, "--seed-list")
-    widths: list[int] = _key("run", [32, 64, 128, 256, 512], _parse_int_list, ("synthetic-width",),
-                             "--widths")
+                              flag="--methods")
+    seeds: list[int] = _key("run", list(range(5)), _parse_int_list, _ALL, flag="--seed-list")
+    widths: list[int] = _key("run", [32, 64, 128, 256, 512], _parse_int_list,
+                             ("synthetic-width",), flag="--widths")
     steps_list: list[int] = _key("run", [2**k for k in range(4, 13)], _parse_int_list,
-                                 ("synthetic-steps",), "--steps-list")
-    rounds: int = _key("run", 3, int, ("few-shot",), "--rounds")
-    out: str = _key("run", "", str, _ALL, "--out")
-    timing: bool = _key("run", True, _parse_bool, _ALL, "--no-timing", switch="false")
-    compress: bool = _key("run", True, _parse_bool, _CODEC)
-    s_q: int = _key("run", 4, int, _CODEC)  # of Kronecker factors in the compressed pipeline
-    s_q_list: list[int] = _key("run", [1, 2, 4, 8], _parse_int_list, ("compress-bench",), "--s-q-list")
+                                 ("synthetic-steps",), flag="--steps-list")
+    rounds: int = _key("run", 3, int, ("few-shot",), flag="--rounds")
+    out: str = _key("run", "", str, _ALL, flag="--out")
+    timing: bool = _key("run", True, _parse_bool, _ALL, flag="--no-timing", switch="false")
+    compress: bool = _key("run", True, _parse_bool, _CODEC, None,
+                          _SOLVED + (agg.METHOD_FISHERMERGE,))
+    s_q: int = _key("run", 4, int, _CODEC, None, (agg.METHOD_KFAC,), ("compress = true",))
+    s_q_list: list[int] = _key("run", [1, 2, 4, 8], _parse_int_list, ("compress-bench",),
+                               flag="--s-q-list")
 
 
 # (section, key) -> _Key of every config key, in field order.
@@ -249,6 +252,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown server optimizer {cfg.optimizer!r}")
     if cfg.data_kind not in ("synthetic", "image-classes", "idx", "csv"):
         raise ConfigError(f"unknown data kind {cfg.data_kind!r}")
+    for (section, key), spec in _CONFIG_KEYS.items():
+        value = getattr(cfg, spec.attr)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
     for s_q in [cfg.s_q] + cfg.s_q_list:
         if not comp.MIN_SQ <= s_q <= comp.MAX_SQ:
             raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
@@ -262,34 +269,32 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
     if cfg.eta_s is not None and not cfg.eta_s > 0:
         raise ConfigError(f"eta_s must be positive or 'auto', got {cfg.eta_s}")
+    if cfg.val_every < 1:
+        raise ConfigError(f"val_every must be positive, got {cfg.val_every}")
     for name in ("epochs_or_steps", "t_max", "stop_tol"):
         if not getattr(cfg, name) >= 0:
             raise ConfigError(f"{name} must be nonnegative, got {getattr(cfg, name)}")
     for name in ("momentum", "test_fraction", "val_fraction"):
         if not 0 <= getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be in [0, 1), got {getattr(cfg, name)}")
-    for (section, key), spec in _CONFIG_KEYS.items():
-        by_task = cfg.task in spec.tasks
-        if (by_task and (spec.kinds is None or cfg.data_kind in spec.kinds)
-                or getattr(cfg, spec.attr) == getattr(default, spec.attr)):
-            continue
-        reader = f"task {cfg.task}" + (f" on data kind {cfg.data_kind}" if by_task else "")
-        flag = f" ({spec.flag})" if spec.flag else ""
-        raise ConfigError(f"{reader} does not read [{section}] {key}{flag}; "
-                          f"leave it at its default {getattr(default, spec.attr)!r}")
-    # Only the K-FAC codec reads s_q.
-    if not (cfg.compress and agg.METHOD_KFAC in cfg.methods) and cfg.s_q != default.s_q:
-        raise ConfigError(f"task {cfg.task} reads [run] s_q only with compress = true and "
-                          f"{agg.METHOD_KFAC} in methods; leave it at its default {default.s_q!r}")
     # Each entry of these lists makes its own rows. hidden_dims may repeat a layer width.
     for name in ("seeds", "methods", "widths", "steps_list", "s_q_list"):
         values = getattr(cfg, name)
-        if not values and cfg.task in _CONFIG_KEYS[("run", name)].tasks:
+        if not values and cfg.task in _CONFIG_KEYS[("run", name)].readers[0]:
             raise ConfigError(f"task {cfg.task} needs at least one value in {name}")
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat an entry, got {values}")
-    if cfg.val_every < 1:
-        raise ConfigError(f"val_every must be positive, got {cfg.val_every}")
+    parts = (("on data kind", [cfg.data_kind]), ("with methods", cfg.methods),
+             ("and", [f"compress = {str(cfg.compress).lower()}"]))
+    for (section, key), spec in _CONFIG_KEYS.items():
+        tasks, *groups = spec.readers
+        misses = [f" {part} {', '.join(names)}" for (part, names), group in zip(parts, groups)
+                  if cfg.task in tasks and group is not None and set(names).isdisjoint(group)]
+        unset = getattr(default, spec.attr)
+        if (cfg.task not in tasks or misses) and getattr(cfg, spec.attr) != unset:
+            flag = f" ({spec.flag})" if spec.flag else ""
+            raise ConfigError(f"task {cfg.task}{''.join(misses)} does not read [{section}] "
+                              f"{key}{flag}; leave it at its default {unset!r}")
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
     # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
     synthetic = cfg.task in _SYNTHETIC
@@ -676,11 +681,14 @@ def _run(cfg: ExperimentConfig) -> list[ResultRow]:
                 more, seconds = train(shared[0].trained, point)
                 shared = more, shared[1] + seconds
             for method in cfg.methods:
-                (rnd, seconds), bits = shared, 0
+                bits = 0
                 if point.start == "merge":
+                    # Drop the spent round, models and curvature, before training the next.
                     weights, bits = last[method]
-                    start = models.with_flat_params(rnd.trained[0], weights)
-                    rnd, seconds = train([start] * run.data.num_clients, point)
+                    shared = rnd = None
+                    start = models.with_flat_params(run.init(point), weights)
+                    shared = train([start] * run.data.num_clients, point)
+                rnd, seconds = shared
                 t0 = clock.now()
                 weights, sent = merge_round(rnd, method, point.codec, run.server_cfg)
                 seconds += clock.now() - t0

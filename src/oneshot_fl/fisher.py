@@ -108,7 +108,9 @@ def _scores(model: MLP, x: np.ndarray):
     if model.head != LOSS_SOFTMAX:  # E[eps eps^T] = I for y ~ N(z, I)
         return inputs, np.ones((n, c_out)), s
     p = models._softmax(z)[0]
-    return inputs, p, [u - np.einsum("nc,cnk->nk", p, u) for u in s]
+    for u in s:  # fresh arrays, centred in place
+        u -= np.einsum("nc,cnk->nk", p, u)
+    return inputs, p, s
 
 
 def diag_fisher(model: Model, x: np.ndarray) -> DiagFisher:

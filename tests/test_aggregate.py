@@ -95,6 +95,21 @@ class TestEstimateLmax:
                 res = fedfisher_solve(updates, ServerConfig(t_max=t_max))
                 assert res.lambda_max == summed.max()
 
+    @pytest.mark.parametrize("eta_s", [None, 1e-3])
+    def test_unconverged_power_iteration_sets_step_warning(self, eta_s, monkeypatch):
+        # An unconverged Rayleigh quotient is at most lambda_max, so even the
+        # auto step 1 / (1.01 * estimate) may exceed 1 / lambda_max.
+        updates = TestStepLoopMatchesTextbook._kfac_and_diag()
+        cfg = ServerConfig(eta_s=eta_s, t_max=5)
+        assert not fedfisher_solve(updates, cfg).step_warning
+        power = aggregate.power_iteration_max_eig
+
+        def unconverged(*args, **kwargs):
+            return replace(power(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(aggregate, "power_iteration_max_eig", unconverged)
+        assert fedfisher_solve(updates, cfg).step_warning
+
     def test_missing_fisher_rejected(self):
         with pytest.raises(ValueError):
             fedfisher_solve([ClientUpdate(np.zeros(2))])

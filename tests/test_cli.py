@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -298,14 +299,21 @@ class TestValidation:
         ("one-shot", "[local]\nloss = squared\n", "unknown config key [local] loss"),
         # s_q sets only the K-FAC codec: these wrote the same bytes as the defaults.
         ("one-shot", "[run]\ns_q = 8\n",
-         "task one-shot reads [run] s_q only with compress = true and fedfisher-kfac in methods"),
+         "task one-shot with methods fedavg does not read [run] s_q; leave it at its default 4"),
         ("few-shot", "[run]\ncompress = false\ns_q = 8\n",
-         "reads [run] s_q only with compress = true and fedfisher-kfac in methods"),
+         "task few-shot with methods fedavg and compress = false does not read [run] s_q"),
         ("synthetic-steps", "[model]\nwidth = 0\n", "width must be at least 1"),
         ("synthetic-width", "[model]\nkappa = 0\n", "kappa must be positive"),
         ("synthetic-steps", "[run]\nsteps_list = 4, -1\n", "steps_list must be at least 0"),
         # A negative batch size trained full batch, like 0.
         ("one-shot", "[local]\nbatch_size = -5\n", "batch_size must be at least 0"),
+        # NaN Dirichlet proportions (exit 0), local or server divergence (exit 3),
+        # or, for eta_s beside fedavg alone, no effect at all.
+        ("one-shot", "[data]\nalpha = inf\n", "[data] alpha must be finite, got inf"),
+        ("one-shot", "[data]\npixel_noise = nan\n", "[data] pixel_noise must be finite, got nan"),
+        ("synthetic-width", "[model]\nkappa = inf\n", "[model] kappa must be finite, got inf"),
+        ("synthetic-width", "[local]\neta = inf\n", "[local] eta must be finite, got inf"),
+        ("one-shot", "[server]\neta_s = inf\n", "[server] eta_s must be finite, got inf"),
     ])
     def test_out_of_range_config_values_rejected(self, task, ini, message, tmp_path, capsys):
         path, out = tmp_path / "run.ini", tmp_path / "x.csv"
@@ -353,6 +361,26 @@ class TestValidation:
         monkeypatch.setattr(cli, "train_round", no_training)
         assert cli.main(_tiny_width_args(out)) == cli.EXIT_CONFIG
         assert f"[run] out (--out): {str(out)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods, ini, flags, named", [
+        ("fedavg", "", ["--t-max", "5"], "[server] t_max (--t-max)"),
+        ("fedavg", "[run]\ncompress = false\n", [], "[run] compress;"),
+        ("fedavg,fishermerge", "", ["--eta-s", "0.5"], "[server] eta_s (--eta-s)"),
+    ])
+    def test_key_no_method_reads_rejected(self, methods, ini, flags, named, tmp_path, capsys):
+        # Only the solver methods read the [server] keys, and fedavg is never
+        # compressed: each of these wrote the bytes of the run without it.
+        path, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        path.write_text(ini)
+        argv = ["one-shot", "--config", str(path), *flags, "--seed-list", "0", "--n-train", "300",
+                "--n-test", "50", "--epochs", "1", "--no-timing", "--out", str(out)]
+        assert cli.main(argv + ["--methods", methods]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"task one-shot with methods {methods.replace(',', ', ')} does not read {named}" in err
+        assert not out.exists()
+        # With a solver method beside them, the run reads the key: no ConfigError.
+        build_config("one-shot", cli._parser().parse_args(
+            argv + ["--methods", f"{methods},fedfisher-diag"]))
 
     def test_s_q_accepted_where_read(self):
         validate_config(replace(default_config("one-shot"), s_q=8,
@@ -467,8 +495,9 @@ class TestApplyFlags:
         assert cfg.out == "few-shot.csv"
 
 
-# A value for every key that some task does not read: parses, passes the
-# range checks, and differs from the default of every such task.
+# A value for every key that some run below does not read: parses, passes the
+# range checks, and differs from the default of every such task (but for
+# optimizer, which only the classification tasks default to adam).
 _UNREAD_VALUES = {
     "kind": "csv", "per_client": "50", "dim": "3", "alpha": "0.5", "n_train": "700",
     "n_test": "300", "classes": "3", "side": "6", "pixel_noise": "0.2",
@@ -477,11 +506,23 @@ _UNREAD_VALUES = {
     "test_fraction": "0.25", "val_fraction": "0.2", "width": "8", "kappa": "0.25",
     "hidden_dims": "16", "epochs_or_steps": "7", "batch_size": "10", "val_every": "5",
     "widths": "8", "steps_list": "4", "rounds": "2", "compress": "false", "s_q": "8",
-    "s_q_list": "2",
+    "s_q_list": "2", "optimizer": "gd", "eta_s": "0.5", "t_max": "5", "stop_tol": "1e-6",
 }
 
+
+def _unread_by_fedavg(task: str, spec) -> bool:
+    """Whether a fedavg-only run of ``task`` at its default ``compress``
+    leaves the key unread by its task, its methods or its ``compress``
+    (the data kinds are checked on their own)."""
+    tasks, _, methods, compress = spec.readers + (None,) * (4 - len(spec.readers))
+    on = f"compress = {str(default_config(task).compress).lower()}"
+    return (task not in tasks or methods is not None and agg.METHOD_FEDAVG not in methods
+            or compress is not None and on not in compress)
+
+
 _UNREAD = [(task, section, key) for (section, key), spec in cli._CONFIG_KEYS.items()
-           for task in cli._RUNNERS if task not in spec.tasks]
+           for task in cli._RUNNERS if _unread_by_fedavg(task, spec)
+           and spec.parse(_UNREAD_VALUES[key]) != getattr(default_config(task), spec.attr)]
 
 # Today's flags; every subcommand takes all of them.
 _FLAGS = {
@@ -491,19 +532,29 @@ _FLAGS = {
 }
 
 
-def _readme_table(header: str) -> list[tuple[tuple[str, str], list[str]]]:
+def _readme_table(header: str) -> list[tuple[tuple[str, str], tuple]]:
     """(key, readers) for every key in README's table under ``header``, with
-    "every task" and "every task but ..." spelled out as task lists."""
+    "every task" and "every task but ..." spelled out as task lists. A
+    ", when `methods` has ..." condition adds the methods named, or with
+    "but" every other method, and ``compress = true`` when it names it."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     body = readme.split(f"\n{header}\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     entries = []
     for line in body.splitlines():
-        keys, readers = line.strip("|").split(" | ")
+        keys, cell = line.strip("|").split(" | ")
+        readers, _, when = cell.partition(", when `methods` has ")
         names = re.findall(r"`([\w-]+)`", readers)
         if readers.startswith("every task"):
             names = [task for task in cli._RUNNERS if task not in names]
+        groups = (sorted(names),)
+        if when:
+            methods = re.findall(r"`([\w-]+)`", when)
+            if " but " in when:
+                methods = [m for m in agg.VALID_METHODS if m not in methods]
+            groups += (None, sorted(methods))
+            groups += (["compress = true"],) if "`compress = true`" in when else ()
         for section, group in re.findall(r"`\[(\w+)\] ([\w ]+)`", keys):
-            entries.extend(((section, key), sorted(names)) for key in group.split())
+            entries.extend(((section, key), groups) for key in group.split())
     return entries
 
 
@@ -511,14 +562,17 @@ class TestConfigTable:
     def test_one_row_per_field_and_unchanged_flags(self):
         rows = [spec.attr for spec in cli._CONFIG_KEYS.values()]
         assert sorted(rows) == sorted(set(vars(ExperimentConfig())) - {"task"})
-        assert {t for spec in cli._CONFIG_KEYS.values() for t in spec.tasks} == set(cli._RUNNERS)
+        assert {t for spec in cli._CONFIG_KEYS.values() for t in spec.readers[0]} == set(
+            cli._RUNNERS)
         # Keys that were accepted and wrote the same CSV bytes as without them.
         assert {("synthetic-steps", "local", "epochs_or_steps"),
                 ("synthetic-steps", "run", "widths"),
                 ("synthetic-width", "data", "n_train"), ("synthetic-width", "run", "rounds"),
                 ("synthetic-width", "run", "steps_list"), ("synthetic-width", "local", "batch_size"),
                 ("one-shot", "run", "rounds"), ("compress-bench", "run", "compress"),
-                ("compress-bench", "run", "s_q")} <= set(_UNREAD)
+                ("compress-bench", "run", "s_q"), ("one-shot", "server", "t_max"),
+                ("synthetic-width", "server", "eta_s"), ("one-shot", "run", "compress"),
+                ("few-shot", "run", "s_q")} <= set(_UNREAD)
         (subparsers,) = [a for a in cli._parser()._actions
                          if isinstance(a, argparse._SubParsersAction)]
         assert set(subparsers.choices) == set(cli._RUNNERS)
@@ -530,8 +584,7 @@ class TestConfigTable:
     @pytest.mark.parametrize("task, section, key", _UNREAD)
     def test_unread_key_rejected(self, task, section, key, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        base = [task, "--seed-list", "0", "--methods", "fedavg", "--t-max", "0",
-                "--no-timing", "--out", str(out)]
+        base = [task, "--seed-list", "0", "--methods", "fedavg", "--no-timing", "--out", str(out)]
         path = tmp_path / "run.ini"
         path.write_text(f"[{section}]\n{key} = {_UNREAD_VALUES[key]}\n")
         attempts = [["--config", str(path)]]
@@ -547,11 +600,15 @@ class TestConfigTable:
         by_task = _readme_table("| keys | read by |")
         assert sorted(key for key, _ in by_task) == sorted(cli._CONFIG_KEYS)  # each key once
         for key, readers in by_task:
-            assert readers == sorted(cli._CONFIG_KEYS[key].tasks), key
-        kinds = {key: spec.kinds for key, spec in cli._CONFIG_KEYS.items() if spec.kinds}
+            declared = cli._CONFIG_KEYS[key].readers
+            if len(declared) == 2:  # tasks and data kinds: the kinds are in the table below
+                declared = declared[:1]
+            assert readers == tuple(group and sorted(group) for group in declared), key
+        kinds = {key: spec.readers[1] for key, spec in cli._CONFIG_KEYS.items()
+                 if len(spec.readers) > 1 and spec.readers[1]}
         by_kind = _readme_table("| keys | read on data kind |")
         assert sorted(key for key, _ in by_kind) == sorted(kinds)
-        for key, readers in by_kind:
+        for key, (readers,) in by_kind:
             assert readers == sorted(kinds[key]), key
 
     def test_readme_ini_example_validates(self, tmp_path):
@@ -675,8 +732,7 @@ class TestStepsSweepCommand:
     def test_row_count_and_sweep_column(self, tmp_path):
         out = tmp_path / "s.csv"
         code = cli.main(["synthetic-steps", "--steps-list", "4,8", "--seed-list",
-                        "0,1", "--no-timing", "--methods",
-                        "fedavg", "--t-max", "200", "--out", str(out)])
+                        "0,1", "--no-timing", "--methods", "fedavg", "--out", str(out)])
         assert code == cli.EXIT_OK
         rows = _read_rows(out)
         assert len(rows) == 2 * 1 * 2
@@ -787,7 +843,7 @@ class TestOneShotCommand:
             "test_fraction = 0.25\nclients = 2\nalpha = 100\n"
             "[model]\nhidden_dims = 8\n"
             "[local]\nepochs_or_steps = 3\nbatch_size = 16\n"
-            "[run]\nseeds = 0\nmethods = fedavg\ncompress = false\n"
+            "[run]\nseeds = 0\nmethods = fedavg\n"
         )
         out = tmp_path / "idx.csv"
         assert cli.main(["one-shot", "--config", str(ini), "--no-timing",
@@ -906,6 +962,29 @@ class TestFewShotCommand:
                 one_rows[method].train_loss, rel=1e-9)
             assert few_rows[method].test_accuracy == one_rows[method].test_accuracy
             assert few_rows[method].comm_bits == one_rows[method].comm_bits
+
+    def test_merge_rounds_hold_no_spent_round(self, monkeypatch):
+        # Each later merge kept round 1's trained models and curvature alive,
+        # and each method's round kept the previous method's while it trained.
+        cfg = replace(_tiny_image_cfg(task="few-shot"), seeds=[0], rounds=3,
+                      methods=[agg.METHOD_FEDAVG, agg.METHOD_DIAG])
+        rounds, alive = [], []
+        train_round, merge_round = cli.train_round, cli.merge_round
+
+        def tracked_train(*args, **kwargs):
+            rnd = train_round(*args, **kwargs)
+            rounds.append(weakref.ref(rnd))
+            return rnd
+
+        def counted_merge(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in rounds))
+            return merge_round(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_round", tracked_train)
+        monkeypatch.setattr(cli, "merge_round", counted_merge)
+        cli.run_few_shot(cfg)
+        assert len(rounds) == 1 + 2 * 2
+        assert alive == [1] * 6
 
     def test_rounds_accumulate_bits_and_rows(self, tmp_path):
         cfg = replace(_tiny_image_cfg(task="few-shot"), rounds=3,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oneshot_fl import models
+from oneshot_fl import fisher, models
 from oneshot_fl.fisher import (
     DEFAULT_KFAC_DAMPING,
     DiagFisher,
@@ -259,6 +259,17 @@ class TestInPlaceBuild:
         params = sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
         outputs = sum(layer.a.nbytes + layer.b.nbytes for layer in f.layers)
         assert peak < x.nbytes + params + outputs + 785 * 785 * 8
+
+    def test_softmax_scores_centred_in_place(self):
+        # Centring into new arrays held a second (C, n, out) stack per layer.
+        model = init_mlp([8, 256, 10], seed=37, head=LOSS_SOFTMAX)
+        x = np.random.default_rng(38).standard_normal((400, 8))
+        (inputs, p, s), peak = traced_peak(fisher._scores, model, x)
+        assert peak < sum(a.nbytes for a in [*inputs, p, *s]) + 3 * s[0].nbytes // 4
+        z, acts = models.forward_pass(model, x)
+        raw = models.mlp_preact_grads(model, acts, np.repeat(np.eye(10)[:, None], 400, axis=1))
+        for u, r in zip(s, raw):
+            assert np.array_equal(u, r - np.einsum("nc,cnk->nk", p, r))
 
 
 class TestFisherMatvec:

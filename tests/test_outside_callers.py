@@ -2,10 +2,11 @@
 
 ``bench/`` wraps package functions by name for its per-layer trace and builds
 its configs through the CLI; ``tests/csv_digests.py`` and ``tests/traffic.py``
-run its pipelines; the demos import the public API directly.
+run its pipelines, and ``tests/bench_record.py`` runs the benchmark itself;
+the demos import the public API directly.
 Nothing else in the suite runs them, so a refactor that renames or drops a
 name they use would break ``--trace 1`` or a demo silently. These tests only
-read ``bench/``, ``demos/`` and the package source.
+read ``bench/``, ``demos/``, the ``BENCH_*.json`` records and the package source.
 
 The converse holds too: the package keeps only what the runners, demos and
 bench call. A public name that only tests reach belongs under ``tests/``.
@@ -26,6 +27,8 @@ import pytest
 
 import oneshot_fl
 from oneshot_fl import cli, numerics
+
+import bench_record
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,6 +91,26 @@ def test_bench_reference_rows_hold():
     problems = json.loads(done.stdout.splitlines()[-1])
     assert sorted(problems) == sorted(_bench_module("workloads").WORKLOADS)
     assert not any(problems.values()), problems
+
+
+_DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in _DECLARED["workloads"]])
+def test_bench_record_names_the_declared_metrics(workload):
+    # Written by tests/bench_record.py from one bench run of the checked-in tree.
+    record = json.loads((ROOT / f"BENCH_{workload}.json").read_text())
+    assert record["workload"] == workload
+    assert record["command"] == bench_record.command(workload)
+    assert record["result"]["correct"] is True
+    assert sorted(record["result"]["metrics"]) == sorted(m["name"] for m in _DECLARED["end_to_end"])
+    assert record["env"]["blas_threads"] == 1 and record["describe"]
+    assert all(set(past) == {"commit", "run_s", "note"} for past in record["history"])
+
+
+def test_bench_record_tool_reads_the_env_and_final_lines():
+    env, result = bench_record.parse_output('env {"seed": 3}\nend-to-end\n{"correct": true}\n')
+    assert env == {"seed": 3} and result == {"correct": True}
 
 
 def test_csv_digest_tool_prints_one_line_per_pipeline():
