@@ -48,6 +48,18 @@ tolerance of that bound there, decides that the test holds at no t <= t_max;
 on the width-sweep and steps-sweep configs it decides so and nothing is
 swept. Otherwise, and always above eta * lambda_max = 2, where gradient
 descent diverges, every t up to the first hit is evaluated.
+
+Dense and diagonal parts of the operator are pre-summed; K-FAC payloads
+cannot be, since a sum of Kronecker products is not one. A client's raw
+input factor is its damping floor delta_i I plus a Gram part of rank r <= n_i,
+its example count. Where 2r < dim, the operator applies it in that form
+(:func:`fisher.thin_input_factor` recovers both): per layer the floors are
+pre-summed into sum_i c_i delta_i B_i and the low-rank factors of all such
+clients are stacked in one buffer, so a step costs 4 * out * dim * r per
+client instead of 2 * out * dim^2. The dropped remainder is at most
+THIN_FACTOR_TOL of the factor's largest diagonal entry. Every other factor
+(full-rank, from a large client, or decoded from a compressed payload)
+keeps the per-client Kronecker matvec.
 """
 
 from __future__ import annotations
@@ -57,7 +69,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import DiagFisher, FisherApprox, FullFisher, KFACFisher, fisher_matvec
+from .fisher import (DiagFisher, FisherApprox, FullFisher, KFACFisher, fisher_matvec,
+                     thin_input_factor)
 from .numerics import kron_matvec, power_iteration_max_eig
 
 METHOD_FEDAVG = "fedavg"
@@ -162,20 +175,55 @@ def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
     return out / len(updates)
 
 
+@dataclass
+class _ThinBlock:
+    """One layer's thin K-FAC clients, A_i = delta_i I + L_i L_i^T, as one
+    operator on the layer's slice: V -> floor V + [c_i B_i (V L_i)]_i L^T,
+    with floor = sum_i c_i delta_i B_i and L = [L_1 .. L_k] stored as the
+    rows lt = L^T, client after client (``mixes`` holds each one's rows and
+    (c_i B_i)^T)."""
+
+    sl: slice
+    floor_t: np.ndarray  # (out, out): floor^T
+    lt: np.ndarray  # (r_1 + .. + r_k, dim)
+    mixes: list[tuple[slice, np.ndarray]]
+
+    def add_to(self, out: np.ndarray, v: np.ndarray) -> None:
+        # The slice holds V (out, dim) column-major, so as (dim, out) it is V^T.
+        dim = self.lt.shape[1]
+        vt = v[self.sl].reshape(dim, -1)
+        ot = out[self.sl].reshape(dim, -1)
+        ot += vt @ self.floor_t
+        p = self.lt @ vt  # (V L)^T
+        for rows, cb_t in self.mixes:
+            p[rows] = p[rows] @ cb_t
+        ot += self.lt.T @ p
+
+
 class _SummedCurvature:
     """Applies sum_i c_i F_i, pre-summing dense and diagonal parts.
 
-    Kronecker-factored payloads cannot be pre-summed (sums of Kronecker
-    products are not Kronecker products), so they are applied per client
-    and layer, each product scaled and added into its slice of the output.
+    A K-FAC input factor A_i that :func:`fisher.thin_input_factor` splits
+    into its floor delta_i I and L_i L_i^T, of rank r <= n_i with 2r < dim,
+    joins its layer's :class:`_ThinBlock`, where the floors are pre-summed
+    and a matvec costs 4 * out * dim * r per client instead of
+    2 * out * dim^2. Every other K-FAC layer is applied per client by
+    ``kron_matvec``, each product scaled and added into its slice of the
+    output. ``rank_bounds`` holds each client's n_i, its example count; None
+    bounds the rank by the dimension alone.
     """
 
-    def __init__(self, pairs: list[tuple[float, FisherApprox]], dim: int):
+    def __init__(self, pairs: list[tuple[float, FisherApprox]], dim: int,
+                 rank_bounds: list[int] | None = None):
         self.dim = dim
         self.dense: np.ndarray | None = None
         self.diag: np.ndarray | None = None
         self.kfacs: list[tuple[float, slice, np.ndarray, np.ndarray]] = []  # (c_i, slice, A, B)
-        for coef, f in pairs:
+        self.thin: list[_ThinBlock] = []
+        # (slice, dim A, dim B) -> (c_i, A, B, n_i) of every client's layer there
+        layers: dict[tuple[int, int, int], list] = {}
+        bounds = rank_bounds or [dim] * len(pairs)
+        for (coef, f), bound in zip(pairs, bounds, strict=True):
             if isinstance(f, FullFisher):
                 if self.dense is None:
                     self.dense = np.multiply(f.matrix, coef, dtype=np.float64)
@@ -190,11 +238,32 @@ class _SummedCurvature:
             elif isinstance(f, KFACFisher):
                 offset = 0
                 for layer in f.layers:
-                    size = layer.a.shape[0] * layer.b.shape[0]
-                    self.kfacs.append((coef, slice(offset, offset + size), layer.a, layer.b))
-                    offset += size
+                    key = (offset, layer.a.shape[0], layer.b.shape[0])
+                    layers.setdefault(key, []).append((coef, layer.a, layer.b, bound))
+                    offset += key[1] * key[2]
             else:
                 raise ValueError(f"unknown curvature variant {type(f).__name__}")
+        for (offset, dim_a, dim_b), clients in layers.items():
+            self._add_layer(slice(offset, offset + dim_a * dim_b), dim_a, dim_b, clients)
+
+    def _add_layer(self, sl: slice, dim_a: int, dim_b: int, clients: list) -> None:
+        """Sort one layer's clients into its thin block and the per-client list."""
+        # Room for the most pivots thin_input_factor may take per client.
+        lt = np.empty((sum(min(n, (dim_a - 1) // 2) for *_, n in clients), dim_a))
+        floor_t = np.zeros((dim_b, dim_b))
+        mixes = []
+        rows = 0
+        for coef, a, b, n in clients:
+            thin = thin_input_factor(a, n, out=lt[rows:])
+            if thin is None:
+                self.kfacs.append((coef, sl, a, b))
+                continue
+            delta, l_t = thin
+            floor_t += (coef * delta) * b.T
+            mixes.append((slice(rows, rows + l_t.shape[0]), coef * b.T))
+            rows += l_t.shape[0]
+        if mixes:
+            self.thin.append(_ThinBlock(sl, floor_t, lt[:rows], mixes))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
@@ -220,12 +289,15 @@ class _SummedCurvature:
             r = kron_matvec(a, b, v[sl])
             r *= coef
             out[sl] += r
+        for block in self.thin:
+            block.add_to(out, v)
 
 
 def _merge_problem(updates: list[ClientUpdate]):
     d = _check_updates(updates, need_fisher=True)
     coeffs = _coefficients(updates)
-    op = _SummedCurvature(list(zip(coeffs, [u.fisher for u in updates])), d)
+    op = _SummedCurvature(list(zip(coeffs, [u.fisher for u in updates])), d,
+                          [u.n_examples for u in updates])
     b = np.zeros(d)
     const = 0.0
     for c, u in zip(coeffs, updates):
@@ -448,7 +520,7 @@ def fedfisher_solve(
             g0 = op.matvec(w) - b
             basis = _block_krylov(op.apply_rows, g0)
             lam = float(basis[1][-1])
-        elif op.kfacs:
+        elif op.kfacs or op.thin:
             power = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000)
             lam, warning = power.value, not power.converged  # unconverged: may lie below lambda_max
         else:  # a diagonal operator's largest eigenvalue is its largest entry

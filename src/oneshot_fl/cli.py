@@ -118,8 +118,9 @@ class _Key(NamedTuple):
     """One config key, as its field declares it: the attribute it sets, the
     parser of its text, its readers and its flag (None: INI only; a ``switch``
     flag takes no value and stands for ``switch``). ``readers`` is a group of
-    names per part of a run (task, data kind, methods, ``compress = true|false``);
-    a run reads the key when each group, unless None or left off, meets its part."""
+    names per part of a run (task, data kind, methods, ``compress = true|false``,
+    ``val_fraction > 0|= 0``); a run reads the key when each group, unless
+    None or left off, meets its part."""
 
     attr: str
     parse: Callable[[str], object]
@@ -173,7 +174,8 @@ class ExperimentConfig:
     eta_s: float | None = _key("server", 0.01, _parse_eta_s, _ALL, None, _SOLVED, flag="--eta-s")
     t_max: int = _key("server", 2000, int, _ALL, None, _SOLVED, flag="--t-max")
     stop_tol: float = _key("server", 1e-10, float, _ALL, None, _SOLVED)
-    val_every: int = _key("server", 100, int, _CLASSIFY, None, _SOLVED)
+    val_every: int = _key("server", 100, int, _CLASSIFY, None, _SOLVED, None,
+                          ("val_fraction > 0",))
     methods: list[str] = _key("run", [agg.METHOD_FEDAVG, agg.METHOD_DIAG], _parse_list, _ALL,
                               flag="--methods")
     seeds: list[int] = _key("run", list(range(5)), _parse_int_list, _ALL, flag="--seed-list")
@@ -285,7 +287,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat an entry, got {values}")
     parts = (("on data kind", [cfg.data_kind]), ("with methods", cfg.methods),
-             ("and", [f"compress = {str(cfg.compress).lower()}"]))
+             ("and", [f"compress = {str(cfg.compress).lower()}"]),
+             ("and", ["val_fraction > 0" if cfg.val_fraction > 0 else "val_fraction = 0"]))
     for (section, key), spec in _CONFIG_KEYS.items():
         tasks, *groups = spec.readers
         misses = [f" {part} {', '.join(names)}" for (part, names), group in zip(parts, groups)

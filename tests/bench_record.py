@@ -12,10 +12,11 @@ in a subprocess from the root of the checkout, and writes
 ``BENCH_<workload>.json`` there. A record holds the command, the output of
 ``git describe --always --dirty`` (the tree that was measured), the run's
 ``env`` line, its final JSON line (``correct``, ``attempted``, ``failed`` and
-the end-to-end ``metrics``), and a ``history`` list, which is carried over
-unchanged from the file it replaces: earlier measurements, each with the
-commit it measured, its ``run_s`` and a note saying how it was taken. A
-change that claims a gain adds its before and after runs there.
+the end-to-end ``metrics``), and a ``history`` list: the history of the
+file it replaces, with this run appended. Each entry holds the commit it
+measured, its ``run_s`` and a note saying how it was taken (for a recorded
+run, its command). A change that claims a gain adds its before and after
+medians there too.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def record(workload: str) -> dict:
                               capture_output=True, text=True, check=True).stdout.strip()
     path = ROOT / f"BENCH_{workload}.json"
     history = json.loads(path.read_text())["history"] if path.is_file() else []
+    history.append({"commit": describe, "run_s": round(result["metrics"]["run_s"]["value"], 2),
+                    "note": f"one run, {' '.join(command(workload))}"})
     return {"workload": workload, "command": command(workload), "describe": describe,
             "env": env, "result": result, "history": history}
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oneshot_fl import aggregate, cli, models
+from oneshot_fl import aggregate, cli, fisher, models
 from oneshot_fl.aggregate import (
     ClientUpdate,
     METHOD_FEDAVG,
@@ -796,6 +796,47 @@ class TestSummedCurvatureMatchesReference:
         for _ in range(5):
             v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
             assert np.array_equal(op.matvec(v), _summed_matvec_reference(op, pairs, v))
+
+    @staticmethod
+    def _small_clients(rng, ns):
+        """K-FAC payloads of an MLP on ``ns`` examples each, as kfac_fisher
+        builds them: input factors of 41 and 17 rows, rank <= n plus damping."""
+        model = models.init_mlp([40, 16, 3], seed=14)
+        return [fisher.kfac_fisher(model, rng.random((n, 40))) for n in ns]
+
+    def test_thin_payloads_match_reference(self):
+        rng = np.random.default_rng(14)
+        ns = (5, 12, 30)
+        fishers = self._small_clients(rng, ns)
+        d = fishers[0].dim
+        fishers.append(DiagFisher(rng.random(d)))
+        updates = [ClientUpdate(rng.standard_normal(d), f, n)
+                   for f, n in zip(fishers, ns + (9,))]
+        pairs = list(zip(aggregate._coefficients(updates), fishers))
+        op = aggregate._SummedCurvature(pairs, d, [u.n_examples for u in updates])
+        # Thin where the rank n fits 2n < dim: n = 5 and 12 on the first
+        # layer, n = 5 on the second; the rest are applied per client.
+        assert [block.lt.shape for block in op.thin] == [(17, 41), (5, 17)]
+        assert len(op.kfacs) == 3
+        for _ in range(5):
+            v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
+            want = _summed_matvec_reference(op, pairs, v)
+            assert np.linalg.norm(op.matvec(v) - want) <= 1e-12 * np.linalg.norm(want)
+        rows = rng.standard_normal((4, d))
+        want = np.array([_summed_matvec_reference(op, pairs, row) for row in rows])
+        assert np.linalg.norm(op.apply_rows(rows) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_thin_payloads_alone_take_lambda_max_from_power_iteration(self):
+        rng = np.random.default_rng(15)
+        fishers = self._small_clients(rng, (4, 6))
+        d = fishers[0].dim
+        updates = [ClientUpdate(rng.standard_normal(d), f, n) for f, n in zip(fishers, (4, 6))]
+        op = aggregate._merge_problem(updates)[1]
+        assert op.thin and not op.kfacs
+        dense = sum(c * np.vstack([fisher_matvec(f, e) for e in np.eye(d)])
+                    for c, f in zip(aggregate._coefficients(updates), fishers))
+        lam = fedfisher_solve(updates, ServerConfig(t_max=0)).lambda_max
+        assert lam == pytest.approx(np.linalg.eigvalsh(dense)[-1], rel=1e-5)
 
     def test_dense_sum_matches_summing_whole_matrices(self):
         rng = np.random.default_rng(12)

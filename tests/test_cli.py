@@ -382,6 +382,21 @@ class TestValidation:
         build_config("one-shot", cli._parser().parse_args(
             argv + ["--methods", f"{methods},fedfisher-diag"]))
 
+    def test_val_every_unread_without_validation_split(self, tmp_path, capsys):
+        # With val_fraction = 0 the solver gets no val_fn: val_every = 5 wrote
+        # the bytes of the run without it.
+        path, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        argv = ["one-shot", "--config", str(path), "--seed-list", "0", "--methods",
+                "fedavg,fedfisher-diag", "--n-train", "300", "--n-test", "50", "--epochs", "1",
+                "--t-max", "20", "--no-timing", "--out", str(out)]
+        path.write_text("[data]\nval_fraction = 0\n[server]\nval_every = 5\n")
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert ("task one-shot and val_fraction = 0 does not read [server] val_every; leave it "
+                "at its default 100") in capsys.readouterr().err
+        assert not out.exists()
+        path.write_text("[data]\nval_fraction = 0.2\n[server]\nval_every = 5\n")
+        build_config("one-shot", cli._parser().parse_args(argv))
+
     def test_s_q_accepted_where_read(self):
         validate_config(replace(default_config("one-shot"), s_q=8,
                                 methods=[agg.METHOD_FEDAVG, agg.METHOD_KFAC]))
@@ -514,7 +529,7 @@ def _unread_by_fedavg(task: str, spec) -> bool:
     """Whether a fedavg-only run of ``task`` at its default ``compress``
     leaves the key unread by its task, its methods or its ``compress``
     (the data kinds are checked on their own)."""
-    tasks, _, methods, compress = spec.readers + (None,) * (4 - len(spec.readers))
+    tasks, _, methods, compress = (spec.readers + (None,) * 3)[:4]
     on = f"compress = {str(default_config(task).compress).lower()}"
     return (task not in tasks or methods is not None and agg.METHOD_FEDAVG not in methods
             or compress is not None and on not in compress)
@@ -536,7 +551,8 @@ def _readme_table(header: str) -> list[tuple[tuple[str, str], tuple]]:
     """(key, readers) for every key in README's table under ``header``, with
     "every task" and "every task but ..." spelled out as task lists. A
     ", when `methods` has ..." condition adds the methods named, or with
-    "but" every other method, and ``compress = true`` when it names it."""
+    "but" every other method, and ``compress = true`` or ``val_fraction > 0``
+    when it names them."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     body = readme.split(f"\n{header}\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     entries = []
@@ -552,7 +568,11 @@ def _readme_table(header: str) -> list[tuple[tuple[str, str], tuple]]:
             if " but " in when:
                 methods = [m for m in agg.VALID_METHODS if m not in methods]
             groups += (None, sorted(methods))
-            groups += (["compress = true"],) if "`compress = true`" in when else ()
+            conditions = [[c] if f"`{c}`" in when else None
+                          for c in ("compress = true", "val_fraction > 0")]
+            while conditions and conditions[-1] is None:
+                conditions.pop()
+            groups += tuple(conditions)
         for section, group in re.findall(r"`\[(\w+)\] ([\w ]+)`", keys):
             entries.extend(((section, key), groups) for key in group.split())
     return entries

@@ -14,7 +14,9 @@ from oneshot_fl.fisher import (
     fisher_matvec,
     full_fisher_two_layer,
     kfac_fisher,
+    thin_input_factor,
 )
+from oneshot_fl.compress import compress_kfac, decompress_kfac
 from oneshot_fl.models import (
     LOSS_SOFTMAX,
     LOSS_SQUARED,
@@ -220,6 +222,67 @@ class TestKfacFisher:
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
             kfac_fisher(init_mlp([2, 2], seed=0), np.eye(2), damping=-1.0)
+
+
+class TestThinInputFactor:
+    """A raw input factor of n examples is delta I plus a Gram part of rank
+    <= n; the pivoted Cholesky recovers both from the factor alone."""
+
+    @staticmethod
+    def _input_factor(n, damping=DEFAULT_KFAC_DAMPING, in_dim=60, seed=40):
+        model = init_mlp([in_dim, 8, 3], seed=seed)
+        x = np.random.default_rng(seed + 1).random((n, in_dim))
+        return kfac_fisher(model, x, damping=damping).layers[0].a  # (in_dim + 1) square
+
+    @pytest.mark.parametrize("damping", [DEFAULT_KFAC_DAMPING, 1e-2, 0.0])
+    @pytest.mark.parametrize("n", [1, 12, 30])  # 2n < 61
+    def test_reproduces_damped_gram_factor(self, damping, n):
+        a = self._input_factor(n, damping)
+        delta, lt = thin_input_factor(a, n, damping)
+        assert lt.shape == (n, a.shape[0])
+        added = a - self._input_factor(n, 0.0)  # the damping kfac_fisher added
+        assert delta == pytest.approx(added[0, 0], rel=1e-12, abs=0.0)
+        rebuilt = lt.T @ lt
+        rebuilt.flat[:: a.shape[0] + 1] += delta
+        assert np.abs(rebuilt - a).max() <= 1e-13 * np.abs(a).max()
+
+    def test_rows_written_into_the_given_buffer(self):
+        a = self._input_factor(12)
+        out = np.full((20, a.shape[0]), np.nan)
+        delta, lt = thin_input_factor(a, 12, out=out)
+        assert np.shares_memory(lt, out) and lt.shape[0] == 12
+        assert np.array_equal(lt, thin_input_factor(a, 12)[1])
+        assert np.isnan(out[12:]).all()
+
+    def test_full_rank_factor_is_not_thin(self):
+        g = np.random.default_rng(42).standard_normal((9, 9))
+        assert thin_input_factor(g @ g.T, 100) is None
+
+    def test_decoded_compressed_factor_is_not_thin(self):
+        a = self._input_factor(12)
+        b = np.eye(3)
+        assert thin_input_factor(a, 12) is not None
+        decoded = decompress_kfac(compress_kfac(KFACFisher([KFACLayer(a, b)]), 4, [3]))
+        assert thin_input_factor(decoded.layers[0].a, 12) is None
+
+    def test_rank_above_the_bound_is_not_thin(self):
+        a = self._input_factor(12)
+        assert thin_input_factor(a, 11) is None
+        assert thin_input_factor(a, 12) is not None
+
+    def test_rank_cap_keeps_the_thin_form_cheaper(self):
+        # 40 examples give rank 40, above (61 - 1) // 2 = 30 whatever the bound.
+        assert thin_input_factor(self._input_factor(40), 40) is None
+
+    def test_asymmetric_or_nonfinite_factor_is_not_thin(self):
+        a = self._input_factor(12)
+        skew = a.copy()
+        skew[0, 1] += 1e-9
+        assert thin_input_factor(skew, 12) is None
+        for bad in (np.nan, np.inf):
+            broken = a.copy()
+            broken[3, 3] = bad
+            assert thin_input_factor(broken, 12) is None
 
 
 class TestInPlaceBuild:
