@@ -12,10 +12,10 @@ Modules: ``numerics`` (power iteration, Kronecker matvec),
 ``datasets`` (synthetic tasks, Dirichlet partitioning, IDX/CSV ingestion),
 ``models`` (two-layer relu nets, MLPs, SGD), ``fisher`` (curvature
 payloads), ``aggregate`` (server merging; gradient descent on dense
-curvature is read off the Ritz pairs of a block Krylov basis, whose largest
-Ritz value is its lambda_max), ``compress`` (codecs and bit accounting),
-``cli`` (the client round, whose one uplink per client is charged
-``compress.bit_cost`` of what the server receives, and the experiment
+curvature is read off the exact eigenpairs of the clients' stacked Gram
+factors, whose largest eigenvalue is its lambda_max), ``compress`` (codecs
+and bit accounting), ``cli`` (the client round, whose one uplink per client
+is charged ``compress.bit_cost`` of what the server receives, and the experiment
 runners built on it; every runner but ``compress-bench``, which sweeps the
 codec's s_q, honours ``compress``). ``python -m oneshot_fl`` runs the
 ``oneshot-fl`` command.

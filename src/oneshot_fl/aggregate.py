@@ -22,24 +22,26 @@ eta * lambda * t >> 1 reach the minimizer; flat ones keep the mean. So
 returned merge is this filtered mean, not the minimizer of the objective.
 The loss trend over width in the synthetic sweep comes from it.
 
-When the summed curvature has a dense part, gradient descent does not step
-at all. A block Krylov basis, grown from g0 and KRYLOV_BLOCK - 1 fixed
-Gaussian directions by applying F to KRYLOV_BLOCK rows at a time, spans an
-F-invariant subspace that holds g0; its dimension is about rank(F) plus the
-block, whatever t_max is. The Ritz pairs of F in that basis give every W_t,
-the stop test, the objective and the validation iterates, and the largest
-Ritz value is lambda_max, so no power iteration runs. On trained width-sweep
-merges (widths 32-512, seed 0) the weights differ from the step-by-step
-loop's by at most 1.5e-15 relative at eta_s = 0.001, t_max = 1000 and 7.8e-13
-at the auto step with t_max = 10 000, and another start-block seed moves
-them by at most 1.3e-12. Adam, and gradient descent on diagonal or K-FAC
-curvature, run the step-by-step loop: a basis of length-d vectors would
-outgrow their O(d) payloads, while a dense payload already holds d * d
-numbers. On diagonal curvature alone GD's lambda_max is the largest entry of
-the summed diagonal, exact and without applying the operator; only K-FAC
+When the summed curvature has a dense part and no K-FAC blocks, gradient
+descent does not step at all. A dense payload is a Gram matrix
+F_i = L_i^T L_i of rank at most n_i, and :func:`fisher.gram_factor` recovers
+L_i from it, dropping a remainder whose diagonal is at most THIN_FACTOR_TOL
+of F_i's largest diagonal entry; a diagonal payload beside it is its own
+such factor, and a payload with no such factor (not symmetric positive
+semidefinite) is an error. One thin SVD of the stacked rows
+sqrt(c_i) L_i = U diag(s) q gives the eigenpairs of the summed curvature,
+F = q^T diag(theta) q with theta = s^2 >= 0. They give every W_t, the stop
+test, the objective and the validation iterates, and the largest theta is
+lambda_max, so no power iteration runs. On trained
+width-sweep merges (widths 32-512, seed 0) the weights differ from the
+step-by-step loop's by at most 1.5e-15 relative at eta_s = 0.001,
+t_max = 1000 and 4.4e-13 at the auto step with t_max = 10 000. Adam, and
+gradient descent on diagonal or K-FAC curvature, run the step-by-step loop.
+On diagonal curvature alone GD's lambda_max is the largest entry of the
+summed diagonal, exact and without applying the operator; only K-FAC
 curvature takes it from a power iteration.
 
-The Krylov path's stop test costs O(k) for k Ritz values when it cannot
+The dense path's stop test costs O(k) for k eigenvalues when it cannot
 fire by t_max, not O(k t_max). While eta * lambda_max <= 2, the step norm
 eta |(1 - eta theta)^(t-1) z| does not grow with t, and |W_t| is at most a
 closed-form bound from filt_t(theta) <= min(eta t, 2 / theta) that does not
@@ -49,10 +51,11 @@ on the width-sweep and steps-sweep configs it decides so and nothing is
 swept. Otherwise, and always above eta * lambda_max = 2, where gradient
 descent diverges, every t up to the first hit is evaluated.
 
-Dense and diagonal parts of the operator are pre-summed; K-FAC payloads
-cannot be, since a sum of Kronecker products is not one. A client's raw
+Diagonal parts of the operator are pre-summed, and a dense part is applied
+as q^T (theta * q v), so no d x d matrix is summed; K-FAC payloads cannot
+be pre-summed, since a sum of Kronecker products is not one. A client's raw
 input factor is its damping floor delta_i I plus a Gram part of rank r <= n_i,
-its example count. Where 2r < dim, the operator applies it in that form
+its example count. Where 2 n_i < dim, the operator applies it in that form
 (:func:`fisher.thin_input_factor` recovers both): per layer the floors are
 pre-summed into sum_i c_i delta_i B_i and the low-rank factors of all such
 clients are stacked in one buffer, so a step costs 4 * out * dim * r per
@@ -70,7 +73,7 @@ from typing import Callable
 import numpy as np
 
 from .fisher import (DiagFisher, FisherApprox, FullFisher, KFACFisher, fisher_matvec,
-                     thin_input_factor)
+                     gram_factor, thin_input_factor)
 from .numerics import kron_matvec, power_iteration_max_eig
 
 METHOD_FEDAVG = "fedavg"
@@ -87,24 +90,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.99
 ADAM_EPS = 0.01
 
-# Rows of the Krylov basis's start block, and the seed of its KRYLOV_BLOCK - 1
-# Gaussian rows beside g0. Each block of rows reads the dense curvature once.
-KRYLOV_BLOCK = 16
-_KRYLOV_SEED = 0xB10C
-# The Krylov basis ends at an invariant subspace once no direction of a new
-# block, reorthogonalized against the basis, keeps a singular value above this
-# fraction of the largest row norm of F times a basis block so far. Once the
-# space is exhausted, that remainder is rounding noise, at most 2e-15 of the
-# scale on trained width-sweep merges (widths 128 and 512), while the smallest
-# direction they kept measured 6e-13. A dropped remainder of size r moves the
-# t-step iterate by at most eta * t * r times its distance from the mean.
-LANCZOS_BREAKDOWN = 1e-14
-# Steps times Ritz values evaluated at once when sweeping the stop test, and
-# entries per chunk when summing dense curvature; bounds that scratch memory
-# at a few 256 KiB blocks.
+# Steps times eigenvalues evaluated at once when sweeping the stop test;
+# bounds that scratch memory at a few 256 KiB blocks.
 _SWEEP_BLOCK = 1 << 15
 # Relative widening of the bound that rules out a stop by t_max: far above
-# the rounding of a norm over k <= d Ritz coordinates (about k ulp), far
+# the rounding of a norm over k <= d eigencoordinates (about k ulp), far
 # below what lets that test pass where the stop test could not hold.
 _BOUND_SLACK = 1e-6
 
@@ -138,7 +128,7 @@ class MergeResult:
     diverged: bool = False
     step_warning: bool = False
     residual: float = float("nan")
-    lambda_max: float = float("nan")  # GD only: Ritz value, diagonal entry or power iteration
+    lambda_max: float = float("nan")  # GD only: exact eigenvalue, or power iteration on K-FAC
     objective_trace: list[float] | None = None
 
 
@@ -201,12 +191,17 @@ class _ThinBlock:
 
 
 class _SummedCurvature:
-    """Applies sum_i c_i F_i, pre-summing dense and diagonal parts.
+    """Applies sum_i c_i F_i.
 
-    A K-FAC input factor A_i that :func:`fisher.thin_input_factor` splits
-    into its floor delta_i I and L_i L_i^T, of rank r <= n_i with 2r < dim,
-    joins its layer's :class:`_ThinBlock`, where the floors are pre-summed
-    and a matvec costs 4 * out * dim * r per client instead of
+    Dense payloads, and diagonal ones in a merge that holds a dense one, are
+    held as ``eig`` = (q, theta), the eigenpairs of their weighted sum from
+    one thin SVD of the stacked Gram factors sqrt(c_i) L_i
+    (:func:`fisher.gram_factor`, floor 0); a payload that has no such factor
+    raises ValueError naming its client. Other diagonal payloads are
+    pre-summed. A K-FAC input factor A_i that :func:`fisher.thin_input_factor`
+    splits into its floor delta_i I and L_i L_i^T, of rank r <= n_i with
+    2 n_i < dim, joins its layer's :class:`_ThinBlock`, where the floors are
+    pre-summed and a matvec costs 4 * out * dim * r per client instead of
     2 * out * dim^2. Every other K-FAC layer is applied per client by
     ``kron_matvec``, each product scaled and added into its slice of the
     output. ``rank_bounds`` holds each client's n_i, its example count; None
@@ -216,25 +211,19 @@ class _SummedCurvature:
     def __init__(self, pairs: list[tuple[float, FisherApprox]], dim: int,
                  rank_bounds: list[int] | None = None):
         self.dim = dim
-        self.dense: np.ndarray | None = None
+        self.eig: tuple[np.ndarray, np.ndarray] | None = None  # (q, theta)
         self.diag: np.ndarray | None = None
         self.kfacs: list[tuple[float, slice, np.ndarray, np.ndarray]] = []  # (c_i, slice, A, B)
         self.thin: list[_ThinBlock] = []
+        grams, diags = [], []  # (client, c_i, matrix, n_i) and (client, c_i, diagonal)
         # (slice, dim A, dim B) -> (c_i, A, B, n_i) of every client's layer there
         layers: dict[tuple[int, int, int], list] = {}
         bounds = rank_bounds or [dim] * len(pairs)
-        for (coef, f), bound in zip(pairs, bounds, strict=True):
+        for i, ((coef, f), bound) in enumerate(zip(pairs, bounds, strict=True)):
             if isinstance(f, FullFisher):
-                if self.dense is None:
-                    self.dense = np.multiply(f.matrix, coef, dtype=np.float64)
-                else:  # a few rows at a time: no (d, d) temporary per client
-                    rows = max(1, _SWEEP_BLOCK // dim)
-                    for lo in range(0, dim, rows):
-                        self.dense[lo:lo + rows] += coef * f.matrix[lo:lo + rows]
+                grams.append((i, coef, f.matrix, bound))
             elif isinstance(f, DiagFisher):
-                if self.diag is None:
-                    self.diag = np.zeros(dim)
-                self.diag += coef * f.diag
+                diags.append((i, coef, f.diag))
             elif isinstance(f, KFACFisher):
                 offset = 0
                 for layer in f.layers:
@@ -243,13 +232,38 @@ class _SummedCurvature:
                     offset += key[1] * key[2]
             else:
                 raise ValueError(f"unknown curvature variant {type(f).__name__}")
+        if grams:
+            grams += [(i, coef, np.diag(diag), dim) for i, coef, diag in diags]
+            self.eig = self._eigenpairs(grams, dim)
+        elif diags:
+            self.diag = np.zeros(dim)
+            for _, coef, diag in diags:
+                self.diag += coef * diag
         for (offset, dim_a, dim_b), clients in layers.items():
             self._add_layer(slice(offset, offset + dim_a * dim_b), dim_a, dim_b, clients)
+
+    @staticmethod
+    def _eigenpairs(grams: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """(q, theta) with sum_i c_i F_i = q^T diag(theta) q, theta descending."""
+        rows = []
+        for i, coef, matrix, bound in grams:
+            # A payload of n_i examples has rank <= n_i: try that many pivots
+            # (and rows of memory) before allowing one per coordinate.
+            for cap in (min(bound, dim), dim):
+                lt = gram_factor(matrix, 0.0, cap)
+                if lt is not None:
+                    break
+            else:
+                raise ValueError(f"client {i} curvature is not symmetric positive semidefinite")
+            lt *= np.sqrt(coef)
+            rows.append(lt)
+        s, q = np.linalg.svd(np.vstack(rows), full_matrices=False)[1:]
+        return q, s**2
 
     def _add_layer(self, sl: slice, dim_a: int, dim_b: int, clients: list) -> None:
         """Sort one layer's clients into its thin block and the per-client list."""
         # Room for the most pivots thin_input_factor may take per client.
-        lt = np.empty((sum(min(n, (dim_a - 1) // 2) for *_, n in clients), dim_a))
+        lt = np.empty((sum(n for *_, n in clients if 2 * n < dim_a), dim_a))
         floor_t = np.zeros((dim_b, dim_b))
         mixes = []
         rows = 0
@@ -267,30 +281,18 @@ class _SummedCurvature:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        if self.dense is not None:
-            out += self.dense @ v
+        if self.eig is not None:
+            q, theta = self.eig
+            out += q.T @ (theta * (q @ v))
         if self.diag is not None:
             out += self.diag * v
-        self._add_kfacs(out, v)
-        return out
-
-    def apply_rows(self, v: np.ndarray) -> np.ndarray:
-        """The operator applied to every row of ``v`` at once: v @ F, as F is
-        symmetric, so the dense part is read once per block of rows."""
-        out = v @ self.dense if self.dense is not None else np.zeros_like(v)
-        if self.diag is not None:
-            out += self.diag * v
-        for row, src in zip(out, v):
-            self._add_kfacs(row, src)
-        return out
-
-    def _add_kfacs(self, out: np.ndarray, v: np.ndarray) -> None:
         for coef, sl, a, b in self.kfacs:
             r = kron_matvec(a, b, v[sl])
             r *= coef
             out[sl] += r
         for block in self.thin:
             block.add_to(out, v)
+        return out
 
 
 def _merge_problem(updates: list[ClientUpdate]):
@@ -324,80 +326,20 @@ def _landweber(theta: np.ndarray, eta: float, t) -> tuple[np.ndarray, np.ndarray
     return decay, np.where(theta == 0.0, eta * t, filt)
 
 
-def _orthonormal_rows(c: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal rows spanning the rows of ``c``, already projected off the
-    row space of ``q`` (orthonormal rows), less every direction whose singular
-    value is at most ``tol``; reorthogonalized against ``q``."""
-    frame, r = np.linalg.qr(c.T)
-    u, s, _ = np.linalg.svd(r)  # the singular values of c, from a small matrix
-    cols = frame @ u[:, s > tol]
-    if not cols.shape[1]:
-        return cols.T
-    cols -= q.T @ (q @ cols)  # normalizing a small remainder magnified its error along q
-    return np.linalg.qr(cols)[0].T
-
-
-def _block_krylov(apply_rows, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, theta, s): orthonormal rows q spanning the smallest F-invariant
-    subspace that holds g0 and KRYLOV_BLOCK - 1 fixed Gaussian directions,
-    and the Ritz pairs q F q^T = s diag(theta) s^T, theta ascending.
-
-    ``apply_rows`` maps a block of rows v to v @ F, so F is read once per
-    block. Each new block is F times the last one, fully reorthogonalized;
-    the basis is complete when no direction of a new block survives the
-    LANCZOS_BREAKDOWN test, or when it holds d rows. The Gaussian rows make
-    theta[-1] the largest eigenvalue of F whatever g0 is, g0 = 0 included.
-    """
-    d = g0.size
-    rng = np.random.default_rng(_KRYLOV_SEED)
-    start = np.vstack([g0, rng.standard_normal((KRYLOV_BLOCK - 1, d))])
-    norms = np.linalg.norm(start, axis=1)
-    live = norms > 0.0  # g0 = 0 has no direction
-    start = start[live] / norms[live, None]
-    basis = np.empty((min(2 * KRYLOV_BLOCK, d), d))  # doubled as it fills
-    block = _orthonormal_rows(start, basis[:0], LANCZOS_BREAKDOWN)
-    k, scale = 0, 0.0
-    coupling: list[np.ndarray] = []  # per block: its rows of q F q^T up to the diagonal
-    while block.shape[0]:
-        lo, k = k, k + block.shape[0]
-        if k > basis.shape[0]:
-            grown = np.empty((min(2 * k, d), d))
-            grown[:lo] = basis[:lo]
-            basis = grown
-        basis[lo:k] = block
-        v = apply_rows(basis[lo:k])
-        scale = max(scale, float(np.linalg.norm(v, axis=1).max()))
-        h = v @ basis[:k].T
-        coupling.append(h)
-        if k == d:
-            break
-        v -= h @ basis[:k]
-        block = _orthonormal_rows(v, basis[:k], LANCZOS_BREAKDOWN * scale)[: d - k]
-    t = np.zeros((k, k))
-    lo = 0
-    for h in coupling:
-        t[lo:lo + h.shape[0], :h.shape[1]] = h
-        lo += h.shape[0]
-    theta, s = np.linalg.eigh(t, UPLO="L")  # the lower triangle is the filled one
-    return basis[:k], theta, s
-
-
 class _KrylovGD:
     """Every fixed-step GD iterate W_t = W0 - filt_t(F) g0, t <= t_max, from
-    a basis q of an F-invariant subspace holding g0 (:func:`_block_krylov`).
+    the eigenpairs F = q^T diag(theta) q of :class:`_SummedCurvature`.
 
-    With q F q^T = S diag(theta) S^T and z = S^T q g0, the iterate is
-    W_t = W0 - q^T S (filt_t(theta) z) and the objective at W_t is
-    f(W0) - sum_j filt_2t(theta_j) z_j^2, for every t.
+    With z = q g0, the iterate is W_t = W0 - q^T (filt_t(theta) z) and the
+    objective at W_t is f(W0) - sum_j filt_2t(theta_j) z_j^2, for every t.
     """
 
-    def __init__(self, basis, g0: np.ndarray, w0: np.ndarray, eta: float, t_max: int):
-        self.q, self.theta, self.ritz = basis
+    def __init__(self, eig, g0: np.ndarray, w0: np.ndarray, eta: float, t_max: int):
+        self.q, self.theta = eig
         self.w0, self.eta, self.t_max = w0, eta, t_max
-        self.z = self.ritz.T @ (self.q @ g0)
-        coords = self.q @ w0
-        self.a = self.ritz.T @ coords  # W0's part inside the basis, in Ritz coordinates
-        self.perp2 = float(np.sum((w0 - self.q.T @ coords) ** 2))
+        self.z = self.q @ g0
+        self.a = self.q @ w0  # W0's part in the row space of q
+        self.perp2 = float(np.sum((w0 - self.q.T @ self.a) ** 2))
 
     def _blocks(self, stop: int):
         rows = max(1, _SWEEP_BLOCK // max(self.theta.size, 1))
@@ -406,7 +348,7 @@ class _KrylovGD:
 
     def weights(self, t: int) -> np.ndarray:
         filt = _landweber(self.theta, self.eta, t)[1]
-        return self.w0 - self.q.T @ (self.ritz @ (filt * self.z))
+        return self.w0 - self.q.T @ (filt * self.z)
 
     def _step_norm(self, t: int) -> float:
         """|eta g_(t-1)|, the norm of step t."""
@@ -418,7 +360,7 @@ class _KrylovGD:
         (iterations, converged, diverged) of its first hit, or None."""
         for s in self._blocks(stop):
             with np.errstate(over="ignore", invalid="ignore"):  # also 0 * inf at stop_tol = 0
-                grad = _landweber(self.theta, self.eta, s)[0] * self.z  # g_(t-1), Ritz coordinates
+                grad = _landweber(self.theta, self.eta, s)[0] * self.z  # g_(t-1), eigencoordinates
                 step = self.eta * np.sqrt(np.sum(grad**2, axis=1))
                 filt = _landweber(self.theta, self.eta, s + 1)[1]
                 norm_w = np.sqrt(self.perp2 + np.sum((self.a - filt * self.z) ** 2, axis=1))
@@ -435,10 +377,9 @@ class _KrylovGD:
         |eta g_(t-1)| <= stop_tol (1 + |W_t|); divergence, as in the loop, is
         the first step whose norm or iterate norm overflows.
 
-        While eta * theta <= 2 the step norm does not grow with t, up to a
-        factor ``growth`` from Ritz values that rounding left slightly
-        negative, and filt_t(theta) <= growth * min(eta t, 2 / |theta|)
-        bounds |W_t| from above, a bound that grows with t. So if the step
+        While eta * theta <= 2 the step norm does not grow with t, as
+        theta >= 0, and filt_t(theta) <= min(eta t, 2 / theta) bounds |W_t|
+        from above, a bound that grows with t. So if the step
         norm at t_max is above that bound's tolerance at t_max, widened by
         _BOUND_SLACK against rounding, the test holds at no t <= t_max and
         nothing is swept. Otherwise, and always above eta * theta = 2, where
@@ -446,14 +387,13 @@ class _KrylovGD:
         evaluated.
         """
         t_max, eta = self.t_max, self.eta
-        if eta * self.theta[-1] <= 2.0:
-            growth = np.exp(t_max * np.log1p(eta * max(0.0, -float(self.theta[0]))))
+        if eta * self.theta.max(initial=0.0) <= 2.0:
             with np.errstate(divide="ignore"):
-                filt = growth * np.minimum(eta * t_max, 2.0 / np.abs(self.theta))
+                filt = np.minimum(eta * t_max, 2.0 / self.theta)
             w_bound = np.sqrt(self.perp2 + (np.linalg.norm(self.a)
                                             + np.linalg.norm(filt * self.z)) ** 2)
-            tol = stop_tol * (1.0 + w_bound) * growth * (1.0 + _BOUND_SLACK)
-            if (np.isfinite(growth * self._step_norm(1) + w_bound)
+            tol = stop_tol * (1.0 + w_bound) * (1.0 + _BOUND_SLACK)
+            if (np.isfinite(self._step_norm(1) + w_bound)
                     and not self._step_norm(t_max) <= tol):
                 return t_max, False, False
         return self._sweep(t_max, stop_tol) or (t_max, False, False)
@@ -486,13 +426,14 @@ def fedfisher_solve(
     One loop serves both step rules of ``cfg.optimizer``: ``"gd"`` steps by
     eta * g, ``"adam"`` by the bias-corrected Adam update. Stops when the
     step norm falls below stop_tol * (1 + |W|) or after t_max steps. GD on
-    curvature with a dense part takes no steps: :class:`_KrylovGD` evaluates
-    the same iterates, stop test, objectives and validation choice from the
-    Ritz pairs of a block Krylov basis, and lambda_max is the largest Ritz
-    value; GD on diagonal curvature alone takes the largest entry of the
-    summed diagonal, and GD on curvature with K-FAC blocks a power
-    iteration. GD with cfg.eta_s=None steps by 1 / (1.01 * lambda_max); a
-    manual GD step larger than 1 / lambda_max sets ``step_warning``, and so
+    curvature with a dense part and no K-FAC blocks takes no steps:
+    :class:`_KrylovGD` evaluates the same iterates, stop test, objectives
+    and validation choice from the exact eigenpairs of the summed
+    curvature, and lambda_max is the largest eigenvalue; GD on diagonal
+    curvature alone takes the largest entry of the summed diagonal, and GD
+    on curvature with K-FAC blocks a power iteration. GD with cfg.eta_s=None
+    steps by 1 / (1.01 * lambda_max); a manual GD step larger than
+    1 / lambda_max sets ``step_warning``, and so
     does a power iteration that did not converge: its estimate may lie below
     lambda_max, so even the auto step may be too large. Adam
     needs no lambda_max, so its ``lambda_max`` stays NaN. With
@@ -513,16 +454,14 @@ def fedfisher_solve(
     trace: list[float] | None = [] if record_objective else None
 
     lam = float("nan")
-    warning = False
-    basis = None
+    warning = spectral = False
     if cfg.optimizer == "gd":
-        if op.dense is not None:
-            g0 = op.matvec(w) - b
-            basis = _block_krylov(op.apply_rows, g0)
-            lam = float(basis[1][-1])
-        elif op.kfacs or op.thin:
+        if op.kfacs or op.thin:
             power = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000)
             lam, warning = power.value, not power.converged  # unconverged: may lie below lambda_max
+        elif op.eig is not None:
+            spectral = True
+            lam = float(op.eig[1].max(initial=0.0))
         else:  # a diagonal operator's largest eigenvalue is its largest entry
             lam = float(op.diag.max())
         if cfg.eta_s is None and lam <= 0.0:
@@ -550,8 +489,9 @@ def fedfisher_solve(
 
     iterations = 0
     converged = diverged = False
-    if basis is not None:
-        path = _KrylovGD(basis, g0, w, eta, cfg.t_max)
+    if spectral:
+        g0 = op.matvec(w) - b
+        path = _KrylovGD(op.eig, g0, w, eta, cfg.t_max)
         iterations, converged, diverged = path.run(cfg.stop_tol)
         if trace is not None:
             trace.extend(path.objectives(iterations + diverged,

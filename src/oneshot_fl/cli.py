@@ -491,9 +491,11 @@ def train_round(data: datasets.FederatedDataset, starts: list, train_cfg: models
     return Round(data, trained)
 
 
-def merge_round(rnd: Round, method: str, codec: Codec | None,
-                server_cfg: agg.ServerConfig) -> tuple[np.ndarray, int]:
-    """Merge one :func:`client_update` per client of ``rnd``: (weights, bits)."""
+def merge_round(rnd: Round, method: str, codec: Codec | None, server_cfg: agg.ServerConfig
+                ) -> tuple[np.ndarray, int, agg.MergeResult | None]:
+    """Merge one :func:`client_update` per client of ``rnd``: (weights, bits,
+    the solver's result, None for a method without one); a diverged solver
+    raises :class:`DivergenceError`."""
     ranks = None
     if codec is not None and _VARIANTS.get(method) == "kfac":
         ranks = _kfac_ranks(rnd.trained[0], codec)
@@ -506,7 +508,7 @@ def merge_round(rnd: Round, method: str, codec: Codec | None,
     merged, result = agg.merge_updates(method, updates, server_cfg)
     if result is not None and result.diverged:
         raise DivergenceError(f"server merge diverged for method {method}")
-    return merged, bits
+    return merged, bits, result
 
 
 @dataclass
@@ -662,11 +664,14 @@ def _run(cfg: ExperimentConfig) -> list[ResultRow]:
 
     A row's time is its round's measured training (summed over ``continue``
     points) plus its measured merge; scoring the row is not timed. Its bits
-    sum the uplink over the rounds so far.
+    sum the uplink over the rounds so far. When a solver merge ran out of
+    t_max without meeting its stop test, or set ``step_warning``, one line on
+    stderr counts them.
     """
     clock = _Clock(cfg.timing)
     points = _points(cfg)
     rows = []
+    solved = unconverged = warned = 0
     for seed in cfg.seeds:
         run = _setup(cfg, seed)
 
@@ -693,13 +698,20 @@ def _run(cfg: ExperimentConfig) -> list[ResultRow]:
                     shared = train([start] * run.data.num_clients, point)
                 rnd, seconds = shared
                 t0 = clock.now()
-                weights, sent = merge_round(rnd, method, point.codec, run.server_cfg)
+                weights, sent, result = merge_round(rnd, method, point.codec, run.server_cfg)
                 seconds += clock.now() - t0
+                if result is not None:
+                    solved += 1
+                    unconverged += not result.converged
+                    warned += result.step_warning
                 last[method] = weights, bits + sent
                 model = models.with_flat_params(rnd.trained[0], weights)
                 loss = models.loss_eval(model, run.data.x, run.data.y)
                 acc = models.accuracy_eval(model, *run.test) if run.test else float("nan")
                 rows.append(ResultRow(seed, method, point.sweep, loss, acc, seconds, bits + sent))
+    if unconverged or warned:
+        print(f"warning: of {solved} solver merges, {unconverged} ran out of t_max = {cfg.t_max} "
+              f"without meeting the stop test and {warned} set step_warning", file=sys.stderr)
     return rows
 
 

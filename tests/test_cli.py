@@ -725,6 +725,36 @@ class TestWidthSweepCommand:
         assert rows[agg.METHOD_FULL].comm_bits == 2 * (16 * d + 32 + 32 * d * d)
 
 
+class TestSolverReport:
+    """One stderr line counts the solver merges that ran out of t_max without
+    meeting the stop test and those that set step_warning."""
+
+    @staticmethod
+    def _run(**server):
+        cfg = replace(default_config("synthetic-width"), widths=[4, 8], seeds=[0],
+                      epochs_or_steps=8, t_max=300, timing=False,
+                      methods=[agg.METHOD_FEDAVG, agg.METHOD_FULL], **server)
+        return cli.run_width_sweep(cfg)
+
+    def test_unconverged_merges_counted(self, capsys):
+        self._run()
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: of 2 solver merges, 2 ran out of t_max = 300 without meeting "
+            "the stop test and 0 set step_warning"]
+
+    def test_step_warnings_counted(self, capsys):
+        # lambda_max is 0.57 and 0.50: a step of 2.5 exceeds 1 / lambda_max
+        # on both merges, not 2 / lambda_max.
+        self._run(eta_s=2.5, stop_tol=1e-2)
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: of 2 solver merges, 0 ran out of t_max = 300 without meeting "
+            "the stop test and 2 set step_warning"]
+
+    def test_no_line_when_every_merge_converged(self, capsys):
+        self._run(stop_tol=1e-2)
+        assert capsys.readouterr().err == ""
+
+
 class TestStepsSweepCommand:
     def test_zero_steps_returns_init(self):
         cfg = replace(default_config("synthetic-steps"), seeds=[0], width=8,

@@ -274,6 +274,17 @@ class TestThinInputFactor:
         # 40 examples give rank 40, above (61 - 1) // 2 = 30 whatever the bound.
         assert thin_input_factor(self._input_factor(40), 40) is None
 
+    def test_bound_above_the_cap_is_refused_before_pivoting(self, monkeypatch):
+        # Rank 5 would thin, but a bound of 31 examples may not: 2 * 31 >= 61.
+        a = self._input_factor(5)
+        assert thin_input_factor(a, 30) is not None
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the bound alone refuses this factor")
+
+        monkeypatch.setattr(fisher, "gram_factor", forbidden)
+        assert thin_input_factor(a, 31) is None
+
     def test_asymmetric_or_nonfinite_factor_is_not_thin(self):
         a = self._input_factor(12)
         skew = a.copy()
@@ -283,6 +294,16 @@ class TestThinInputFactor:
             broken = a.copy()
             broken[3, 3] = bad
             assert thin_input_factor(broken, 12) is None
+
+
+class TestGramFactor:
+    def test_dense_payload_of_n_examples_has_at_most_n_rows(self):
+        # A Gram matrix of rank <= n: its factor, taken with no floor, rebuilds it.
+        model = init_two_layer(16, 3, kappa=1.0, seed=44)
+        f = full_fisher_two_layer(model, np.random.default_rng(45).standard_normal((10, 3)))
+        lt = fisher.gram_factor(f.matrix, 0.0, f.dim)
+        assert lt.shape[0] <= 10
+        assert np.abs(lt.T @ lt - f.matrix).max() <= 1e-13 * np.abs(f.matrix).max()
 
 
 class TestInPlaceBuild:
