@@ -120,14 +120,15 @@ class ServerConfig:
 class MergeResult:
     """What :func:`fedfisher_solve` returns. ``step_warning`` means the GD step
     may exceed 1 / lambda_max: a manual step above 1 / lambda_max, or any step
-    after a power iteration (Kronecker curvature) that did not converge."""
+    after a power iteration (Kronecker curvature) that did not converge.
+    ``objective_trace`` is recorded only when asked, and only it applies the
+    operator to the returned weights."""
 
     weights: np.ndarray
     iterations: int
     converged: bool
     diverged: bool = False
     step_warning: bool = False
-    residual: float = float("nan")
     lambda_max: float = float("nan")  # GD only: exact eigenvalue, or power iteration on K-FAC
     objective_trace: list[float] | None = None
 
@@ -326,7 +327,7 @@ def _landweber(theta: np.ndarray, eta: float, t) -> tuple[np.ndarray, np.ndarray
     return decay, np.where(theta == 0.0, eta * t, filt)
 
 
-class _KrylovGD:
+class _SpectralGD:
     """Every fixed-step GD iterate W_t = W0 - filt_t(F) g0, t <= t_max, from
     the eigenpairs F = q^T diag(theta) q of :class:`_SummedCurvature`.
 
@@ -405,17 +406,6 @@ class _KrylovGD:
                 for v in _landweber(self.theta, self.eta, 2 * s)[1] @ z2]
 
 
-def _scaled_norm(v: np.ndarray) -> float:
-    """2-norm of ``v`` taken on ``v`` scaled by its largest absolute entry,
-    so it is finite for every finite ``v`` whose norm fits in a float, even
-    where the plain sum of squares overflows. inf or NaN entries give inf or
-    NaN."""
-    scale = float(np.max(np.abs(v), initial=0.0))
-    if not 0.0 < scale < np.inf:
-        return scale
-    return scale * float(np.linalg.norm(v / scale))
-
-
 def fedfisher_solve(
     updates: list[ClientUpdate],
     cfg: ServerConfig | None = None,
@@ -427,7 +417,7 @@ def fedfisher_solve(
     eta * g, ``"adam"`` by the bias-corrected Adam update. Stops when the
     step norm falls below stop_tol * (1 + |W|) or after t_max steps. GD on
     curvature with a dense part and no K-FAC blocks takes no steps:
-    :class:`_KrylovGD` evaluates the same iterates, stop test, objectives
+    :class:`_SpectralGD` evaluates the same iterates, stop test, objectives
     and validation choice from the exact eigenpairs of the summed
     curvature, and lambda_max is the largest eigenvalue; GD on diagonal
     curvature alone takes the largest entry of the summed diagonal, and GD
@@ -466,8 +456,7 @@ def fedfisher_solve(
             lam = float(op.diag.max())
         if cfg.eta_s is None and lam <= 0.0:
             # No curvature anywhere: every point is stationary, keep the mean.
-            return MergeResult(w, 0, True, residual=_scaled_norm(op.matvec(w) - b),
-                               lambda_max=lam, objective_trace=trace)
+            return MergeResult(w, 0, True, lambda_max=lam, objective_trace=trace)
         eta = 1.0 / (1.01 * lam) if cfg.eta_s is None else cfg.eta_s
         warning = warning or lam > 0 and eta * lam > 1.0 + 1e-9
     elif cfg.optimizer == "adam":
@@ -491,7 +480,7 @@ def fedfisher_solve(
     converged = diverged = False
     if spectral:
         g0 = op.matvec(w) - b
-        path = _KrylovGD(op.eig, g0, w, eta, cfg.t_max)
+        path = _SpectralGD(op.eig, g0, w, eta, cfg.t_max)
         iterations, converged, diverged = path.run(cfg.stop_tol)
         if trace is not None:
             trace.extend(path.objectives(iterations + diverged,
@@ -542,12 +531,11 @@ def fedfisher_solve(
     if best_score is not None and not diverged and iterations % cfg.val_every:
         offer(w)  # the last iterate was not scored inside the loop
     final = w if best_score is None else best_w
-    g = op.matvec(final) - b
     if trace is not None and not diverged:
+        g = op.matvec(final) - b
         trace.append(float(final @ g) - float(final @ b) + const)
     return MergeResult(final, iterations, converged, diverged=diverged, step_warning=warning,
-                       residual=_scaled_norm(g), lambda_max=lam,
-                       objective_trace=trace)
+                       lambda_max=lam, objective_trace=trace)
 
 
 def fisher_merge_diag(updates: list[ClientUpdate]) -> np.ndarray:

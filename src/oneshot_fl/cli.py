@@ -397,7 +397,7 @@ def _build_curvature(variant: str, model, x):
 
 def _kfac_ranks(model, codec: Codec) -> list[int]:
     """Kept rank per layer of the K-FAC factors under ``codec``. The budget
-    plan depends on the architecture alone, so one serves every client.
+    plan depends on the architecture alone, so every client plans the same.
     Raises :class:`ConfigError` when even rank 1 exceeds the budget."""
     dims = [(cols, rows) for _, rows, cols in models.layer_slices(model)]
     plan = comp.kfac_budget_plan(dims, models.param_count(model), codec.factor_s_q)
@@ -410,20 +410,20 @@ def _kfac_ranks(model, codec: Codec) -> list[int]:
 
 
 def client_update(model, x: np.ndarray, method: str, codec: Codec | None = None,
-                  built: dict | None = None,
-                  kfac_ranks: list[int] | None = None) -> tuple[agg.ClientUpdate, int]:
+                  built: dict | None = None) -> tuple[agg.ClientUpdate, int]:
     """One client's uplink for ``method``: the update the server merges, and
     its bits.
 
     Builds the curvature variant the method needs from the client's inputs
     ``x``, unless ``built`` (variant -> payload, for this trained model)
     already holds it. Curvature is exact and draws nothing, so the uplink
-    depends on ``model``, ``x``, ``method`` and ``codec`` alone. Applies ``codec`` unless the method is fedavg, encoding
-    the weights and the diagonal once per codec (``built`` keeps the latest
-    codec's) and K-FAC factors at ``kfac_ranks`` (default: planned from
-    ``model`` by :func:`_kfac_ranks`). Each K-FAC factor is decomposed once,
-    and ``built`` keeps its singular triples for every later codec. The bits
-    are ``compress.bit_cost`` of what the server receives.
+    depends on ``model``, ``x``, ``method`` and ``codec`` alone. Applies
+    ``codec`` unless the method is fedavg, encoding the weights and the
+    diagonal once per codec (``built`` keeps the latest codec's) and K-FAC
+    factors at the ranks :func:`_kfac_ranks` plans from ``model`` and
+    ``codec``. Each K-FAC factor is decomposed once, and ``built`` keeps its
+    singular triples for every later codec. The bits are
+    ``compress.bit_cost`` of what the server receives.
     """
     built = {} if built is None else built
     weights = models.get_flat_params(model)
@@ -450,8 +450,7 @@ def client_update(model, x: np.ndarray, method: str, codec: Codec | None = None,
                 encoded["diag"] = sent, fisher.DiagFisher(comp.dequantize_blocks(sent))
             sent_curvature, f = encoded["diag"]
         elif isinstance(f, fisher.KFACFisher):
-            ranks = kfac_ranks or _kfac_ranks(model, codec)
-            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, ranks,
+            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, _kfac_ranks(model, codec),
                                                 built.setdefault("kfac_svds", []))
             f = comp.decompress_kfac(sent_curvature)
     bits = comp.bit_cost([sent_weights, sent_curvature])
@@ -496,13 +495,10 @@ def merge_round(rnd: Round, method: str, codec: Codec | None, server_cfg: agg.Se
     """Merge one :func:`client_update` per client of ``rnd``: (weights, bits,
     the solver's result, None for a method without one); a diverged solver
     raises :class:`DivergenceError`."""
-    ranks = None
-    if codec is not None and _VARIANTS.get(method) == "kfac":
-        ranks = _kfac_ranks(rnd.trained[0], codec)
     updates, bits = [], 0
     for i, model in enumerate(rnd.trained):
         cx, _ = rnd.data.client_data(i)
-        update, client_bits = client_update(model, cx, method, codec, rnd.built[i], ranks)
+        update, client_bits = client_update(model, cx, method, codec, rnd.built[i])
         updates.append(update)
         bits += client_bits
     merged, result = agg.merge_updates(method, updates, server_cfg)
@@ -723,8 +719,6 @@ run_width_sweep = run_local_steps_sweep = run_one_shot = run_few_shot = run_comp
 # Command-line front end
 # ---------------------------------------------------------------------------
 
-_RUNNERS = dict.fromkeys(_ALL, _run)
-
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="INI config file")
@@ -772,7 +766,7 @@ def _parser() -> argparse.ArgumentParser:
         description="One-shot federated learning simulator",
     )
     subparsers = parser.add_subparsers(dest="task", required=True)
-    for task in _RUNNERS:
+    for task in _ALL:
         _add_common_flags(subparsers.add_parser(task))
     return parser
 
@@ -782,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = build_config(args.task, args)
-        rows = _RUNNERS[args.task](cfg)
+        rows = _run(cfg)
         write_csv(rows, cfg.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

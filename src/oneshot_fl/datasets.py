@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +31,13 @@ _TAG_EXAMPLES = 15
 class FederatedDataset:
     """A pooled dataset plus its assignment of example indices to clients.
 
-    ``num_classes`` is 0 for regression targets. ``meta`` carries optional
-    generator byproducts (e.g. the per-client weight vectors of the synthetic
-    regression task) that tests and demos can inspect.
+    ``num_classes`` is 0 for regression targets.
     """
 
     x: np.ndarray
     y: np.ndarray
     partition: list[np.ndarray]
     num_classes: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def num_clients(self) -> int:
@@ -52,18 +49,14 @@ class FederatedDataset:
 
 
 def normalize_unit(x: np.ndarray) -> np.ndarray:
-    """Scale a vector (or each row of a matrix) to unit Euclidean norm.
+    """Scale each row of a matrix (N, p) to unit Euclidean norm.
 
-    Raises ValueError naming the offending row when a norm is zero.
+    Raises ValueError naming the offending row when a norm is zero, and
+    when ``x`` is not 2-d.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            raise ValueError("cannot normalize zero vector at row 0")
-        return x / norm
     if x.ndim != 2:
-        raise ValueError(f"expected 1-d or 2-d input, got ndim={x.ndim}")
+        raise ValueError(f"expected a 2-d (N, p) input, got ndim={x.ndim}")
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
@@ -78,7 +71,7 @@ def gen_synthetic(clients: int, per_client: int, dim: int, seed: int) -> Federat
     ~ N(w_i * 1, I) and a feature-mean vector ~ N(b_i * 1, I) in R^dim.
     Features are sampled from N(mean, diag(k^-1.2)), k = 1..dim, and projected
     to the unit sphere; targets are the inner product with the client weight
-    vector. The per-client weight/mean vectors are recorded in ``meta``.
+    vector, so each client's targets are exactly linear in its features.
     """
     if clients < 1 or per_client < 1 or dim < 1:
         raise ValueError("clients, per_client, and dim must all be positive")
@@ -86,20 +79,18 @@ def gen_synthetic(clients: int, per_client: int, dim: int, seed: int) -> Federat
     cov_scale = np.sqrt(cov_diag)
 
     xs, ys = [], []
-    w_vecs = np.empty((clients, dim))
-    b_vecs = np.empty((clients, dim))
     for i in range(clients):
         rng = np.random.default_rng([seed, i, _TAG_CLIENT_PARAMS])
         w_scalar = rng.standard_normal()
         b_scalar = rng.standard_normal()
-        w_vecs[i] = w_scalar + rng.standard_normal(dim)
-        b_vecs[i] = b_scalar + rng.standard_normal(dim)
+        w_vec = w_scalar + rng.standard_normal(dim)
+        b_vec = b_scalar + rng.standard_normal(dim)
 
         data_rng = np.random.default_rng([seed, i, _TAG_CLIENT_DATA])
-        raw = b_vecs[i] + data_rng.standard_normal((per_client, dim)) * cov_scale
+        raw = b_vec + data_rng.standard_normal((per_client, dim)) * cov_scale
         x = normalize_unit(raw)
         xs.append(x)
-        ys.append(x @ w_vecs[i])
+        ys.append(x @ w_vec)
 
     partition = [
         np.arange(i * per_client, (i + 1) * per_client, dtype=np.int64)
@@ -110,7 +101,6 @@ def gen_synthetic(clients: int, per_client: int, dim: int, seed: int) -> Federat
         y=np.concatenate(ys),
         partition=partition,
         num_classes=0,
-        meta={"client_weight_vectors": w_vecs, "client_mean_vectors": b_vecs},
     )
 
 

@@ -23,6 +23,9 @@ pre-activation scores: a stack s of shape (C, n, out_l) over the C outputs,
 with weights w of shape (n, C), giving example n the second moment
 sum_c w[n, c] s[c, n] s[c, n]^T. Under softmax w holds the predictive
 probabilities and s is centred by its w-mean; under the squared loss w = 1.
+
+Every curvature function takes the client's inputs as one 2-d batch
+(n, dim); any other shape raises ValueError.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def full_fisher_two_layer(model: TwoLayerReLU, x: np.ndarray) -> FullFisher:
     d = model.m * model.dim
     if d > MAX_FULL_DIM:
         raise ValueError(f"dense curvature needs m*dim <= {MAX_FULL_DIM}, got {d}")
-    phi = models.feature_map(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    phi = models.feature_map(model, x)
     matrix = phi.T @ phi
     matrix /= phi.shape[0]
     return FullFisher(matrix)
@@ -105,7 +108,7 @@ def _scores(model: MLP, x: np.ndarray):
     in one backward pass of the C stacked one-hot cotangents. Callers label
     the class axis c in einsum: its sums run in label order, and c < n fixes them.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = models._as_batch(x)
     z, acts = models.forward_pass(model, x)
     n, c_out = z.shape
     if model.head == LOSS_SOFTMAX and c_out < 2:
@@ -127,7 +130,7 @@ def diag_fisher(model: Model, x: np.ndarray) -> DiagFisher:
     :func:`full_fisher_two_layer` exactly.
     """
     if isinstance(model, TwoLayerReLU):
-        phi = models.feature_map(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        phi = models.feature_map(model, x)
         return DiagFisher((phi**2).mean(axis=0))
     inputs, w, s = _scores(model, x)
     n = inputs[0].shape[0]

@@ -86,10 +86,6 @@ class MLP:
         _check_loss(self.head)
 
     @property
-    def dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
 
@@ -107,10 +103,12 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """What :func:`sgd_train` returns: the last verified iterate, whether
+    training diverged, and the number of steps taken."""
+
     model: Model
     diverged: bool
     steps: int
-    final_loss: float
 
 
 def _check_loss(loss: str) -> None:
@@ -146,13 +144,12 @@ def init_mlp(dims: list[int], seed, head: str = LOSS_SOFTMAX) -> MLP:
     return MLP(weights, biases, head)
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float64 batch of shape (N, dim); ValueError unless 2-d."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
     if x.ndim != 2:
-        raise ValueError(f"inputs must be 1-d or 2-d, got ndim={x.ndim}")
-    return x, False
+        raise ValueError(f"inputs must be a 2-d batch (N, dim), got ndim={x.ndim}")
+    return x
 
 
 @dataclass
@@ -190,7 +187,8 @@ def forward_pass(
     its intermediates: ``acts`` as given when N fills them, ``acts`` cut to
     N rows when it is larger, or fresh buffers when it is None. The output
     is (N,) for TwoLayerReLU and (N, C) for MLP, where it is a view of the
-    last ``h``."""
+    last ``h``. An ``x`` that is not 2-d raises ValueError."""
+    x = _as_batch(x)
     n = x.shape[0]
     if acts is None:
         acts = Activations.of(model, n)
@@ -223,29 +221,24 @@ def mlp_preact_grads(model: MLP, acts: Activations, dz: np.ndarray,
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Network output: (N,) for TwoLayerReLU, (N, C) for MLP.
-
-    1-d input gives a scalar / (C,) respectively.
-    """
-    x, single = _as_batch(x)
-    z, _ = forward_pass(model, x)
-    return z[0] if single else z
+    """Network output on a batch (N, dim): (N,) for TwoLayerReLU, (N, C) for MLP."""
+    return forward_pass(model, x)[0]
 
 
 def feature_map(model: TwoLayerReLU, x: np.ndarray) -> np.ndarray:
-    """Gradient of the two-layer output in flat coordinates.
+    """Gradient of the two-layer output in flat coordinates at each example
+    of the batch ``x`` (N, dim), as an (N, m * dim) array.
 
     phi(x)[r*dim:(r+1)*dim] = signs[r]/sqrt(m) * x * 1{x . w_r >= 0}, so the
     output satisfies f(x) = phi(x) . flat_weights exactly.
     """
     if not isinstance(model, TwoLayerReLU):
         raise ValueError("feature_map is defined for TwoLayerReLU only")
-    x, single = _as_batch(x)
+    x = _as_batch(x)
     mask = forward_pass(model, x)[1].h[0] >= 0.0  # (N, m), active at zero
     coef = mask * (model.signs / np.sqrt(model.m))  # (N, m)
     phi = coef[:, :, None] * x[:, None, :]  # (N, m, dim)
-    phi = phi.reshape(x.shape[0], model.m * model.dim)
-    return phi[0] if single else phi
+    return phi.reshape(x.shape[0], model.m * model.dim)
 
 
 def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,13 +291,12 @@ def _loss(z: np.ndarray, y: np.ndarray, loss: str) -> tuple[float, np.ndarray]:
 
 def loss_eval(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Mean per-example loss of the model's head over the batch."""
-    z, _ = forward_pass(model, _as_batch(x)[0])
+    z, _ = forward_pass(model, x)
     return _loss(z, _check_targets(model, z.shape[0], y), model.head)[0]
 
 
 def accuracy_eval(model: MLP, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of examples whose argmax output matches the integer label."""
-    x, _ = _as_batch(x)
     z = forward(model, x)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError("accuracy_eval needs a multi-output classifier")
@@ -410,8 +402,8 @@ def _loss_and_grad(
 
 
 def gradient(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flat gradient of the mean loss of the model's head over the given example(s)."""
-    x, _ = _as_batch(x)
+    """Flat gradient of the mean loss of the model's head over the batch ``x``."""
+    x = _as_batch(x)
     y = _check_targets(model, x.shape[0], y)
     grads = [np.empty(p.shape) for p in _param_arrays(model)]
     _loss_and_grad(model, x, y, grads)
@@ -425,7 +417,8 @@ def sgd_train(
     cfg: TrainConfig,
     seed=0,
 ) -> TrainResult:
-    """SGD with momentum on the mean loss of the model's head.
+    """SGD with momentum on the mean loss of the model's head over the batch
+    ``x`` (n, dim).
 
     When ``cfg.batch_size >= n`` the loop runs ``cfg.epochs_or_steps``
     full-batch gradient steps (the deterministic regime the merging theory
@@ -433,7 +426,8 @@ def sgd_train(
     one permutation per epoch, sliced from one gather of the inputs. The
     targets are checked once per call, against the head and the model's
     output on all n examples, so bad targets raise ValueError before any
-    step, even with zero steps; the final loss reuses the checked targets.
+    step, even with zero steps. No loss is computed after the last step: a
+    caller that wants one scores the returned model (:func:`loss_eval`).
 
     The loop works on each parameter array in place: current and next
     parameters, velocity, gradient and :class:`Activations` are
@@ -446,9 +440,8 @@ def sgd_train(
     A non-finite loss aborts training, and so does a next iterate whose
     norm is not at most 1e12 (a NaN or inf in the gradient or the
     parameters fails that test too). Either returns the last verified
-    iterate with ``diverged=True`` and the loss of the aborted step; a
-    verified step becomes current by swapping the two parameter buffers
-    together with their wrappers.
+    iterate with ``diverged=True``; a verified step becomes current by
+    swapping the two parameter buffers together with their wrappers.
     """
     if cfg.eta <= 0:
         raise ValueError(f"eta must be positive, got {cfg.eta}")
@@ -458,7 +451,7 @@ def sgd_train(
         raise ValueError(f"epochs_or_steps must be >= 0, got {cfg.epochs_or_steps}")
     if cfg.batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    x, _ = _as_batch(x)
+    x = _as_batch(x)
     n = x.shape[0]
     y = _check_targets(model, n, y)
     rng = np.random.default_rng(seed)
@@ -487,7 +480,7 @@ def sgd_train(
     for xb, yb in batches():
         loss_val = _loss_and_grad(current_model, xb, yb, grads, acts)
         if not math.isfinite(loss_val):
-            return TrainResult(current_model, True, steps, loss_val)
+            return TrainResult(current_model, True, steps)
         sq_norm = 0.0
         for p, p_next, v, g in zip(current, following, velocity, grads):
             v *= cfg.momentum
@@ -496,9 +489,8 @@ def sgd_train(
             np.subtract(p, p_next, out=p_next)
             sq_norm += float(np.vdot(p_next, p_next))
         if not math.sqrt(sq_norm) <= _DIVERGE_NORM:
-            return TrainResult(current_model, True, steps, loss_val)
+            return TrainResult(current_model, True, steps)
         current, following = following, current
         current_model, following_model = following_model, current_model
         steps += 1
-    final_loss = _loss(forward_pass(current_model, x)[0], y, model.head)[0]
-    return TrainResult(current_model, False, steps, final_loss)
+    return TrainResult(current_model, False, steps)

@@ -2,7 +2,8 @@
 
 Everything here operates on plain float64 numpy arrays. The two entry points
 are a matrix-free power iteration for the largest eigenvalue of a symmetric
-PSD operator, run once from a seeded Gaussian start, and a Kronecker-product
+PSD operator, run once from a seeded Gaussian start and returning the value
+alone, not its eigenvector, and a Kronecker-product
 matvec that never materializes the Kronecker matrix.
 """
 
@@ -19,10 +20,10 @@ _START_SEED = 0x5EED
 
 @dataclass
 class PowerIterResult:
-    """Largest-eigenvalue estimate of a symmetric PSD operator."""
+    """Largest-eigenvalue estimate of a symmetric PSD operator, whether it met
+    the residual test, and the operator applications it took."""
 
     value: float
-    vector: np.ndarray
     converged: bool
     iterations: int
 
@@ -59,13 +60,13 @@ def power_iteration_max_eig(
         value = float(v @ w)
         residual = np.linalg.norm(w - value * v)
         if residual <= tol * (abs(value) + 1.0):
-            return PowerIterResult(value, v, True, it)
+            return PowerIterResult(value, True, it)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             # Operator annihilates the iterate; eigenvalue estimate is 0.
-            return PowerIterResult(0.0, v, True, it)
+            return PowerIterResult(0.0, True, it)
         v = w / norm_w
-    return PowerIterResult(value, v, False, max_iters)
+    return PowerIterResult(value, False, max_iters)
 
 
 def kron_matvec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

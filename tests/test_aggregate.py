@@ -115,7 +115,7 @@ class TestEstimateLmax:
             fedfisher_solve([ClientUpdate(np.zeros(2))])
 
     @pytest.mark.parametrize("t_max", [0, 1000])
-    def test_dense_path_takes_the_largest_ritz_value(self, t_max):
+    def test_dense_path_takes_the_largest_eigenvalue(self, t_max):
         for updates in _rank_deficient("dense", count=5):
             want = np.linalg.eigvalsh(sum(_dense(u.fisher) for u in updates))[-1]
             got = fedfisher_solve(updates, ServerConfig(t_max=t_max)).lambda_max
@@ -254,7 +254,7 @@ class TestFedfisherGd:
         # lambda_max = 3, so eta * lambda_max = 2.4 > 2.
         res = fedfisher_solve(updates, ServerConfig(eta_s=0.8, t_max=5000), record_objective=True)
         assert res.diverged and not res.converged
-        assert np.all(np.isfinite(res.weights)) and np.isfinite(res.residual)
+        assert np.all(np.isfinite(res.weights))
         assert len(res.objective_trace) == res.iterations + 1
 
     def test_invalid_eta_rejected(self):
@@ -461,7 +461,7 @@ def _stepwise_gd(updates, eta, t_max, stop_tol, val_fn=None, val_every=1):
 
 
 def _full_sweep(path, stop_tol):
-    """Reference for ``_KrylovGD.run``: the stop test of the step loop at
+    """Reference for ``_SpectralGD.run``: the stop test of the step loop at
     every t = 1 .. t_max, in blocks of steps, from the eigenpairs of ``path``."""
     rows = max(1, aggregate._SWEEP_BLOCK // max(path.theta.size, 1))
     for start in range(0, path.t_max, rows):
@@ -509,7 +509,7 @@ def _lambda_max(updates):
     return fedfisher_solve(updates, ServerConfig(t_max=0)).lambda_max
 
 
-class TestKrylovGd:
+class TestSpectralGd:
     """GD on curvature with a dense part is evaluated from the exact
     eigenpairs of the summed curvature; it must report what the step-by-step
     loop would have."""
@@ -517,7 +517,7 @@ class TestKrylovGd:
     @pytest.fixture(autouse=True)
     def run_matches_full_sweep(self, monkeypatch):
         """Every stop test of these cases equals the sweep over every t."""
-        run = aggregate._KrylovGD.run
+        run = aggregate._SpectralGD.run
         calls = []
 
         def checked(path, stop_tol):
@@ -526,7 +526,7 @@ class TestKrylovGd:
             calls.append(got)
             return got
 
-        monkeypatch.setattr(aggregate._KrylovGD, "run", checked)
+        monkeypatch.setattr(aggregate._SpectralGD, "run", checked)
         yield
         assert calls
 
@@ -584,11 +584,11 @@ class TestKrylovGd:
             assert abs(got.iterations - want["iterations"]) <= 1
             assert len(got.objective_trace) == got.iterations + 1  # one per step tried
             assert not got.converged and got.step_warning
-            assert np.all(np.isfinite(got.weights)) and np.isfinite(got.residual)
+            assert np.all(np.isfinite(got.weights))
 
 
 def _spectrum_path(rng, eta, t_max):
-    """A ``_KrylovGD`` on a random spectrum with theta_max = 1, so eta is
+    """A ``_SpectralGD`` on a random spectrum with theta_max = 1, so eta is
     eta * theta_max exactly. Some spectra hold zeros; W0 may reach outside
     the row space of q."""
     k = int(rng.integers(1, 30))
@@ -601,11 +601,11 @@ def _spectrum_path(rng, eta, t_max):
     if rng.random() < 0.5:  # g0 inside range(F), as for a real merge
         z[theta <= 0.0] = 0.0
     q = np.eye(d)[:k]
-    return aggregate._KrylovGD((q, theta), q.T @ z, rng.standard_normal(d), eta, t_max)
+    return aggregate._SpectralGD((q, theta), q.T @ z, rng.standard_normal(d), eta, t_max)
 
 
 class TestStopTestMatchesFullSweep:
-    """``_KrylovGD.run`` rules out a stop by t_max with one bound test at
+    """``_SpectralGD.run`` rules out a stop by t_max with one bound test at
     t_max, or else sweeps from t = 1; it must return what the sweep over
     every t returns, including where that bound test passes but the stop
     test never holds."""
@@ -649,13 +649,13 @@ class TestStopTestCost:
 
     def _path(self, updates, cfg, monkeypatch):
         paths = []
-        init = aggregate._KrylovGD.__init__
+        init = aggregate._SpectralGD.__init__
 
         def keep(path, *args):
             init(path, *args)
             paths.append(path)
 
-        monkeypatch.setattr(aggregate._KrylovGD, "__init__", keep)
+        monkeypatch.setattr(aggregate._SpectralGD, "__init__", keep)
         fedfisher_solve(updates, cfg)
         return paths[0]
 
@@ -676,8 +676,9 @@ class TestStopTestCost:
 
 
 class TestServerMatvecCount:
-    """The dense evaluation applies the operator to g0's start point and to
-    the returned weights only; the step-by-step loop once per step."""
+    """The dense evaluation applies the operator to g0's start point only;
+    the step-by-step loop once per step. Without an objective trace, the
+    returned weights are never applied."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -708,11 +709,11 @@ class TestServerMatvecCount:
             updates.append(ClientUpdate(rng.standard_normal(d), FullFisher(phi.T @ phi / n), n))
         res = fedfisher_solve(updates, ServerConfig(t_max=1000, stop_tol=0.0))
         assert res.iterations == 1000
-        # The start gradient and the final residual; the eigenpairs come from
-        # the payloads' Gram factors, and lambda_max is the largest
-        # eigenvalue. The loop would take 1000 + 2.
+        # The start gradient only; the eigenpairs come from the payloads'
+        # Gram factors, and lambda_max is the largest eigenvalue. The loop
+        # would take 1000.
         assert count["power"] == 0
-        assert count["all"] == 2
+        assert count["all"] == 1
 
     @pytest.mark.parametrize("method, optimizer", [
         ("fedfisher-diag", "gd"), ("fedfisher-kfac", "gd"), ("fedfisher-full", "adam"),
@@ -732,7 +733,7 @@ class TestServerMatvecCount:
         _, res = merge_updates(method, updates, ServerConfig(optimizer=optimizer, t_max=50,
                                                              stop_tol=0.0))
         assert res.iterations == 50
-        assert count["all"] - count["power"] == 50 + 1  # one per step, one final residual
+        assert count["all"] - count["power"] == 50  # one per step
         # Diagonal GD reads lambda_max off the summed diagonal; only K-FAC
         # curvature needs a power iteration.
         assert (count["power"] > 0) == (method == "fedfisher-kfac")

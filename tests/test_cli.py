@@ -536,7 +536,7 @@ def _unread_by_fedavg(task: str, spec) -> bool:
 
 
 _UNREAD = [(task, section, key) for (section, key), spec in cli._CONFIG_KEYS.items()
-           for task in cli._RUNNERS if _unread_by_fedavg(task, spec)
+           for task in cli._ALL if _unread_by_fedavg(task, spec)
            and spec.parse(_UNREAD_VALUES[key]) != getattr(default_config(task), spec.attr)]
 
 # Today's flags; every subcommand takes all of them.
@@ -561,7 +561,7 @@ def _readme_table(header: str) -> list[tuple[tuple[str, str], tuple]]:
         readers, _, when = cell.partition(", when `methods` has ")
         names = re.findall(r"`([\w-]+)`", readers)
         if readers.startswith("every task"):
-            names = [task for task in cli._RUNNERS if task not in names]
+            names = [task for task in cli._ALL if task not in names]
         groups = (sorted(names),)
         if when:
             methods = re.findall(r"`([\w-]+)`", when)
@@ -583,7 +583,7 @@ class TestConfigTable:
         rows = [spec.attr for spec in cli._CONFIG_KEYS.values()]
         assert sorted(rows) == sorted(set(vars(ExperimentConfig())) - {"task"})
         assert {t for spec in cli._CONFIG_KEYS.values() for t in spec.readers[0]} == set(
-            cli._RUNNERS)
+            cli._ALL)
         # Keys that were accepted and wrote the same CSV bytes as without them.
         assert {("synthetic-steps", "local", "epochs_or_steps"),
                 ("synthetic-steps", "run", "widths"),
@@ -595,7 +595,7 @@ class TestConfigTable:
                 ("few-shot", "run", "s_q")} <= set(_UNREAD)
         (subparsers,) = [a for a in cli._parser()._actions
                          if isinstance(a, argparse._SubParsersAction)]
-        assert set(subparsers.choices) == set(cli._RUNNERS)
+        assert set(subparsers.choices) == set(cli._ALL)
         for sub in subparsers.choices.values():
             actions = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
             assert {s for a in actions for s in a.option_strings} == _FLAGS
@@ -836,17 +836,19 @@ class TestOneShotCommand:
         assert 0.0 <= row.test_accuracy <= 1.0
 
     def test_kfac_over_budget_at_rank_one_is_config_error(self, tmp_path, capsys):
-        # One hidden unit: d = 785 + 2 * 10 = 805, and rank-1 factors at
-        # s_q = 4 already need more than the 16 d bits the plan allows.
-        ini = tmp_path / "run.ini"
-        ini.write_text("[data]\nn_train = 300\n[model]\nhidden_dims = 1\n"
-                       "[run]\nmethods = fedfisher-kfac\n")
-        out = tmp_path / "kfac.csv"
-        code = cli.main(["one-shot", "--config", str(ini), "--no-timing", "--out", str(out)])
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "s_q = 4" in err and "[(785, 1), (2, 10)]" in err
-        assert not out.exists()
+        # One hidden unit: d = 785 + 2 * 10 = 805, and rank-1 factors at the
+        # default s_q = 4 already need more than the 16 d bits the plan
+        # allows; at s_q = 1, 32 bits per entry, they need about four times as many.
+        for s_q, extra in ((4, ""), (1, "compress = true\ns_q = 1\n")):
+            ini = tmp_path / "run.ini"
+            ini.write_text("[data]\nn_train = 300\n[model]\nhidden_dims = 1\n"
+                           "[run]\nmethods = fedfisher-kfac\n" + extra)
+            out = tmp_path / "kfac.csv"
+            code = cli.main(["one-shot", "--config", str(ini), "--no-timing", "--out", str(out)])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"s_q = {s_q}" in err and "[(785, 1), (2, 10)]" in err
+            assert not out.exists()
 
     def test_empty_validation_split_keeps_final_iterate(self):
         # No validation examples: the solver keeps its last iterate. Scoring

@@ -20,8 +20,13 @@ from oracle import allocating_image_classes, padded_smooth_fields
 
 class TestNormalizeUnit:
     def test_vector(self):
-        v = normalize_unit(np.array([3.0, 4.0]))
-        assert np.allclose(v, [0.6, 0.8])
+        v = normalize_unit(np.array([[3.0, 4.0]]))
+        assert np.allclose(v, [[0.6, 0.8]])
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_input_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-d"):
+            normalize_unit(np.ones(shape))
 
     def test_rows(self):
         x = normalize_unit(np.array([[3.0, 4.0], [0.0, 2.0]]))
@@ -31,7 +36,7 @@ class TestNormalizeUnit:
         with pytest.raises(ValueError, match="row 1"):
             normalize_unit(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="row 0"):
-            normalize_unit(np.zeros(3))
+            normalize_unit(np.zeros((1, 3)))
 
 
 class TestGenSynthetic:
@@ -44,11 +49,13 @@ class TestGenSynthetic:
         assert np.allclose(np.linalg.norm(ds.x, axis=1), 1.0, atol=1e-12)
 
     def test_targets_match_recorded_weights(self):
+        # Each client's targets are its features times one weight vector of
+        # its own: a least-squares fit leaves no residual.
         ds = gen_synthetic(clients=2, per_client=20, dim=3, seed=1)
-        w = ds.meta["client_weight_vectors"]
         for i in range(2):
             xi, yi = ds.client_data(i)
-            assert np.allclose(yi, xi @ w[i], atol=1e-12)
+            w = np.linalg.lstsq(xi, yi, rcond=None)[0]
+            assert np.linalg.norm(xi @ w - yi) <= 1e-12
 
     def test_partition_contiguous_disjoint_cover(self):
         ds = gen_synthetic(clients=4, per_client=10, dim=2, seed=2)

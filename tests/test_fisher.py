@@ -156,7 +156,7 @@ class TestDiagFisher:
         z = models.forward(model, x)
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        want = np.mean([sum(p[n, c] * models.gradient(model, x[n], [c]) ** 2
+        want = np.mean([sum(p[n, c] * models.gradient(model, x[n : n + 1], [c]) ** 2
                             for c in range(3)) for n in range(7)], axis=0)
         got = diag_fisher(model, x).diag
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -412,3 +412,15 @@ class TestFisherMatvec:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fisher_matvec(DiagFisher(np.ones(3)), np.ones(4))
+
+
+@pytest.mark.parametrize("build, model", [
+    (full_fisher_two_layer, init_two_layer(3, 2, kappa=1.0, seed=36)),
+    (diag_fisher, init_two_layer(3, 2, kappa=1.0, seed=36)),
+    (diag_fisher, init_mlp([2, 4, 3], seed=37)),
+    (kfac_fisher, init_mlp([2, 4, 3], seed=37)),
+], ids=["full", "diag-two-layer", "diag-mlp", "kfac"])
+def test_one_dimensional_input_rejected(build, model):
+    # A client's inputs are one batch (n, dim); one example is a one-row batch.
+    with pytest.raises(ValueError, match="2-d batch"):
+        build(model, np.array([0.6, 0.8]))

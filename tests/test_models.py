@@ -59,7 +59,7 @@ class TestInit:
 
     def test_mlp_shapes_and_zero_biases(self):
         model = init_mlp([5, 7, 3], seed=2)
-        assert model.dims == [5, 7, 3]
+        assert [model.weights[0].shape[1]] + [w.shape[0] for w in model.weights] == [5, 7, 3]
         assert model.weights[0].shape == (7, 5)
         assert model.weights[1].shape == (3, 7)
         assert all(np.all(b == 0.0) for b in model.biases)
@@ -81,7 +81,7 @@ class TestForward:
             weights=np.array([[1.0, 0.0], [0.0, 1.0]]),
             signs=np.array([1.0, -1.0]),
         )
-        assert forward(model, np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
+        assert forward(model, np.array([[1.0, 1.0]]))[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_positive_homogeneity(self):
         # Relu networks without biases scale linearly in positive input scale.
@@ -102,17 +102,38 @@ class TestForward:
 
     def test_mlp_single_input_matches_batch(self):
         model = init_mlp([3, 4, 2], seed=8)
-        x = np.array([0.2, -0.1, 0.4])
-        single = forward(model, x)
-        batch = forward(model, x[None, :])
-        assert single.shape == (2,)
-        assert np.allclose(single, batch[0])
+        x = np.array([[0.2, -0.1, 0.4], [0.5, 0.3, -0.7]])
+        single = forward(model, x[:1])
+        batch = forward(model, x)
+        assert single.shape == (1, 2)
+        assert np.allclose(single[0], batch[0])
+
+
+_ONE_EXAMPLE = np.array([0.6, 0.8])  # 1-d: one example that is not a batch
+_TWO_LAYER, _MLP = init_two_layer(3, 2, kappa=1.0, seed=9), init_mlp([2, 4, 3], seed=9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: models.forward_pass(_MLP, _ONE_EXAMPLE),
+    lambda: forward(_TWO_LAYER, _ONE_EXAMPLE),
+    lambda: forward(_MLP, _ONE_EXAMPLE),
+    lambda: feature_map(_TWO_LAYER, _ONE_EXAMPLE),
+    lambda: loss_eval(_MLP, _ONE_EXAMPLE, np.array([0])),
+    lambda: accuracy_eval(_MLP, _ONE_EXAMPLE, np.array([0])),
+    lambda: gradient(_MLP, _ONE_EXAMPLE, np.array([0])),
+    lambda: sgd_train(_MLP, _ONE_EXAMPLE, np.array([0]), TrainConfig(0.1, 1, 1)),
+], ids=["forward_pass", "forward-two-layer", "forward-mlp", "feature_map", "loss_eval",
+        "accuracy_eval", "gradient", "sgd_train"])
+def test_one_dimensional_input_rejected(call):
+    # Every entry takes a batch (N, dim); one example is a one-row batch.
+    with pytest.raises(ValueError, match="2-d batch"):
+        call()
 
 
 class TestFeatureMap:
     def test_single_active_unit(self):
         model = TwoLayerReLU(weights=np.array([[1.0]]), signs=np.array([1.0]))
-        assert np.allclose(feature_map(model, np.array([1.0])), [1.0])
+        assert np.allclose(feature_map(model, np.array([[1.0]])), [[1.0]])
 
     def test_all_units_inactive(self):
         # w_r . x < 0 for every unit: the map vanishes.
@@ -120,14 +141,14 @@ class TestFeatureMap:
             weights=np.array([[1.0, 0.0], [0.5, 0.5]]),
             signs=np.array([1.0, -1.0]),
         )
-        phi = feature_map(model, np.array([-1.0, -0.5]))
+        phi = feature_map(model, np.array([[-1.0, -0.5]]))
         assert np.all(phi == 0.0)
 
     def test_active_at_zero_preactivation(self):
         # The indicator is >= 0, so an exactly-zero preactivation contributes.
         model = TwoLayerReLU(weights=np.array([[0.0, 1.0]]), signs=np.array([1.0]))
-        phi = feature_map(model, np.array([1.0, 0.0]))
-        assert np.allclose(phi, [1.0, 0.0])
+        phi = feature_map(model, np.array([[1.0, 0.0]]))
+        assert np.allclose(phi, [[1.0, 0.0]])
 
     def test_norm_bounded_by_input_norm(self):
         # Bounded-gradient property: |phi| <= |x| for every instance.
@@ -301,7 +322,7 @@ class TestSgdTrain:
         for _ in range(15):
             res = sgd_train(current, x, y, TrainConfig(0.05, 1, 1000), seed=0)
             current = res.model
-            losses.append(res.final_loss)
+            losses.append(loss_eval(res.model, x, y))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_long_run_reaches_small_loss(self):
@@ -316,7 +337,7 @@ class TestSgdTrain:
         res = sgd_train(model, x, y, TrainConfig(0.1, 2048, 10_000), seed=0)
         assert not res.diverged
         assert res.steps == 2048
-        assert res.final_loss < 0.01 * start
+        assert loss_eval(res.model, x, y) < 0.01 * start
 
     def test_minibatch_path_deterministic_given_seed(self):
         rng = np.random.default_rng(32)
@@ -427,22 +448,21 @@ def _reference_sgd(model, x, y, cfg, loss, seed):
     for xb, yb in batches():
         loss_val, grad = _reference_loss_and_grad(current, xb, yb, loss)
         if not np.isfinite(loss_val) or not np.all(np.isfinite(grad)):
-            return current, True, steps, loss_val
+            return current, True, steps
         velocity = cfg.momentum * velocity + grad
         flat = flat - cfg.eta * velocity
         if not np.all(np.isfinite(flat)) or np.linalg.norm(flat) > 1e12:
-            return current, True, steps, loss_val
+            return current, True, steps
         current = with_flat_params(current, flat)
         steps += 1
-    return current, False, steps, loss_eval(current, x, y)
+    return current, False, steps
 
 
 def _assert_same_as_reference(model, x, y, cfg, seed=5):
     got = sgd_train(model, x, y, cfg, seed=seed)
-    model_want, diverged, steps, final_loss = _reference_sgd(model, x, y, cfg, model.head, seed)
+    model_want, diverged, steps = _reference_sgd(model, x, y, cfg, model.head, seed)
     assert np.array_equal(get_flat_params(got.model), get_flat_params(model_want))
     assert (got.steps, got.diverged) == (steps, diverged)
-    assert np.array_equal(got.final_loss, final_loss, equal_nan=True)
     return got
 
 
@@ -495,7 +515,7 @@ class TestSgdTrainMatchesReference:
         model, x, y = self._mlp_problem(LOSS_SOFTMAX, [24])
         x[25, 2] = np.nan
         res = _assert_same_as_reference(model, x, y, TrainConfig(0.05, 3, 16, 0.9))
-        assert res.diverged and 0 <= res.steps < 3 and np.isnan(res.final_loss)
+        assert res.diverged and 0 <= res.steps < 3 and np.isnan(loss_eval(res.model, x, y))
 
     def test_flat_vector_round_trips_stay_out_of_the_step(self, monkeypatch):
         model, x, y = self._mlp_problem(LOSS_SOFTMAX, [24])

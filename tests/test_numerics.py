@@ -19,7 +19,6 @@ class TestPowerIteration:
         res = power_iteration_max_eig(_matvec(mat), 2)
         assert res.converged
         assert res.value == pytest.approx(3.0, abs=1e-9)
-        assert abs(abs(res.vector[0]) - 1.0) < 1e-4
 
     def test_random_psd_matches_eigh(self):
         for seed in range(20):

@@ -9,7 +9,8 @@ name they use would break ``--trace 1`` or a demo silently. These tests only
 read ``bench/``, ``demos/``, the ``BENCH_*.json`` records and the package source.
 
 The converse holds too: the package keeps only what the runners, demos and
-bench call. A public name that only tests reach belongs under ``tests/``.
+bench call. A public name that only tests reach belongs under ``tests/``,
+and a field or property that only tests read is not kept at all.
 """
 
 import ast
@@ -177,6 +178,17 @@ _TEST_ONLY_EXEMPT = {
 }
 
 
+# Fields and properties of public classes kept with no reader outside the tests.
+_UNREAD_EXEMPT = {
+    # The tests' one observable of the bound behind GD's auto step; it is the
+    # value the step is taken from, so keeping it costs nothing.
+    ("MergeResult", "lambda_max"),
+    # Acceptance criterion 9 reads the objective trace; the merge records it
+    # only when asked (record_objective).
+    ("MergeResult", "objective_trace"),
+}
+
+
 def _identifiers(node: ast.AST) -> set[str]:
     """Every name a piece of code can use: bare names, attributes, imports."""
     found = set()
@@ -210,3 +222,37 @@ def test_every_public_name_has_a_library_caller():
         if (module, name) not in traced | _TEST_ONLY_EXEMPT
         and not any(name in names for where, names in uses if where is not stmt))
     assert not test_only, f"only tests call {test_only}; move them under tests/"
+
+
+def _is_property(fn: ast.AST) -> bool:
+    return isinstance(fn, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
+
+
+def test_every_result_field_has_a_library_reader():
+    # Every annotated field and @property of a public class must be read as
+    # an attribute by the package, a demo or the bench: a value only tests
+    # read is work every run pays for and no run uses.
+    package = ROOT / "src" / "oneshot_fl"
+    members = set()  # (class, field or property)
+    reads = set()  # attribute names read anywhere outside the tests
+    for path in [*sorted(package.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+                 *sorted((ROOT / "bench").glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        if path.parent != package:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members.add((cls.name, item.target.id))
+                elif _is_property(item):
+                    members.add((cls.name, item.name))
+
+    assert _UNREAD_EXEMPT <= members, "an exempt field is gone; drop its exemption"
+    unread = sorted(f"{cls}.{name}" for cls, name in members - _UNREAD_EXEMPT
+                    if name not in reads)
+    assert not unread, f"only tests read {unread}; drop them and the work behind them"
