@@ -63,6 +63,23 @@ client instead of 2 * out * dim^2. The dropped remainder is at most
 THIN_FACTOR_TOL of the factor's largest diagonal entry. Every other factor
 (full-rank, from a large client, or decoded from a compressed payload)
 keeps the per-client Kronecker matvec.
+
+``ServerConfig.kron_precision`` is the dtype of every K-FAC product, the
+Kronecker matvecs and the thin blocks alike: float64 by default, or float32.
+Under float32 the operator casts the factors and thin blocks once, when it
+is built, casts each layer's slice of v per product, and adds the product,
+scaled by c_i, into its float64 output. The iterate, the Adam moments, b,
+the diagonal and the dense eigenpairs stay float64. The products are
+compute-bound GEMMs (out x dim x dim, 64 x 785 x 785 on the one-shot
+defaults), and float32 runs them about twice as fast; the raw factors travel
+as float32 anyway. On the test suite's payloads a float32 product differs
+from the float64 one by at most 2e-7 of |F v|. That error scales with |F v|,
+and at the mean F w0 is far larger than the gradient F w0 - b, so under
+float32 the step loop applies the operator to w - w0 alone, its entries
+below float32's rounding of the largest set to 0, and adds g0, the gradient
+at the mean, taken in float64 from the payloads. On the benchmark's one-shot
+pool this cut the largest change of a merged loss from 1.0e-6 to 3.2e-7
+relative to it. The CLI runs its K-FAC products in float32.
 """
 
 from __future__ import annotations
@@ -97,6 +114,7 @@ _SWEEP_BLOCK = 1 << 15
 # the rounding of a norm over k <= d eigencoordinates (about k ulp), far
 # below what lets that test pass where the stop test could not hold.
 _BOUND_SLACK = 1e-6
+_FLOAT32_ROUNDOFF = 2.0**-24
 
 
 @dataclass
@@ -114,6 +132,7 @@ class ServerConfig:
     stop_tol: float = 1e-10
     val_every: int = 100
     val_fn: Callable[[np.ndarray], float] | None = None  # weights -> score, higher wins
+    kron_precision: str = "float64"  # "float32" | "float64": dtype of the K-FAC products
 
 
 @dataclass
@@ -182,7 +201,7 @@ class _ThinBlock:
     def add_to(self, out: np.ndarray, v: np.ndarray) -> None:
         # The slice holds V (out, dim) column-major, so as (dim, out) it is V^T.
         dim = self.lt.shape[1]
-        vt = v[self.sl].reshape(dim, -1)
+        vt = v[self.sl].astype(self.lt.dtype, copy=False).reshape(dim, -1)
         ot = out[self.sl].reshape(dim, -1)
         ot += vt @ self.floor_t
         p = self.lt @ vt  # (V L)^T
@@ -206,12 +225,15 @@ class _SummedCurvature:
     2 * out * dim^2. Every other K-FAC layer is applied per client by
     ``kron_matvec``, each product scaled and added into its slice of the
     output. ``rank_bounds`` holds each client's n_i, its example count; None
-    bounds the rank by the dimension alone.
+    bounds the rank by the dimension alone. Both kinds of K-FAC product run
+    in ``dtype``: the factors and thin blocks are cast to it here, the
+    layer's slice of v per product, and the output stays float64.
     """
 
     def __init__(self, pairs: list[tuple[float, FisherApprox]], dim: int,
-                 rank_bounds: list[int] | None = None):
+                 rank_bounds: list[int] | None = None, dtype=np.float64):
         self.dim = dim
+        self.dtype = np.dtype(dtype)  # of the K-FAC products
         self.eig: tuple[np.ndarray, np.ndarray] | None = None  # (q, theta)
         self.diag: np.ndarray | None = None
         self.kfacs: list[tuple[float, slice, np.ndarray, np.ndarray]] = []  # (c_i, slice, A, B)
@@ -241,7 +263,7 @@ class _SummedCurvature:
             for _, coef, diag in diags:
                 self.diag += coef * diag
         for (offset, dim_a, dim_b), clients in layers.items():
-            self._add_layer(slice(offset, offset + dim_a * dim_b), dim_a, dim_b, clients)
+            self._add_layer(slice(offset, offset + dim_a * dim_b), dim_a, dim_b, clients, dtype)
 
     @staticmethod
     def _eigenpairs(grams: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +283,9 @@ class _SummedCurvature:
         s, q = np.linalg.svd(np.vstack(rows), full_matrices=False)[1:]
         return q, s**2
 
-    def _add_layer(self, sl: slice, dim_a: int, dim_b: int, clients: list) -> None:
-        """Sort one layer's clients into its thin block and the per-client list."""
+    def _add_layer(self, sl: slice, dim_a: int, dim_b: int, clients: list, dtype) -> None:
+        """Sort one layer's clients into its thin block and the per-client
+        list, each array they apply cast to ``dtype``."""
         # Room for the most pivots thin_input_factor may take per client.
         lt = np.empty((sum(n for *_, n in clients if 2 * n < dim_a), dim_a))
         floor_t = np.zeros((dim_b, dim_b))
@@ -271,14 +294,17 @@ class _SummedCurvature:
         for coef, a, b, n in clients:
             thin = thin_input_factor(a, n, out=lt[rows:])
             if thin is None:
-                self.kfacs.append((coef, sl, a, b))
+                self.kfacs.append((coef, sl, a.astype(dtype, copy=False),
+                                   b.astype(dtype, copy=False)))
                 continue
             delta, l_t = thin
             floor_t += (coef * delta) * b.T
-            mixes.append((slice(rows, rows + l_t.shape[0]), coef * b.T))
+            mixes.append((slice(rows, rows + l_t.shape[0]),
+                          (coef * b.T).astype(dtype, copy=False)))
             rows += l_t.shape[0]
         if mixes:
-            self.thin.append(_ThinBlock(sl, floor_t, lt[:rows], mixes))
+            self.thin.append(_ThinBlock(sl, floor_t.astype(dtype, copy=False),
+                                        lt[:rows].astype(dtype, copy=False), mixes))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
@@ -288,19 +314,17 @@ class _SummedCurvature:
         if self.diag is not None:
             out += self.diag * v
         for coef, sl, a, b in self.kfacs:
-            r = kron_matvec(a, b, v[sl])
-            r *= coef
-            out[sl] += r
+            out[sl] += coef * kron_matvec(a, b, v[sl].astype(a.dtype, copy=False))
         for block in self.thin:
             block.add_to(out, v)
         return out
 
 
-def _merge_problem(updates: list[ClientUpdate]):
+def _merge_problem(updates: list[ClientUpdate], kron_precision: str = "float64"):
     d = _check_updates(updates, need_fisher=True)
     coeffs = _coefficients(updates)
     op = _SummedCurvature(list(zip(coeffs, [u.fisher for u in updates])), d,
-                          [u.n_examples for u in updates])
+                          [u.n_examples for u in updates], kron_precision)
     b = np.zeros(d)
     const = 0.0
     for c, u in zip(coeffs, updates):
@@ -406,6 +430,16 @@ class _SpectralGD:
                 for v in _landweber(self.theta, self.eta, 2 * s)[1] @ z2]
 
 
+def _flush_tiny(u: np.ndarray) -> np.ndarray:
+    """``u`` with every entry below float32's unit roundoff of its largest set
+    to 0. Such entries are below that rounding, and left in they drive float32
+    products into subnormal numbers: on a one-shot merge where the steps had
+    barely moved some weights from the mean, that took 6x the merge's time."""
+    mag = np.abs(u)
+    u[mag < mag.max(initial=0.0) * _FLOAT32_ROUNDOFF] = 0.0
+    return u
+
+
 def fedfisher_solve(
     updates: list[ClientUpdate],
     cfg: ServerConfig | None = None,
@@ -439,9 +473,39 @@ def fedfisher_solve(
             raise ValueError(f"{name} must be nonnegative, got {getattr(cfg, name)}")
     if cfg.val_fn is not None and not cfg.val_every >= 1:
         raise ValueError(f"val_every must be at least 1 with a val_fn, got {cfg.val_every}")
-    d, op, b, const = _merge_problem(updates)
+    if cfg.kron_precision not in ("float32", "float64"):
+        raise ValueError("kron_precision must be float32 or float64, "
+                         f"got {cfg.kron_precision!r}")
+    d, op, b, const = _merge_problem(updates, cfg.kron_precision)
     w = fedavg(updates)
     trace: list[float] | None = [] if record_objective else None
+
+    if op.dtype == np.float32 and (op.kfacs or op.thin):
+        # K-FAC products in float32 err by about 1e-7 of |F v|, and F w is
+        # far larger than the gradient F w - b. So the gradient applies the
+        # operator to x - w0 alone and adds g0 = F w0 - b, taken in float64
+        # from the payloads at the mean w0: its error then scales with
+        # |F (x - w0)|. Float64 keeps the plain gradient: the shift moves
+        # its iterates at rounding level, and TestStepLoopMatchesTextbook::
+        # test_same_iterates_and_choice pins them bit for bit to the
+        # textbook update.
+        w0 = w.copy()
+        g0 = sum(c * fisher_matvec(u.fisher, w0)
+                 for c, u in zip(_coefficients(updates), updates)) - b
+
+        def gradient(x: np.ndarray) -> np.ndarray:
+            g = op.matvec(_flush_tiny(x - w0))
+            g += g0
+            return g
+    else:
+        def gradient(x: np.ndarray) -> np.ndarray:
+            g = op.matvec(x)
+            g -= b
+            return g
+
+    def objective(x: np.ndarray, g: np.ndarray) -> float:
+        """The merged loss at ``x``, whose gradient is ``g``."""
+        return float(x @ g) - float(x @ b) + const
 
     lam = float("nan")
     warning = spectral = False
@@ -456,6 +520,8 @@ def fedfisher_solve(
             lam = float(op.diag.max())
         if cfg.eta_s is None and lam <= 0.0:
             # No curvature anywhere: every point is stationary, keep the mean.
+            if trace is not None:
+                trace.append(objective(w, gradient(w)))
             return MergeResult(w, 0, True, lambda_max=lam, objective_trace=trace)
         eta = 1.0 / (1.01 * lam) if cfg.eta_s is None else cfg.eta_s
         warning = warning or lam > 0 and eta * lam > 1.0 + 1e-9
@@ -479,12 +545,11 @@ def fedfisher_solve(
     iterations = 0
     converged = diverged = False
     if spectral:
-        g0 = op.matvec(w) - b
-        path = _SpectralGD(op.eig, g0, w, eta, cfg.t_max)
+        g = gradient(w)
+        path = _SpectralGD(op.eig, g, w, eta, cfg.t_max)
         iterations, converged, diverged = path.run(cfg.stop_tol)
         if trace is not None:
-            trace.extend(path.objectives(iterations + diverged,
-                                         float(w @ g0) - float(w @ b) + const))
+            trace.extend(path.objectives(iterations + diverged, objective(w, g)))
         if best_score is not None:
             for t in range(cfg.val_every, iterations + 1, cfg.val_every):
                 offer(path.weights(t))
@@ -495,10 +560,9 @@ def fedfisher_solve(
         # before, and a diverged step leaves w as it was.
         w_next = np.empty(d)
         for t in range(1, cfg.t_max + 1):
-            g = op.matvec(w)
-            g -= b
+            g = gradient(w)
             if trace is not None:
-                trace.append(float(w @ g) - float(w @ b) + const)
+                trace.append(objective(w, g))
             if cfg.optimizer == "adam":
                 m *= ADAM_BETA1
                 m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
@@ -532,8 +596,7 @@ def fedfisher_solve(
         offer(w)  # the last iterate was not scored inside the loop
     final = w if best_score is None else best_w
     if trace is not None and not diverged:
-        g = op.matvec(final) - b
-        trace.append(float(final @ g) - float(final @ b) + const)
+        trace.append(objective(final, gradient(final)))
     return MergeResult(final, iterations, converged, diverged=diverged, step_warning=warning,
                        lambda_max=lam, objective_trace=trace)
 

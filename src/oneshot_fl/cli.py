@@ -633,9 +633,11 @@ class _Seed(NamedTuple):
 
 
 def _setup(cfg: ExperimentConfig, seed: int) -> _Seed:
-    """The data, initial models, server config and test split of one seed."""
+    """The data, initial models, server config and test split of one seed.
+    The server applies its K-FAC products in float32 (see
+    :mod:`oneshot_fl.aggregate`)."""
     server = dict(optimizer=cfg.optimizer, eta_s=cfg.eta_s, t_max=cfg.t_max,
-                  stop_tol=cfg.stop_tol, val_every=cfg.val_every)
+                  stop_tol=cfg.stop_tol, val_every=cfg.val_every, kron_precision="float32")
     if cfg.task in _SYNTHETIC:
         data = datasets.gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, seed)
         return _Seed(data, lambda point: models.init_two_layer(
@@ -644,6 +646,12 @@ def _setup(cfg: ExperimentConfig, seed: int) -> _Seed:
     splits = _classification_data(cfg, seed)
     dims = [splits.train.x.shape[1]] + list(cfg.hidden_dims) + [splits.train.num_classes]
     init = models.init_mlp(dims, [seed, 17])
+    if agg.METHOD_KFAC in cfg.methods:
+        # The rank plan depends on the architecture alone: plan it before any
+        # client trains, so an infeasible budget fails first.
+        for point in _points(cfg):
+            if point.codec is not None:
+                _kfac_ranks(init, point.codec)
 
     def val_fn(weights: np.ndarray) -> float:
         return models.accuracy_eval(models.with_flat_params(init, weights),

@@ -1,10 +1,11 @@
 """Small dense linear-algebra helpers shared by the rest of the package.
 
-Everything here operates on plain float64 numpy arrays. The two entry points
-are a matrix-free power iteration for the largest eigenvalue of a symmetric
-PSD operator, run once from a seeded Gaussian start and returning the value
-alone, not its eigenvector, and a Kronecker-product
-matvec that never materializes the Kronecker matrix.
+The two entry points are a matrix-free power iteration for the largest
+eigenvalue of a symmetric PSD operator, run once from a seeded Gaussian start
+and returning the value alone, not its eigenvector, and a Kronecker-product
+matvec that never materializes the Kronecker matrix. The power iteration
+works in float64; the matvec computes in the float type of its operands, so
+the server can apply float32 factors in float32.
 """
 
 from __future__ import annotations
@@ -75,11 +76,13 @@ def kron_matvec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     Uses the column-major vec identity (A kron B) vec(V) = vec(B V A^T),
     so ``x`` is interpreted as the column-major flattening of a matrix with
     ``b.shape[1]`` rows and ``a.shape[1]`` columns. Two small GEMMs replace
-    the (ma*mb) x (na*nb) product.
+    the (ma*mb) x (na*nb) product. Computes in the common float type of
+    the operands (float64 for integers), which the result has: float32
+    operands give a float32 result.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    a, b, x = (np.asarray(m) for m in (a, b, x))
+    dtype = np.result_type(a, b, x, np.float32)
+    a, b, x = (m.astype(dtype, copy=False) for m in (a, b, x))
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("a and b must be 2-d matrices")
     na, nb = a.shape[1], b.shape[1]

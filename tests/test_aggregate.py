@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oneshot_fl import aggregate, cli, fisher, models
+from oneshot_fl import aggregate, cli, compress, fisher, models
 from oneshot_fl.aggregate import (
     ClientUpdate,
     METHOD_FEDAVG,
@@ -229,9 +229,10 @@ class TestFedfisherGd:
             ClientUpdate(np.array([1.0, 3.0]), DiagFisher(np.zeros(2))),
             ClientUpdate(np.array([3.0, 5.0]), DiagFisher(np.zeros(2))),
         ]
-        res = fedfisher_solve(updates)
+        res = fedfisher_solve(updates, record_objective=True)
         assert res.converged
         assert np.allclose(res.weights, [2.0, 4.0])
+        assert res.objective_trace == [0.0]  # the objective at the returned weights
 
     def test_sample_size_weighting_changes_solution(self):
         base = [
@@ -265,6 +266,7 @@ class TestFedfisherGd:
     @pytest.mark.parametrize("optimizer", ["gd", "adam"])
     @pytest.mark.parametrize("field, value", [
         ("t_max", -5), ("stop_tol", -1e-3), ("val_every", 0), ("val_every", -2),
+        ("kron_precision", "float16"),
     ])
     def test_out_of_range_config_rejected(self, optimizer, field, value):
         updates = [ClientUpdate(np.ones(3), FullFisher(np.eye(3))),
@@ -814,6 +816,58 @@ class TestSummedCurvatureMatchesReference:
             v = rng.standard_normal(d)
             want = sum(c * fisher_matvec(f, v) for c, f in pairs)
             assert np.allclose(op.matvec(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", ["thin", "full-rank", "decoded"])
+    def test_float32_products_stay_near_float64(self, case):
+        # Float32 rounds at 2**-24 = 6e-8 relative; the bound leaves room for
+        # the sums inside each product. Measured: at most 2e-7.
+        rng = np.random.default_rng(16)
+        ns = (5, 12, 30)
+        if case == "full-rank":
+            fishers, bounds = [self._kfac(rng) for _ in ns], None
+        else:
+            fishers, bounds = self._small_clients(rng, ns), list(ns)
+            if case == "decoded":
+                fishers = [compress.decompress_kfac(compress.compress_kfac(f, 4, [8, 2]))
+                           for f in fishers]
+        d = fishers[0].dim
+        pairs = list(zip(np.array([0.6, 1.1, 1.3]), fishers))
+        op64 = aggregate._SummedCurvature(pairs, d, bounds)
+        op32 = aggregate._SummedCurvature(pairs, d, bounds, np.float32)
+        assert bool(op32.thin) == (case == "thin") and op32.kfacs
+        assert {arr.dtype for _, _, a, b in op32.kfacs for arr in (a, b)} == {np.dtype(np.float32)}
+        assert all(block.lt.dtype == block.floor_t.dtype == np.float32 for block in op32.thin)
+        for _ in range(5):
+            v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
+            got, want = op32.matvec(v), op64.matvec(v)
+            assert got.dtype == np.float64
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+    def test_float32_merge_steps_from_the_float64_gradient(self):
+        # The loop applies float32 products to w - w0 alone and adds the
+        # float64 gradient at the mean w0: its first step is the float64 one
+        # (it was 1e-7 away), and later steps err with the distance travelled.
+        rng = np.random.default_rng(17)
+        ns = (5, 12, 30)
+        fishers = self._small_clients(rng, ns)
+        base = models.get_flat_params(models.init_mlp([40, 16, 3], seed=14))
+        updates = [ClientUpdate(base + 0.1 * rng.standard_normal(base.size), f, n)
+                   for f, n in zip(fishers, ns)]
+        mean = fedavg(updates)
+        for optimizer, eta, t_max, tol in (("adam", 0.01, 1, 1e-12), ("adam", 0.01, 300, 1e-5),
+                                           ("gd", None, 300, 1e-5)):
+            cfg = ServerConfig(optimizer=optimizer, eta_s=eta, t_max=t_max)
+            want = fedfisher_solve(updates, cfg).weights
+            got = fedfisher_solve(updates, replace(cfg, kron_precision="float32")).weights
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want - mean)
+        # The objective at the returned weights takes the loop's gradient: at
+        # the mean it is the float64 one (the plain float32 operator's was
+        # 4e-8 away).
+        cfg = ServerConfig(optimizer="adam", t_max=0)
+        want = fedfisher_solve(updates, cfg, record_objective=True).objective_trace
+        got = fedfisher_solve(updates, replace(cfg, kron_precision="float32"),
+                              record_objective=True).objective_trace
+        assert len(got) == 1 and abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
 
     def test_thin_payloads_alone_take_lambda_max_from_power_iteration(self):
         rng = np.random.default_rng(15)

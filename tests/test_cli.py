@@ -70,6 +70,12 @@ class TestDefaults:
         assert cfg.steps_list == [2**k for k in range(4, 13)]
         validate_config(cfg)
 
+    def test_server_applies_kronecker_products_in_float32(self):
+        # The library's default is float64, the exact operator.
+        cfg = _tiny_image_cfg(methods=[agg.METHOD_KFAC])
+        assert cli._setup(cfg, 0).server_cfg.kron_precision == "float32"
+        assert agg.ServerConfig().kron_precision == "float64"
+
     def test_every_task_default_validates(self):
         for task in ("one-shot", "few-shot", "compress-bench"):
             validate_config(default_config(task))
@@ -835,10 +841,13 @@ class TestOneShotCommand:
         assert row.comm_bits <= cfg.clients * (32 * d + 64 * 2)
         assert 0.0 <= row.test_accuracy <= 1.0
 
-    def test_kfac_over_budget_at_rank_one_is_config_error(self, tmp_path, capsys):
+    def test_kfac_over_budget_at_rank_one_is_config_error(self, tmp_path, capsys, monkeypatch):
         # One hidden unit: d = 785 + 2 * 10 = 805, and rank-1 factors at the
         # default s_q = 4 already need more than the 16 d bits the plan
         # allows; at s_q = 1, 32 bits per entry, they need about four times as many.
+        # The plan depends on the architecture alone, so no client trains.
+        trained = []
+        monkeypatch.setattr(models, "sgd_train", lambda *args, **kwargs: trained.append(args))
         for s_q, extra in ((4, ""), (1, "compress = true\ns_q = 1\n")):
             ini = tmp_path / "run.ini"
             ini.write_text("[data]\nn_train = 300\n[model]\nhidden_dims = 1\n"
@@ -849,6 +858,7 @@ class TestOneShotCommand:
             err = capsys.readouterr().err
             assert f"s_q = {s_q}" in err and "[(785, 1), (2, 10)]" in err
             assert not out.exists()
+            assert not trained
 
     def test_empty_validation_split_keeps_final_iterate(self):
         # No validation examples: the solver keeps its last iterate. Scoring

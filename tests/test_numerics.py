@@ -156,6 +156,27 @@ class TestKronMatvec:
         with pytest.raises(ValueError):
             kron_matvec(np.zeros(2), np.eye(2), np.zeros(4))
 
+    def test_float64_is_the_two_gemms_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((5, 4)), rng.standard_normal((3, 6))
+        x = rng.standard_normal(24)
+        want = (b @ x.reshape((6, 4), order="F") @ a.T).reshape(-1, order="F")
+        assert np.array_equal(kron_matvec(a, b, x), want)
+        # Integer operands still compute in float64.
+        got = kron_matvec(np.eye(2, dtype=int), np.eye(2, dtype=int), np.arange(4))
+        assert got.dtype == np.float64 and np.array_equal(got, np.arange(4.0))
+
+    def test_float32_operands_compute_in_float32(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((7, 7)), rng.standard_normal((5, 5))
+        x = rng.standard_normal(35)
+        got = kron_matvec(a.astype(np.float32), b.astype(np.float32), x.astype(np.float32))
+        assert got.dtype == np.float32
+        want = kron_matvec(a.astype(np.float32).astype(np.float64),
+                           b.astype(np.float32).astype(np.float64),
+                           x.astype(np.float32).astype(np.float64))
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
     def test_identity_factors_round_trip(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(12)
