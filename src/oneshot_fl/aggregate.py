@@ -51,35 +51,27 @@ on the width-sweep and steps-sweep configs it decides so and nothing is
 swept. Otherwise, and always above eta * lambda_max = 2, where gradient
 descent diverges, every t up to the first hit is evaluated.
 
-Diagonal parts of the operator are pre-summed, and a dense part is applied
-as q^T (theta * q v), so no d x d matrix is summed; K-FAC payloads cannot
-be pre-summed, since a sum of Kronecker products is not one. A client's raw
-input factor is its damping floor delta_i I plus a Gram part of rank r <= n_i,
-its example count. Where 2 n_i < dim, the operator applies it in that form
-(:func:`fisher.thin_input_factor` recovers both): per layer the floors are
-pre-summed into sum_i c_i delta_i B_i and the low-rank factors of all such
-clients are stacked in one buffer, so a step costs 4 * out * dim * r per
-client instead of 2 * out * dim^2. The dropped remainder is at most
-THIN_FACTOR_TOL of the factor's largest diagonal entry. Every other factor
-(full-rank, from a large client, or decoded from a compressed payload)
-keeps the per-client Kronecker matvec.
+Diagonal parts of the operator are pre-summed and a dense part is applied
+as q^T (theta * q v), so no d x d matrix is summed. A sum of Kronecker
+products is not one, so each K-FAC layer is one operator over its clients
+(:class:`_KFACBlock`): one GEMM of the stacked rows of every A_i with the
+layer's slice V^T, then each client's block times (c_i B_i)^T. A raw input
+factor delta_i I + L_i L_i^T of rank r <= n_i (its example count) with
+2 n_i < dim gives only the r rows of L_i^T (:func:`fisher.thin_input_factor`,
+dropping at most THIN_FACTOR_TOL of its largest diagonal entry), its floor
+joins sum_i c_i delta_i B_i, and it costs 4 * out * dim * r instead of
+2 * out * dim^2; every other factor gives its whole A_i.
 
-``ServerConfig.kron_precision`` is the dtype of every K-FAC product, the
-Kronecker matvecs and the thin blocks alike: float64 by default, or float32.
-Under float32 the operator casts the factors and thin blocks once, when it
-is built, casts each layer's slice of v per product, and adds the product,
-scaled by c_i, into its float64 output. The iterate, the Adam moments, b,
-the diagonal and the dense eigenpairs stay float64. The products are
-compute-bound GEMMs (out x dim x dim, 64 x 785 x 785 on the one-shot
-defaults), and float32 runs them about twice as fast; the raw factors travel
-as float32 anyway. On the test suite's payloads a float32 product differs
-from the float64 one by at most 2e-7 of |F v|. That error scales with |F v|,
-and at the mean F w0 is far larger than the gradient F w0 - b, so under
-float32 the step loop applies the operator to w - w0 alone, its entries
-below float32's rounding of the largest set to 0, and adds g0, the gradient
-at the mean, taken in float64 from the payloads. On the benchmark's one-shot
-pool this cut the largest change of a merged loss from 1.0e-6 to 3.2e-7
-relative to it. The CLI runs its K-FAC products in float32.
+``ServerConfig.kron_precision`` is the dtype of the K-FAC products: float64
+by default, float32 in the CLI, about twice as fast on these compute-bound
+GEMMs (the raw factors travel as float32 anyway). Everything else stays
+float64, the output included. A float32 product errs by up to 2e-7 of
+|F v| on the test suite's payloads, and at the mean F w0 is far larger than
+the gradient, so under float32 the step loop applies the operator to w - w0
+alone, its entries below float32's rounding of the largest set to 0, and
+adds g0 = sum_i c_i F_i (w0 - w_i), taken in float64 from the payloads. On
+the benchmark's one-shot pool this cut the largest change of a merged loss
+from 1.0e-6 to 3.2e-7 relative to it.
 """
 
 from __future__ import annotations
@@ -91,7 +83,7 @@ import numpy as np
 
 from .fisher import (DiagFisher, FisherApprox, FullFisher, KFACFisher, fisher_matvec,
                      gram_factor, thin_input_factor)
-from .numerics import kron_matvec, power_iteration_max_eig
+from .numerics import power_iteration_max_eig
 
 METHOD_FEDAVG = "fedavg"
 METHOD_FULL = "fedfisher-full"
@@ -186,28 +178,32 @@ def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
 
 
 @dataclass
-class _ThinBlock:
-    """One layer's thin K-FAC clients, A_i = delta_i I + L_i L_i^T, as one
-    operator on the layer's slice: V -> floor V + [c_i B_i (V L_i)]_i L^T,
-    with floor = sum_i c_i delta_i B_i and L = [L_1 .. L_k] stored as the
-    rows lt = L^T, client after client (``mixes`` holds each one's rows and
-    (c_i B_i)^T)."""
+class _KFACBlock:
+    """One layer's K-FAC clients as one operator on the layer's slice:
+    V -> sum_i c_i B_i V A_i^T. ``stack`` holds the thin clients' rows L_i^T
+    (A_i = delta_i I + L_i L_i^T, floor = sum_i c_i delta_i B_i), then every
+    other client's whole A_i; ``mixes`` holds each client's rows and
+    (c_i B_i)^T, in the order of the stack."""
 
     sl: slice
+    stack: np.ndarray  # (r_1 + .. + r_k + m * dim, dim)
+    thin: int  # rows of the thin clients' L_i^T at the top of the stack
     floor_t: np.ndarray  # (out, out): floor^T
-    lt: np.ndarray  # (r_1 + .. + r_k, dim)
     mixes: list[tuple[slice, np.ndarray]]
 
     def add_to(self, out: np.ndarray, v: np.ndarray) -> None:
         # The slice holds V (out, dim) column-major, so as (dim, out) it is V^T.
-        dim = self.lt.shape[1]
-        vt = v[self.sl].astype(self.lt.dtype, copy=False).reshape(dim, -1)
-        ot = out[self.sl].reshape(dim, -1)
-        ot += vt @ self.floor_t
-        p = self.lt @ vt  # (V L)^T
+        vt = v[self.sl].astype(self.stack.dtype, copy=False).reshape(self.stack.shape[1], -1)
+        ot = out[self.sl].reshape(vt.shape)
+        p = self.stack @ vt  # A_i V^T, or (V L_i)^T for a thin client
         for rows, cb_t in self.mixes:
-            p[rows] = p[rows] @ cb_t
-        ot += self.lt.T @ p
+            if rows.start < self.thin:
+                p[rows] = p[rows] @ cb_t
+            else:  # summed into the output client by client, in its dtype
+                ot += p[rows] @ cb_t
+        if self.thin:
+            ot += vt @ self.floor_t
+            ot += self.stack[:self.thin].T @ p[:self.thin]
 
 
 class _SummedCurvature:
@@ -218,26 +214,17 @@ class _SummedCurvature:
     one thin SVD of the stacked Gram factors sqrt(c_i) L_i
     (:func:`fisher.gram_factor`, floor 0); a payload that has no such factor
     raises ValueError naming its client. Other diagonal payloads are
-    pre-summed. A K-FAC input factor A_i that :func:`fisher.thin_input_factor`
-    splits into its floor delta_i I and L_i L_i^T, of rank r <= n_i with
-    2 n_i < dim, joins its layer's :class:`_ThinBlock`, where the floors are
-    pre-summed and a matvec costs 4 * out * dim * r per client instead of
-    2 * out * dim^2. Every other K-FAC layer is applied per client by
-    ``kron_matvec``, each product scaled and added into its slice of the
-    output. ``rank_bounds`` holds each client's n_i, its example count; None
-    bounds the rank by the dimension alone. Both kinds of K-FAC product run
-    in ``dtype``: the factors and thin blocks are cast to it here, the
-    layer's slice of v per product, and the output stays float64.
+    pre-summed. Each K-FAC layer is one :class:`_KFACBlock` over all its
+    clients, its stack, floor and mixes held in ``dtype``; the output stays
+    float64. ``rank_bounds`` holds each client's n_i, its example count, which
+    bounds the rank of a thin input factor; None bounds it by the dimension.
     """
 
     def __init__(self, pairs: list[tuple[float, FisherApprox]], dim: int,
                  rank_bounds: list[int] | None = None, dtype=np.float64):
-        self.dim = dim
-        self.dtype = np.dtype(dtype)  # of the K-FAC products
         self.eig: tuple[np.ndarray, np.ndarray] | None = None  # (q, theta)
         self.diag: np.ndarray | None = None
-        self.kfacs: list[tuple[float, slice, np.ndarray, np.ndarray]] = []  # (c_i, slice, A, B)
-        self.thin: list[_ThinBlock] = []
+        self.kfac: list[_KFACBlock] = []
         grams, diags = [], []  # (client, c_i, matrix, n_i) and (client, c_i, diagonal)
         # (slice, dim A, dim B) -> (c_i, A, B, n_i) of every client's layer there
         layers: dict[tuple[int, int, int], list] = {}
@@ -263,7 +250,8 @@ class _SummedCurvature:
             for _, coef, diag in diags:
                 self.diag += coef * diag
         for (offset, dim_a, dim_b), clients in layers.items():
-            self._add_layer(slice(offset, offset + dim_a * dim_b), dim_a, dim_b, clients, dtype)
+            sl = slice(offset, offset + dim_a * dim_b)
+            self.kfac.append(self._block(sl, dim_a, dim_b, clients, np.dtype(dtype)))
 
     @staticmethod
     def _eigenpairs(grams: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,28 +271,32 @@ class _SummedCurvature:
         s, q = np.linalg.svd(np.vstack(rows), full_matrices=False)[1:]
         return q, s**2
 
-    def _add_layer(self, sl: slice, dim_a: int, dim_b: int, clients: list, dtype) -> None:
-        """Sort one layer's clients into its thin block and the per-client
-        list, each array they apply cast to ``dtype``."""
+    @staticmethod
+    def _block(sl: slice, dim_a: int, dim_b: int, clients: list, dtype) -> _KFACBlock:
+        """One layer's :class:`_KFACBlock`, each factor written into its stack."""
         # Room for the most pivots thin_input_factor may take per client.
         lt = np.empty((sum(n for *_, n in clients if 2 * n < dim_a), dim_a))
         floor_t = np.zeros((dim_b, dim_b))
-        mixes = []
+        mixes, dense = [], []  # (rows, c_i, B) of each client in the stack; (c_i, A, B)
         rows = 0
         for coef, a, b, n in clients:
-            thin = thin_input_factor(a, n, out=lt[rows:])
-            if thin is None:
-                self.kfacs.append((coef, sl, a.astype(dtype, copy=False),
-                                   b.astype(dtype, copy=False)))
+            found = thin_input_factor(a, n, out=lt[rows:])
+            if found is None:
+                dense.append((coef, a, b))
                 continue
-            delta, l_t = thin
+            delta, l_t = found
             floor_t += (coef * delta) * b.T
-            mixes.append((slice(rows, rows + l_t.shape[0]),
-                          (coef * b.T).astype(dtype, copy=False)))
+            mixes.append((slice(rows, rows + l_t.shape[0]), coef, b))
             rows += l_t.shape[0]
-        if mixes:
-            self.thin.append(_ThinBlock(sl, floor_t.astype(dtype, copy=False),
-                                        lt[:rows].astype(dtype, copy=False), mixes))
+        thin = rows
+        stack = np.empty((thin + dim_a * len(dense), dim_a), dtype)
+        stack[:thin] = lt[:thin]
+        for coef, a, b in dense:
+            stack[rows:rows + dim_a] = a
+            mixes.append((slice(rows, rows + dim_a), coef, b))
+            rows += dim_a
+        return _KFACBlock(sl, stack, thin, floor_t.astype(dtype, copy=False),
+                          [(r, (coef * b.T).astype(dtype)) for r, coef, b in mixes])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
@@ -313,18 +305,21 @@ class _SummedCurvature:
             out += q.T @ (theta * (q @ v))
         if self.diag is not None:
             out += self.diag * v
-        for coef, sl, a, b in self.kfacs:
-            out[sl] += coef * kron_matvec(a, b, v[sl].astype(a.dtype, copy=False))
-        for block in self.thin:
+        for block in self.kfac:
             block.add_to(out, v)
         return out
 
 
-def _merge_problem(updates: list[ClientUpdate], kron_precision: str = "float64"):
+def _merge_problem(updates: list[ClientUpdate], kron_precision: str = "float64",
+                   with_b: bool = True, with_const: bool = True):
+    """(d, op, b, const) of the merged loss W^T F W - 2 b^T W + const, F applied
+    by ``op``; b and const are None unless asked for (const takes b's products)."""
     d = _check_updates(updates, need_fisher=True)
     coeffs = _coefficients(updates)
     op = _SummedCurvature(list(zip(coeffs, [u.fisher for u in updates])), d,
                           [u.n_examples for u in updates], kron_precision)
+    if not (with_b or with_const):
+        return d, op, None, None
     b = np.zeros(d)
     const = 0.0
     for c, u in zip(coeffs, updates):
@@ -332,7 +327,7 @@ def _merge_problem(updates: list[ClientUpdate], kron_precision: str = "float64")
         fw = fisher_matvec(u.fisher, w)
         b += c * fw
         const += c * float(w @ fw)
-    return d, op, b, const
+    return d, op, b, const if with_const else None
 
 
 def _landweber(theta: np.ndarray, eta: float, t) -> tuple[np.ndarray, np.ndarray]:
@@ -476,22 +471,22 @@ def fedfisher_solve(
     if cfg.kron_precision not in ("float32", "float64"):
         raise ValueError("kron_precision must be float32 or float64, "
                          f"got {cfg.kron_precision!r}")
-    d, op, b, const = _merge_problem(updates, cfg.kron_precision)
+    # Float32 K-FAC products shift the gradient to the mean w0, which leaves
+    # b, like const, to the objective.
+    shifted = cfg.kron_precision == "float32" and any(
+        isinstance(u.fisher, KFACFisher) for u in updates)
+    d, op, b, const = _merge_problem(updates, cfg.kron_precision,
+                                     record_objective or not shifted, record_objective)
     w = fedavg(updates)
     trace: list[float] | None = [] if record_objective else None
 
-    if op.dtype == np.float32 and (op.kfacs or op.thin):
-        # K-FAC products in float32 err by about 1e-7 of |F v|, and F w is
-        # far larger than the gradient F w - b. So the gradient applies the
-        # operator to x - w0 alone and adds g0 = F w0 - b, taken in float64
-        # from the payloads at the mean w0: its error then scales with
-        # |F (x - w0)|. Float64 keeps the plain gradient: the shift moves
-        # its iterates at rounding level, and TestStepLoopMatchesTextbook::
-        # test_same_iterates_and_choice pins them bit for bit to the
-        # textbook update.
+    if shifted:
+        # The operator applies to x - w0 alone, so its float32 error scales
+        # with |F (x - w0)|. Float64 keeps the plain gradient, whose iterates
+        # TestStepLoopMatchesTextbook pins bit for bit to the textbook update.
         w0 = w.copy()
-        g0 = sum(c * fisher_matvec(u.fisher, w0)
-                 for c, u in zip(_coefficients(updates), updates)) - b
+        g0 = sum(c * fisher_matvec(u.fisher, w0 - u.weights)
+                 for c, u in zip(_coefficients(updates), updates))
 
         def gradient(x: np.ndarray) -> np.ndarray:
             g = op.matvec(_flush_tiny(x - w0))
@@ -510,7 +505,7 @@ def fedfisher_solve(
     lam = float("nan")
     warning = spectral = False
     if cfg.optimizer == "gd":
-        if op.kfacs or op.thin:
+        if op.kfac:
             power = power_iteration_max_eig(op.matvec, d, tol=1e-6, max_iters=2000)
             lam, warning = power.value, not power.converged  # unconverged: may lie below lambda_max
         elif op.eig is not None:

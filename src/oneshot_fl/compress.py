@@ -245,14 +245,19 @@ def kfac_budget_plan(layer_dims: list[tuple[int, int]], d: int, s_q: int) -> Bud
     budget = 16 * d
     ranks = [min(da, db) for da, db in layer_dims]
     d_max = max(ranks)
-    for j in range(d_max, 0, -1):
-        frac = j / d_max
-        l_v = [min(r, max(1, int(frac * r))) for r in ranks]
-        total = _plan_bits(layer_dims, l_v, s_q)
-        if total <= budget:
-            return BudgetPlan(int(s_q), l_v, total, budget, True)
-    l_v = [1] * len(layer_dims)
-    return BudgetPlan(int(s_q), l_v, _plan_bits(layer_dims, l_v, s_q), budget, False)
+
+    def plan(j: int) -> tuple[list[int], int]:  # kept ranks and bits at fraction j / d_max
+        l_v = [min(r, max(1, int(j / d_max * r))) for r in ranks]
+        return l_v, _plan_bits(layer_dims, l_v, s_q)
+
+    # No kept rank, so no bit count, falls as j grows: bisect for the largest
+    # j that fits, 0 if none does (j = 1 keeps rank 1 everywhere).
+    lo, hi = 0, d_max
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if plan(mid)[1] <= budget else (lo, mid - 1)
+    l_v, total = plan(max(lo, 1))
+    return BudgetPlan(int(s_q), l_v, total, budget, lo > 0)
 
 
 def quantize_blocks(x: np.ndarray, block_sizes: list[int], s_q: int) -> list[QuantizedVector]:

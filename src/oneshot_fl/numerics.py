@@ -4,8 +4,7 @@ The two entry points are a matrix-free power iteration for the largest
 eigenvalue of a symmetric PSD operator, run once from a seeded Gaussian start
 and returning the value alone, not its eigenvector, and a Kronecker-product
 matvec that never materializes the Kronecker matrix. The power iteration
-works in float64; the matvec computes in the float type of its operands, so
-the server can apply float32 factors in float32.
+works in float64; the matvec computes in the float type of its operands.
 """
 
 from __future__ import annotations

@@ -762,7 +762,7 @@ class TestSummedCurvatureMatchesReference:
         return KFACFisher(layers)
 
     @pytest.mark.parametrize("mixed", [False, True])
-    def test_bit_identical_to_whole_payload_matvec(self, mixed):
+    def test_matches_whole_payload_matvec(self, mixed):
         rng = np.random.default_rng(11)
         fishers = [self._kfac(rng) for _ in range(3)]
         d = fishers[0].dim
@@ -776,7 +776,10 @@ class TestSummedCurvatureMatchesReference:
         assert (op.diag is not None) == mixed
         for _ in range(5):
             v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
-            assert np.array_equal(op.matvec(v), _summed_matvec_reference(op, pairs, v))
+            # One GEMM per layer over the stacked clients sums in another
+            # order than the whole payloads do, so the match is to rounding.
+            want = _summed_matvec_reference(op, pairs, v)
+            assert np.linalg.norm(op.matvec(v) - want) <= 1e-12 * np.linalg.norm(want)
 
     @staticmethod
     def _small_clients(rng, ns):
@@ -796,13 +799,54 @@ class TestSummedCurvatureMatchesReference:
         pairs = list(zip(aggregate._coefficients(updates), fishers))
         op = aggregate._SummedCurvature(pairs, d, [u.n_examples for u in updates])
         # Thin where the rank n fits 2n < dim: n = 5 and 12 on the first
-        # layer, n = 5 on the second; the rest are applied per client.
-        assert [block.lt.shape for block in op.thin] == [(17, 41), (5, 17)]
-        assert len(op.kfacs) == 3
+        # layer, n = 5 on the second; the rest give their whole factor.
+        assert [(block.thin, block.stack.shape) for block in op.kfac] == [
+            (17, (17 + 41, 41)), (5, (5 + 2 * 17, 17))]
         for _ in range(5):
             v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
             want = _summed_matvec_reference(op, pairs, v)
             assert np.linalg.norm(op.matvec(v) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_thin_full_rank_and_decoded_clients_share_one_block(self):
+        rng = np.random.default_rng(18)
+        ns = (5, 12, 30, 6)
+        fishers = self._small_clients(rng, ns)
+        fishers[3] = compress.decompress_kfac(compress.compress_kfac(fishers[3], 4, [8, 2]))
+        d = fishers[0].dim
+        pairs = list(zip(np.array([0.6, 1.1, 1.3, 1.0]), fishers))
+        op64 = aggregate._SummedCurvature(pairs, d, list(ns))
+        op32 = aggregate._SummedCurvature(pairs, d, list(ns), np.float32)
+        # First layer (41 rows): n = 5 and 12 thin, n = 30 full-rank and the
+        # decoded client whole; second (17 rows): n = 5 thin, the rest whole.
+        for op in (op64, op32):
+            assert [(block.thin, block.stack.shape) for block in op.kfac] == [
+                (17, (17 + 2 * 41, 41)), (5, (5 + 3 * 17, 17))]
+            assert [len(block.mixes) for block in op.kfac] == [4, 4]
+        for _ in range(5):
+            v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
+            want = _summed_matvec_reference(op64, pairs, v)
+            assert np.linalg.norm(op64.matvec(v) - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.linalg.norm(op32.matvec(v) - want) <= 1e-5 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("precision, record, products", [
+        ("float32", False, 3), ("float32", True, 6), ("float64", False, 3),
+    ])
+    def test_payload_products_per_merge(self, monkeypatch, precision, record, products):
+        # Under float32 the loop reads only g0 = sum_i c_i F_i (w0 - w_i), one
+        # product per client; b = sum_i c_i F_i w_i, one more each, only
+        # where the float64 gradient or the objective reads it.
+        rng = np.random.default_rng(19)
+        ns = (5, 12, 30)
+        base = models.get_flat_params(models.init_mlp([40, 16, 3], seed=14))
+        updates = [ClientUpdate(base + 0.1 * rng.standard_normal(base.size), f, n)
+                   for f, n in zip(self._small_clients(rng, ns), ns)]
+        calls = []
+        matvec = aggregate.fisher_matvec
+        monkeypatch.setattr(aggregate, "fisher_matvec",
+                            lambda f, v: calls.append(1) or matvec(f, v))
+        cfg = ServerConfig(optimizer="adam", t_max=5, kron_precision=precision)
+        fedfisher_solve(updates, cfg, record_objective=record)
+        assert len(calls) == products
 
     def test_dense_and_diagonal_beside_kfac_match_whole_payloads(self):
         rng = np.random.default_rng(13)
@@ -811,7 +855,7 @@ class TestSummedCurvatureMatchesReference:
         g = rng.standard_normal((d, d))
         pairs = [(0.5, kfac), (1.5, FullFisher(g @ g.T)), (1.0, DiagFisher(rng.random(d)))]
         op = aggregate._SummedCurvature(pairs, d)
-        assert op.diag is None and op.kfacs  # the diagonal joins the dense eigenpairs
+        assert op.diag is None and op.kfac  # the diagonal joins the dense eigenpairs
         for _ in range(4):
             v = rng.standard_normal(d)
             want = sum(c * fisher_matvec(f, v) for c, f in pairs)
@@ -834,9 +878,13 @@ class TestSummedCurvatureMatchesReference:
         pairs = list(zip(np.array([0.6, 1.1, 1.3]), fishers))
         op64 = aggregate._SummedCurvature(pairs, d, bounds)
         op32 = aggregate._SummedCurvature(pairs, d, bounds, np.float32)
-        assert bool(op32.thin) == (case == "thin") and op32.kfacs
-        assert {arr.dtype for _, _, a, b in op32.kfacs for arr in (a, b)} == {np.dtype(np.float32)}
-        assert all(block.lt.dtype == block.floor_t.dtype == np.float32 for block in op32.thin)
+        # Thin clients only where the factors are raw: the first layer
+        # takes n = 5 and 12 there, and the others give their whole factor.
+        want_thin = {"thin": [17, 5], "full-rank": [0, 0, 0], "decoded": [0, 0]}[case]
+        assert [block.thin for block in op32.kfac] == want_thin
+        assert {arr.dtype for block in op32.kfac
+                for arr in (block.stack, block.floor_t, *(cb_t for _, cb_t in block.mixes))
+                } == {np.dtype(np.float32)}
         for _ in range(5):
             v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
             got, want = op32.matvec(v), op64.matvec(v)
@@ -875,7 +923,7 @@ class TestSummedCurvatureMatchesReference:
         d = fishers[0].dim
         updates = [ClientUpdate(rng.standard_normal(d), f, n) for f, n in zip(fishers, (4, 6))]
         op = aggregate._merge_problem(updates)[1]
-        assert op.thin and not op.kfacs
+        assert all(block.stack.shape[0] == block.thin > 0 for block in op.kfac)
         dense = sum(c * np.vstack([fisher_matvec(f, e) for e in np.eye(d)])
                     for c, f in zip(aggregate._coefficients(updates), fishers))
         lam = fedfisher_solve(updates, ServerConfig(t_max=0)).lambda_max

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from oneshot_fl import datasets, models
+from oneshot_fl import compress, datasets, models
 from oneshot_fl.compress import (
     QuantizedVector,
     _element_bits,
@@ -374,6 +374,33 @@ class TestBudgetPlan:
         assert plan.feasible
         # Fractions are applied to each layer's own max rank.
         assert plan.l_v[0] >= plan.l_v[1]
+
+    @staticmethod
+    def _scan(layer_dims, d, s_q):
+        """(l_v, total_bits, feasible) by pricing every fraction j / d_max
+        from j = d_max down: the reference the planner's bisection matches."""
+        ranks = [min(da, db) for da, db in layer_dims]
+        d_max = max(ranks)
+        for j in range(d_max, 0, -1):
+            l_v = [min(r, max(1, int(j / d_max * r))) for r in ranks]
+            total = compress._plan_bits(layer_dims, l_v, s_q)
+            if total <= 16 * d:
+                return l_v, total, True
+        l_v = [1] * len(ranks)
+        return l_v, compress._plan_bits(layer_dims, l_v, s_q), False
+
+    def test_bisection_matches_linear_scan(self):
+        grids = [[(10, 10)], [(4, 3)], [(7, 4), (5, 6)], [(41, 16), (17, 3)],
+                 [(785, 64), (65, 10)], [(101, 32), (33, 32), (33, 10)], [(3, 97), (98, 1)]]
+        feasible = set()
+        for dims in grids:
+            params = sum(da * db for da, db in dims)
+            for d in (1, params // 20 + 1, params // 4 + 1, params, 50 * params):
+                for s_q in range(1, 17):
+                    plan = kfac_budget_plan(dims, d=d, s_q=s_q)
+                    assert (plan.l_v, plan.total_bits, plan.feasible) == self._scan(dims, d, s_q)
+                    feasible.add(plan.feasible)
+        assert feasible == {True, False}
 
     def test_validation(self):
         with pytest.raises(ValueError):
