@@ -1,11 +1,11 @@
 """Experiment runners and the command-line front end.
 
-Every subcommand runs one client round per sweep point: clients train
-locally, each sends one uplink built by :func:`client_update`, and the
-server merges the uplinks once per method. Tasks differ only in the axis
-they sweep, so each task is a list of sweep points (:func:`_points`) and
-one loop (:func:`_run`) runs seed x point x method. A point's round starts
-in one of four ways:
+Every subcommand runs one client round per sweep point: building a
+:class:`Round` trains its clients locally, and :meth:`Round.merge` sends
+each client's uplink to the server, which merges them, once per method.
+Tasks differ only in the axis they sweep, so each task is a list of sweep
+points (:func:`_points`) and one loop (:func:`_run`) runs seed x point x
+method. A point's round starts in one of four ways:
 
 - ``init``: the clients train from the initial model;
 - ``continue``: the previous point's clients train the extra steps;
@@ -276,9 +276,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in ("epochs_or_steps", "t_max", "stop_tol"):
         if not getattr(cfg, name) >= 0:
             raise ConfigError(f"{name} must be nonnegative, got {getattr(cfg, name)}")
-    for name in ("momentum", "test_fraction", "val_fraction"):
+    for name in ("momentum", "val_fraction"):
         if not 0 <= getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be in [0, 1), got {getattr(cfg, name)}")
+    if not 0 < cfg.test_fraction < 1:  # a test split needs at least one example
+        raise ConfigError(f"test_fraction must be in (0, 1), got {cfg.test_fraction}")
     # Each entry of these lists makes its own rows. hidden_dims may repeat a layer width.
     for name in ("seeds", "methods", "widths", "steps_list", "s_q_list"):
         values = getattr(cfg, name)
@@ -376,28 +378,9 @@ class Codec:
     factor_s_q: int
 
 
-# Curvature variant each method sends; fedavg sends its weights alone.
-_VARIANTS = {
-    agg.METHOD_FULL: "full",
-    agg.METHOD_DIAG: "diag",
-    agg.METHOD_FISHERMERGE: "diag",
-    agg.METHOD_KFAC: "kfac",
-}
-
-
-def _build_curvature(variant: str, model, x):
-    # Each builder is looked up on the module at call time, so a wrapper
-    # installed there sees every build.
-    if variant == "full":
-        return fisher.full_fisher_two_layer(model, x)
-    if variant == "diag":
-        return fisher.diag_fisher(model, x)
-    return fisher.kfac_fisher(model, x)
-
-
 def _kfac_ranks(model, codec: Codec) -> list[int]:
     """Kept rank per layer of the K-FAC factors under ``codec``. The budget
-    plan depends on the architecture alone, so every client plans the same.
+    plan depends on the architecture alone, so one plan serves every client.
     Raises :class:`ConfigError` when even rank 1 exceeds the budget."""
     dims = [(cols, rows) for _, rows, cols in models.layer_slices(model)]
     plan = comp.kfac_budget_plan(dims, models.param_count(model), codec.factor_s_q)
@@ -409,102 +392,108 @@ def _kfac_ranks(model, codec: Codec) -> list[int]:
     return plan.l_v
 
 
-def client_update(model, x: np.ndarray, method: str, codec: Codec | None = None,
-                  built: dict | None = None) -> tuple[agg.ClientUpdate, int]:
-    """One client's uplink for ``method``: the update the server merges, and
-    its bits.
-
-    Builds the curvature variant the method needs from the client's inputs
-    ``x``, unless ``built`` (variant -> payload, for this trained model)
-    already holds it. Curvature is exact and draws nothing, so the uplink
-    depends on ``model``, ``x``, ``method`` and ``codec`` alone. Applies
-    ``codec`` unless the method is fedavg, encoding the weights and the
-    diagonal once per codec (``built`` keeps the latest codec's) and K-FAC
-    factors at the ranks :func:`_kfac_ranks` plans from ``model`` and
-    ``codec``. Each K-FAC factor is decomposed once, and ``built`` keeps its
-    singular triples for every later codec. The bits are
-    ``compress.bit_cost`` of what the server receives.
-    """
-    built = {} if built is None else built
-    weights = models.get_flat_params(model)
-    f = None
-    variant = _VARIANTS.get(method)
-    if variant is not None:
-        if variant not in built:
-            built[variant] = _build_curvature(variant, model, x)
-        f = built[variant]
-    sent_weights, sent_curvature = weights, f
-    if codec is not None and method != agg.METHOD_FEDAVG:
-        if built.get("codec") != codec:  # keep the latest codec's encodings only
-            built["codec"], built["encoded"] = codec, {}
-        encoded = built["encoded"]  # what several methods send -> (sent, as decoded)
-        blocks = ([rows * cols for _, rows, cols in models.layer_slices(model)]
-                  if isinstance(model, models.MLP) else [weights.size])
-        if "weights" not in encoded:
-            sent = comp.quantize_blocks(weights, blocks, codec.s_q)
-            encoded["weights"] = sent, comp.dequantize_blocks(sent)
-        sent_weights, weights = encoded["weights"]
-        if isinstance(f, fisher.DiagFisher):
-            if "diag" not in encoded:
-                sent = comp.quantize_blocks(f.diag, blocks, codec.s_q)
-                encoded["diag"] = sent, fisher.DiagFisher(comp.dequantize_blocks(sent))
-            sent_curvature, f = encoded["diag"]
-        elif isinstance(f, fisher.KFACFisher):
-            sent_curvature = comp.compress_kfac(f, codec.factor_s_q, _kfac_ranks(model, codec),
-                                                built.setdefault("kfac_svds", []))
-            f = comp.decompress_kfac(sent_curvature)
-    bits = comp.bit_cost([sent_weights, sent_curvature])
-    return agg.ClientUpdate(weights, f, x.shape[0]), bits
-
-
 @dataclass
-class Round:
-    """Client models after one round of local training, with the data they
-    trained on.
+class _Client:
+    """One client of a round: its trained model and what its uplinks reuse.
+    Each curvature variant is built on first use, and each Kronecker
+    factor's singular triples serve every codec. The encoded weights and
+    diagonal are kept for the latest codec only. The client's inputs are not
+    kept: a build takes them from the round's data."""
 
-    Every method and codec merged from a round shares it, so each client
-    trains once per round, builds each curvature variant at most once, and
-    decomposes each Kronecker factor at most once. Merging draws nothing, so
-    a round carries no seed.
+    model: models.Model
+    full: fisher.FullFisher | None = None
+    diag: fisher.DiagFisher | None = None
+    kfac: fisher.KFACFisher | None = None
+    svds: list = field(default_factory=list)  # per layer, (A, B) comp.FactorSVD
+    codec: Codec | None = None
+    sent_weights: tuple | None = None  # (as sent, as decoded) under codec
+    sent_diag: tuple | None = None  # the same, encoded on first use
+
+
+class Round:
+    """One client round: building it trains client i of ``data`` from
+    ``starts[i]``, its mini-batches drawn from [``seed``, ``index``, i], and
+    raises :class:`DivergenceError` if one diverges. Every method and codec
+    merged from a round shares its clients, so each trains once, and builds
+    each curvature variant and decomposes each Kronecker factor at most once.
+    ``seconds`` is the training time ``clock`` measured, plus the ``seconds``
+    of the rounds this one continues.
     """
 
-    data: datasets.FederatedDataset
-    trained: list  # client i's model
-    built: list[dict] = field(init=False)
+    def __init__(self, data: datasets.FederatedDataset, starts: list,
+                 train_cfg: models.TrainConfig, seed: int, index: int,
+                 clock: _Clock = _Clock(False), seconds: float = 0.0):
+        t0 = clock.now()
+        self.data, self.clients = data, []
+        for i, start in enumerate(starts):
+            cx, cy = data.client_data(i)
+            result = models.sgd_train(start, cx, cy, train_cfg, seed=[seed, index, i])
+            if result.diverged:
+                raise DivergenceError(f"client {i} diverged during local training")
+            self.clients.append(_Client(result.model))
+        self.seconds = seconds + (clock.now() - t0)
 
-    def __post_init__(self):
-        self.built = [{} for _ in self.trained]
+    def _curvature(self, i: int, method: str):
+        """Client i's curvature for ``method``, built on first use; None for
+        fedavg. Each builder is looked up on its module at call time, so a
+        wrapper installed there sees every build."""
+        client = self.clients[i]
+        if method == agg.METHOD_FEDAVG:
+            return None
+        if method == agg.METHOD_FULL:
+            if client.full is None:
+                x, _ = self.data.client_data(i)
+                client.full = fisher.full_fisher_two_layer(client.model, x)
+            return client.full
+        if method == agg.METHOD_KFAC:
+            if client.kfac is None:
+                x, _ = self.data.client_data(i)
+                client.kfac = fisher.kfac_fisher(client.model, x)
+            return client.kfac
+        if client.diag is None:
+            x, _ = self.data.client_data(i)
+            client.diag = fisher.diag_fisher(client.model, x)
+        return client.diag
 
-
-def train_round(data: datasets.FederatedDataset, starts: list, train_cfg: models.TrainConfig,
-                seed: int, index: int) -> Round:
-    """Train client i of ``data`` from ``starts[i]``, its mini-batches drawn
-    from [``seed``, ``index``, i]; divergence raises :class:`DivergenceError`."""
-    trained = []
-    for i, start in enumerate(starts):
-        cx, cy = data.client_data(i)
-        result = models.sgd_train(start, cx, cy, train_cfg, seed=[seed, index, i])
-        if result.diverged:
-            raise DivergenceError(f"client {i} diverged during local training")
-        trained.append(result.model)
-    return Round(data, trained)
-
-
-def merge_round(rnd: Round, method: str, codec: Codec | None, server_cfg: agg.ServerConfig
-                ) -> tuple[np.ndarray, int, agg.MergeResult | None]:
-    """Merge one :func:`client_update` per client of ``rnd``: (weights, bits,
-    the solver's result, None for a method without one); a diverged solver
-    raises :class:`DivergenceError`."""
-    updates, bits = [], 0
-    for i, model in enumerate(rnd.trained):
-        cx, _ = rnd.data.client_data(i)
-        update, client_bits = client_update(model, cx, method, codec, rnd.built[i])
-        updates.append(update)
-        bits += client_bits
-    merged, result = agg.merge_updates(method, updates, server_cfg)
-    if result is not None and result.diverged:
-        raise DivergenceError(f"server merge diverged for method {method}")
-    return merged, bits, result
+    def merge(self, method: str, codec: Codec | None, server_cfg: agg.ServerConfig
+              ) -> tuple[np.ndarray, int, agg.MergeResult | None]:
+        """Merge each client's uplink for ``method``, its weights and the
+        curvature the method needs: (weights, bits, the solver's result, None
+        for a method without one). ``codec`` applies unless the method is
+        fedavg, with K-FAC ranks planned once per merge. The bits are
+        ``compress.bit_cost`` of what the server receives. A diverged solver
+        raises :class:`DivergenceError`."""
+        if method == agg.METHOD_FEDAVG:
+            codec = None
+        ranks = (_kfac_ranks(self.clients[0].model, codec)
+                 if codec is not None and method == agg.METHOD_KFAC else None)
+        updates, bits = [], 0
+        for i, client in enumerate(self.clients):
+            weights = models.get_flat_params(client.model)
+            f = self._curvature(i, method)
+            sent_weights, sent_curvature = weights, f
+            if codec is not None:
+                blocks = ([rows * cols for _, rows, cols in models.layer_slices(client.model)]
+                          if isinstance(client.model, models.MLP) else [weights.size])
+                if client.codec != codec:
+                    sent = comp.quantize_blocks(weights, blocks, codec.s_q)
+                    client.codec, client.sent_weights, client.sent_diag = (
+                        codec, (sent, comp.dequantize_blocks(sent)), None)
+                sent_weights, weights = client.sent_weights
+                if isinstance(f, fisher.DiagFisher):
+                    if client.sent_diag is None:
+                        sent = comp.quantize_blocks(f.diag, blocks, codec.s_q)
+                        client.sent_diag = sent, fisher.DiagFisher(comp.dequantize_blocks(sent))
+                    sent_curvature, f = client.sent_diag
+                elif isinstance(f, fisher.KFACFisher):
+                    sent_curvature = comp.compress_kfac(f, codec.factor_s_q, ranks, client.svds)
+                    f = comp.decompress_kfac(sent_curvature)
+            bits += comp.bit_cost([sent_weights, sent_curvature])
+            updates.append(agg.ClientUpdate(weights, f, len(self.data.partition[i])))
+        merged, result = agg.merge_updates(method, updates, server_cfg)
+        if result is not None and result.diverged:
+            raise DivergenceError(f"server merge diverged for method {method}")
+        return merged, bits, result
 
 
 @dataclass
@@ -527,6 +516,10 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
             raise ConfigError("idx data needs images_path and labels_path")
         if bool(cfg.test_images_path) != bool(cfg.test_labels_path):
             raise ConfigError("[data] set both test_images_path and test_labels_path, or neither")
+        unset = default_config(cfg.task).test_fraction
+        if cfg.test_images_path and cfg.test_fraction != unset:
+            raise ConfigError("[data] test_fraction is not read when test_images_path and "
+                              f"test_labels_path are set; leave it at its default {unset!r}")
         keys = ("images_path", "labels_path")
         x_all, y_all = _read_data(datasets.load_idx, cfg, "images_path", "labels_path")
         if cfg.test_images_path:
@@ -678,38 +671,32 @@ def _run(cfg: ExperimentConfig) -> list[ResultRow]:
     solved = unconverged = warned = 0
     for seed in cfg.seeds:
         run = _setup(cfg, seed)
-
-        def train(starts: list, point: _Point) -> tuple[Round, float]:
-            t0 = clock.now()
-            local = _local_config(cfg, run.data.x.shape[0], point.steps)
-            rnd = train_round(run.data, starts, local, seed, point.index)
-            return rnd, clock.now() - t0
-
-        shared, last = None, {}  # (round, training seconds) of the point; method -> (weights, bits)
+        clients = run.data.num_clients
+        rnd, last = None, {}  # the point's round; method -> (weights, bits) of its last merge
         for point in points:
+            local = _local_config(cfg, run.data.x.shape[0], point.steps)
             if point.start == "init":
-                shared = train([run.init(point)] * run.data.num_clients, point)
+                rnd = Round(run.data, [run.init(point)] * clients, local, seed, point.index, clock)
             elif point.start == "continue":
-                more, seconds = train(shared[0].trained, point)
-                shared = more, shared[1] + seconds
+                rnd = Round(run.data, [c.model for c in rnd.clients], local, seed, point.index,
+                            clock, rnd.seconds)
             for method in cfg.methods:
                 bits = 0
                 if point.start == "merge":
                     # Drop the spent round, models and curvature, before training the next.
                     weights, bits = last[method]
-                    shared = rnd = None
+                    rnd = None
                     start = models.with_flat_params(run.init(point), weights)
-                    shared = train([start] * run.data.num_clients, point)
-                rnd, seconds = shared
+                    rnd = Round(run.data, [start] * clients, local, seed, point.index, clock)
                 t0 = clock.now()
-                weights, sent, result = merge_round(rnd, method, point.codec, run.server_cfg)
-                seconds += clock.now() - t0
+                weights, sent, result = rnd.merge(method, point.codec, run.server_cfg)
+                seconds = rnd.seconds + (clock.now() - t0)
                 if result is not None:
                     solved += 1
                     unconverged += not result.converged
                     warned += result.step_warning
                 last[method] = weights, bits + sent
-                model = models.with_flat_params(rnd.trained[0], weights)
+                model = models.with_flat_params(rnd.clients[0].model, weights)
                 loss = models.loss_eval(model, run.data.x, run.data.y)
                 acc = models.accuracy_eval(model, *run.test) if run.test else float("nan")
                 rows.append(ResultRow(seed, method, point.sweep, loss, acc, seconds, bits + sent))

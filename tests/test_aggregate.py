@@ -502,9 +502,13 @@ def width_512_merge():
     data = gen_synthetic(cfg.clients, cfg.per_client, cfg.dim, 0)
     init = init_two_layer(512, cfg.dim, cfg.kappa, [0, 512, 7])
     local = cli._local_config(cfg, data.x.shape[0], 128)
-    rnd = cli.train_round(data, [init] * 2, local, 0, 0)
-    return [cli.client_update(m, data.client_data(i)[0], METHOD_FULL)[0]
-            for i, m in enumerate(rnd.trained)]
+    rnd = cli.Round(data, [init] * 2, local, 0, 0)
+    updates = []
+    for i, client in enumerate(rnd.clients):
+        x, _ = data.client_data(i)
+        updates.append(ClientUpdate(models.get_flat_params(client.model),
+                                    fisher.full_fisher_two_layer(client.model, x), x.shape[0]))
+    return updates
 
 
 def _lambda_max(updates):
@@ -1039,7 +1043,7 @@ class TestMergeUpdates:
 
 
 class TestFewShotRounds:
-    """Broadcast rounds built from ``cli.train_round`` and ``cli.merge_round``."""
+    """Broadcast rounds, each a ``cli.Round`` merged once."""
 
     def _tiny_dataset(self, seed=0):
         return gen_synthetic(clients=2, per_client=25, dim=2, seed=seed)
@@ -1048,8 +1052,8 @@ class TestFewShotRounds:
         weights = []
         start = model
         for r in range(rounds):
-            rnd = cli.train_round(ds, [start] * ds.num_clients, local, seed, r)
-            merged, *_ = cli.merge_round(rnd, method, None, server)
+            merged, *_ = cli.Round(ds, [start] * ds.num_clients, local, seed, r).merge(
+                method, None, server)
             weights.append(merged)
             start = models.with_flat_params(model, merged)
         return weights

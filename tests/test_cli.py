@@ -295,6 +295,9 @@ class TestValidation:
         ("synthetic-steps", "[run]\nfisher_mode = expected\ndraws = 7\n",
          "unknown config key [run] fisher_mode"),
         ("synthetic-width", "[local]\nmomentum = 1.5\n", "momentum must be in [0, 1)"),
+        # The holdout kept one test example anyway.
+        ("one-shot", "[data]\nkind = csv\ncsv_path = d.csv\ntest_fraction = 0\n",
+         "test_fraction must be in (0, 1), got 0.0"),
         ("one-shot", "[server]\nval_every = -3\n", "val_every must be positive"),
         # An empty test set would score every row NaN.
         ("one-shot", "[data]\nn_test = 0\n", "n_test must be at least 1"),
@@ -364,7 +367,7 @@ class TestValidation:
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(cli, "train_round", no_training)
+        monkeypatch.setattr(cli, "Round", no_training)
         assert cli.main(_tiny_width_args(out)) == cli.EXIT_CONFIG
         assert f"[run] out (--out): {str(out)!r}" in capsys.readouterr().err
 
@@ -913,6 +916,21 @@ class TestOneShotCommand:
         (row,) = _read_rows(out)
         assert 0.0 <= float(row[4]) <= 1.0
 
+    def test_idx_test_files_take_no_test_fraction(self, tmp_path, capsys):
+        # With the test split read from files, test_fraction = 0.5 wrote the
+        # bytes of the run at its default.
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(np.zeros((8, 3, 3)), np.arange(8) % 2, str(img), str(lab))
+        ini, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        ini.write_text(f"[data]\nkind = idx\nimages_path = {img}\nlabels_path = {lab}\n"
+                       f"test_images_path = {img}\ntest_labels_path = {lab}\n"
+                       "test_fraction = 0.5\nclients = 1\n[run]\nseeds = 0\nmethods = fedavg\n")
+        code = cli.main(["one-shot", "--config", str(ini), "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert ("[data] test_fraction is not read when test_images_path and test_labels_path "
+                "are set; leave it at its default 0.2") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_idx_without_paths_is_config_error(self, tmp_path, capsys):
         code = cli.main(["one-shot", "--data-kind", "idx", "--no-timing",
                         "--out", str(tmp_path / "x.csv")])
@@ -1031,19 +1049,17 @@ class TestFewShotCommand:
         cfg = replace(_tiny_image_cfg(task="few-shot"), seeds=[0], rounds=3,
                       methods=[agg.METHOD_FEDAVG, agg.METHOD_DIAG])
         rounds, alive = [], []
-        train_round, merge_round = cli.train_round, cli.merge_round
 
-        def tracked_train(*args, **kwargs):
-            rnd = train_round(*args, **kwargs)
-            rounds.append(weakref.ref(rnd))
-            return rnd
+        class TrackedRound(cli.Round):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rounds.append(weakref.ref(self))
 
-        def counted_merge(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in rounds))
-            return merge_round(*args, **kwargs)
+            def merge(self, *args, **kwargs):
+                alive.append(sum(ref() is not None for ref in rounds))
+                return super().merge(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "train_round", tracked_train)
-        monkeypatch.setattr(cli, "merge_round", counted_merge)
+        monkeypatch.setattr(cli, "Round", TrackedRound)
         cli.run_few_shot(cfg)
         assert len(rounds) == 1 + 2 * 2
         assert alive == [1] * 6
@@ -1152,6 +1168,43 @@ class TestCompressBenchCommand:
         layers = len(cfg.hidden_dims) + 1
         assert len(calls) == 2 * layers * cfg.clients  # A and B of every layer, once
         assert sorted(calls) == sorted([(37, 37), (16, 16), (17, 17), (3, 3)] * cfg.clients)
+
+    def test_kfac_ranks_planned_once_per_merge(self, monkeypatch):
+        plans = []
+        plan = cli.comp.kfac_budget_plan
+
+        def counted(dims, d, s_q):
+            plans.append(s_q)
+            return plan(dims, d, s_q)
+
+        monkeypatch.setattr(cli.comp, "kfac_budget_plan", counted)
+        cfg = replace(_tiny_image_cfg(task="compress-bench"), seeds=[0, 1], s_q_list=[1, 2, 4],
+                      methods=[agg.METHOD_DIAG, agg.METHOD_KFAC])
+        assert len(cli.run_compress_bench(cfg)) == 2 * 3 * 2
+        # Per seed, _setup plans each codec point before training, then each
+        # K-FAC merge under a codec plans once for all its clients.
+        assert plans == [2, 4, 2, 4] * 2
+
+    def test_clients_keep_only_the_latest_codec_encodings(self, monkeypatch):
+        sent, alive = {}, []  # s_q -> weakrefs to its encodings; (s_q, s_q 2's alive) per merge
+        quantize_blocks, merge_updates = cli.comp.quantize_blocks, cli.agg.merge_updates
+
+        def tracked_quantize(x, blocks, s_q):
+            out = quantize_blocks(x, blocks, s_q)
+            sent.setdefault(s_q, []).extend(weakref.ref(q) for q in out)
+            return out
+
+        def counted_merge(*args, **kwargs):
+            alive.append((max(sent, default=1), sum(ref() is not None for ref in sent.get(2, []))))
+            return merge_updates(*args, **kwargs)
+
+        monkeypatch.setattr(cli.comp, "quantize_blocks", tracked_quantize)
+        monkeypatch.setattr(cli.agg, "merge_updates", counted_merge)
+        cfg = replace(_tiny_image_cfg(task="compress-bench"), s_q_list=[1, 2, 4],
+                      methods=[agg.METHOD_DIAG, agg.METHOD_KFAC])
+        assert len(cli.run_compress_bench(cfg)) == 3 * 2
+        kept = 2 * 2 * cfg.clients  # weights and diagonal, one block per layer, every client
+        assert alive == [(1, 0)] * 2 + [(2, kept)] * 2 + [(4, 0)] * 2
 
     def test_main_row_count(self, tmp_path):
         out = tmp_path / "cb.csv"
@@ -1295,26 +1348,24 @@ class TestTrainingCost:
 
 
 def _diag_curvature_time_ratio() -> float:
-    """(local training + diagonal client update) / local training, in CPU
-    seconds, each the least of three runs."""
+    """(local training + diagonal uplink) / local training, in CPU seconds,
+    each the least of three fresh rounds of one client. The uplink is timed
+    by a fishermerge merge, whose server step is one weighted mean."""
     x, y, _, _ = datasets.gen_image_classes(1000, 1, 4, 12, 0)
+    data = datasets.FederatedDataset(x, y, [np.arange(len(y))], num_classes=4)
     init = models.init_mlp([x.shape[1], 32, 4], [0, 17], head=models.LOSS_SOFTMAX)
     train_cfg = models.TrainConfig(eta=0.01, epochs_or_steps=10,
                                    batch_size=32, momentum=0.9)
 
-    def train_once():
+    def round_once():
         t0 = time.process_time()
-        result = models.sgd_train(init, x, y, train_cfg, seed=[0, 0, 0])
-        return time.process_time() - t0, result.model
+        rnd = cli.Round(data, [init], train_cfg, 0, 0)
+        t1 = time.process_time()
+        rnd.merge(agg.METHOD_FISHERMERGE, None, agg.ServerConfig())
+        return t1 - t0, time.process_time() - t1
 
-    t_train, trained = min(train_once() for _ in range(3))
-
-    def fisher_once():
-        t0 = time.process_time()
-        cli.client_update(trained, x, agg.METHOD_DIAG)
-        return time.process_time() - t0
-
-    t_fisher = min(fisher_once() for _ in range(3))
+    times = [round_once() for _ in range(3)]
+    t_train, t_fisher = min(t for t, _ in times), min(t for _, t in times)
     return (t_train + t_fisher) / t_train
 
 
