@@ -29,9 +29,9 @@ overrides, writes one CSV row per (seed, method, sweep point), and exits 0 on
 success, 2 on a config error, 3 on numerical divergence. Each field of
 :class:`ExperimentConfig` declares one key, once: its section, parser, flag
 and readers, the tasks, data kinds, methods and ``compress`` setting under
-which a run reads it. ``_CONFIG_KEYS`` is derived from the fields and drives
-the flags, and a key set away from the task's default where no part of the
-run reads it is a config error, as is a float value that is not finite.
+which a run reads it, and its range. ``_CONFIG_KEYS`` holds every key and
+drives the flags; a value out of range or not finite is a config error, as
+is a key set away from the task's default where no part of the run reads it.
 Rows are sorted by (seed, method, sweep) and floats carry 17 significant
 digits, so identical configs (with wall-time measurement disabled via
 --no-timing) produce byte-identical CSVs.
@@ -120,20 +120,25 @@ class _Key(NamedTuple):
     flag takes no value and stands for ``switch``). ``readers`` is a group of
     names per part of a run (task, data kind, methods, ``compress = true|false``,
     ``val_fraction > 0|= 0``); a run reads the key when each group, unless
-    None or left off, meets its part."""
+    None or left off, meets its part. A value, or each entry of a list, is in
+    ``bound`` (:func:`_within`; ``eta_s = auto`` skips it) and ``choices``. A
+    ``rows`` list's entries make rows: a run reading it needs one, none twice."""
 
     attr: str
     parse: Callable[[str], object]
     readers: tuple[tuple[str, ...] | None, ...]
     flag: str | None = None
     switch: str | None = None
+    bound: str | None = None
+    choices: tuple[str, ...] | None = None
+    rows: bool = False
 
 
-def _key(section: str, default, parse, *readers, flag=None, switch=None, key=None):
+def _key(section: str, default, parse, *readers, key=None, **rules):
     """The field that declares config key [``section``] ``key`` (default: the
     attribute's name), with ``default`` its value (a list is copied per
     config) and the rest of its :class:`_Key` in the field's metadata."""
-    meta = {"section": section, "key": key, "spec": _Key("", parse, readers, flag, switch)}
+    meta = {"section": section, "key": key, "spec": _Key("", parse, readers, **rules)}
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=meta)
     return field(default=default, metadata=meta)
@@ -144,53 +149,58 @@ class ExperimentConfig:
     """A run's config; every field but ``task`` declares one config key (:func:`_key`)."""
 
     task: str = "one-shot"
-    data_kind: str = _key("data", "image-classes", str, _CLASSIFY, flag="--data-kind",
-                          key="kind")  # synthetic | image-classes | idx | csv
-    clients: int = _key("data", 5, int, _ALL, flag="--clients")
-    per_client: int = _key("data", 100, int, _SYNTHETIC)
-    dim: int = _key("data", 2, int, _SYNTHETIC)
-    alpha: float = _key("data", 0.1, float, _CLASSIFY, flag="--alpha")
-    n_train: int = _key("data", 5000, int, _CLASSIFY, _IMAGES, flag="--n-train")
-    n_test: int = _key("data", 1000, int, _CLASSIFY, _IMAGES, flag="--n-test")
-    classes: int = _key("data", 10, int, _CLASSIFY, _IMAGES)
-    side: int = _key("data", 28, int, _CLASSIFY, _IMAGES)
-    pixel_noise: float = _key("data", 0.3, float, _CLASSIFY, _IMAGES)
-    field_noise: float = _key("data", 0.15, float, _CLASSIFY, _IMAGES)
+    data_kind: str = _key("data", "image-classes", str, _CLASSIFY, flag="--data-kind", key="kind",
+                          choices=("synthetic", "image-classes", "idx", "csv"))
+    clients: int = _key("data", 5, int, _ALL, flag="--clients", bound="at least 1")
+    per_client: int = _key("data", 100, int, _SYNTHETIC, bound="at least 1")
+    dim: int = _key("data", 2, int, _SYNTHETIC, bound="at least 1")
+    alpha: float = _key("data", 0.1, float, _CLASSIFY, flag="--alpha", bound="positive")
+    n_train: int = _key("data", 5000, int, _CLASSIFY, _IMAGES, flag="--n-train", bound="at least 1")
+    n_test: int = _key("data", 1000, int, _CLASSIFY, _IMAGES, flag="--n-test", bound="at least 1")
+    classes: int = _key("data", 10, int, _CLASSIFY, _IMAGES, bound="at least 2")
+    side: int = _key("data", 28, int, _CLASSIFY, _IMAGES, bound="at least 2")
+    pixel_noise: float = _key("data", 0.3, float, _CLASSIFY, _IMAGES, bound="nonnegative")
+    field_noise: float = _key("data", 0.15, float, _CLASSIFY, _IMAGES, bound="nonnegative")
     images_path: str = _key("data", "", str, _CLASSIFY, _IDX)
     labels_path: str = _key("data", "", str, _CLASSIFY, _IDX)
     test_images_path: str = _key("data", "", str, _CLASSIFY, _IDX)
     test_labels_path: str = _key("data", "", str, _CLASSIFY, _IDX)
     csv_path: str = _key("data", "", str, _CLASSIFY, _CSV)
-    test_fraction: float = _key("data", 0.2, float, _CLASSIFY, _IDX + _CSV)
-    val_fraction: float = _key("data", 0.1, float, _CLASSIFY)
-    width: int = _key("model", 512, int, ("synthetic-steps",))
-    kappa: float = _key("model", 0.5, float, _SYNTHETIC)
-    hidden_dims: list[int] = _key("model", [64], _parse_int_list, _CLASSIFY)
-    eta: float = _key("local", 0.01, float, _ALL, flag="--eta")
-    momentum: float = _key("local", 0.9, float, _ALL)
-    epochs_or_steps: int = _key("local", 30, int, _EPOCHS, flag="--epochs")
-    batch_size: int = _key("local", 64, int, _CLASSIFY, flag="--batch-size")  # 0 means full batch
-    optimizer: str = _key("server", "adam", str, _ALL, None, _SOLVED)
-    eta_s: float | None = _key("server", 0.01, _parse_eta_s, _ALL, None, _SOLVED, flag="--eta-s")
-    t_max: int = _key("server", 2000, int, _ALL, None, _SOLVED, flag="--t-max")
-    stop_tol: float = _key("server", 1e-10, float, _ALL, None, _SOLVED)
+    test_fraction: float = _key("data", 0.2, float, _CLASSIFY, _IDX + _CSV, bound="in (0, 1)")
+    val_fraction: float = _key("data", 0.1, float, _CLASSIFY, bound="in [0, 1)")
+    width: int = _key("model", 512, int, ("synthetic-steps",), bound="at least 1")
+    kappa: float = _key("model", 0.5, float, _SYNTHETIC, bound="positive")
+    hidden_dims: list[int] = _key("model", [64], _parse_int_list, _CLASSIFY, bound="at least 1")
+    eta: float = _key("local", 0.01, float, _ALL, flag="--eta", bound="positive")
+    momentum: float = _key("local", 0.9, float, _ALL, bound="in [0, 1)")
+    epochs_or_steps: int = _key("local", 30, int, _EPOCHS, flag="--epochs", bound="at least 0")
+    batch_size: int = _key("local", 64, int, _CLASSIFY, flag="--batch-size", bound="at least 0")
+    optimizer: str = _key("server", "adam", str, _ALL, None, _SOLVED, choices=("gd", "adam"))
+    eta_s: float | None = _key("server", 0.01, _parse_eta_s, _ALL, None, _SOLVED, flag="--eta-s",
+                               bound="positive")
+    t_max: int = _key("server", 2000, int, _ALL, None, _SOLVED, flag="--t-max", bound="at least 0")
+    stop_tol: float = _key("server", 1e-10, float, _ALL, None, _SOLVED, bound="nonnegative")
     val_every: int = _key("server", 100, int, _CLASSIFY, None, _SOLVED, None,
-                          ("val_fraction > 0",))
+                          ("val_fraction > 0",), bound="positive")
     methods: list[str] = _key("run", [agg.METHOD_FEDAVG, agg.METHOD_DIAG], _parse_list, _ALL,
-                              flag="--methods")
-    seeds: list[int] = _key("run", list(range(5)), _parse_int_list, _ALL, flag="--seed-list")
+                              flag="--methods", choices=agg.VALID_METHODS, rows=True)
+    seeds: list[int] = _key("run", list(range(5)), _parse_int_list, _ALL, flag="--seed-list",
+                            bound="at least 0", rows=True)
     widths: list[int] = _key("run", [32, 64, 128, 256, 512], _parse_int_list,
-                             ("synthetic-width",), flag="--widths")
+                             ("synthetic-width",), flag="--widths", bound="at least 1", rows=True)
     steps_list: list[int] = _key("run", [2**k for k in range(4, 13)], _parse_int_list,
-                                 ("synthetic-steps",), flag="--steps-list")
-    rounds: int = _key("run", 3, int, ("few-shot",), flag="--rounds")
+                                 ("synthetic-steps",), flag="--steps-list", bound="at least 0",
+                                 rows=True)
+    rounds: int = _key("run", 3, int, ("few-shot",), flag="--rounds", bound="at least 1")
     out: str = _key("run", "", str, _ALL, flag="--out")
     timing: bool = _key("run", True, _parse_bool, _ALL, flag="--no-timing", switch="false")
     compress: bool = _key("run", True, _parse_bool, _CODEC, None,
                           _SOLVED + (agg.METHOD_FISHERMERGE,))
-    s_q: int = _key("run", 4, int, _CODEC, None, (agg.METHOD_KFAC,), ("compress = true",))
+    s_q: int = _key("run", 4, int, _CODEC, None, (agg.METHOD_KFAC,), ("compress = true",),
+                    bound=f"in [{comp.MIN_SQ}, {comp.MAX_SQ}]")
     s_q_list: list[int] = _key("run", [1, 2, 4, 8], _parse_int_list, ("compress-bench",),
-                               flag="--s-q-list")
+                               flag="--s-q-list", bound=f"in [{comp.MIN_SQ}, {comp.MAX_SQ}]",
+                               rows=True)
 
 
 # (section, key) -> _Key of every config key, in field order.
@@ -232,9 +242,14 @@ def _parse_value(spec: _Key, text, where: str):
 
 
 def load_config_file(cfg: ExperimentConfig, path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    # "%" is literal, and [DEFAULT] is no default section: its keys are unknown keys.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None,
+                                       default_section="")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     values = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -245,49 +260,32 @@ def load_config_file(cfg: ExperimentConfig, path: str) -> ExperimentConfig:
     return replace(cfg, **values)
 
 
+def _within(x, bound: str) -> bool:
+    """Whether ``x`` lies in ``bound``, a range as its error words it: ``positive``,
+    ``nonnegative``, ``at least N``, or ``in`` an interval such as ``[0, 1)``."""
+    span = {"positive": "(0, inf)", "nonnegative": "[0, inf)"}.get(
+        bound, f"[{bound[9:]}, inf)" if bound.startswith("at least ") else bound[3:])
+    lo, hi = (float(end) for end in span[1:-1].split(", "))
+    return (lo < x if span[0] == "(" else lo <= x) and (x < hi if span[-1] == ")" else x <= hi)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     default = default_config(cfg.task)
-    for method in cfg.methods:
-        if method not in agg.VALID_METHODS:
-            raise ConfigError(f"unknown method {method!r}, expected one of {agg.VALID_METHODS}")
-    if cfg.optimizer not in ("gd", "adam"):
-        raise ConfigError(f"unknown server optimizer {cfg.optimizer!r}")
-    if cfg.data_kind not in ("synthetic", "image-classes", "idx", "csv"):
-        raise ConfigError(f"unknown data kind {cfg.data_kind!r}")
     for (section, key), spec in _CONFIG_KEYS.items():
         value = getattr(cfg, spec.attr)
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
-    for s_q in [cfg.s_q] + cfg.s_q_list:
-        if not comp.MIN_SQ <= s_q <= comp.MAX_SQ:
-            raise ConfigError(f"s_q must be in [{comp.MIN_SQ}, {comp.MAX_SQ}], got {s_q}")
-    for name, low in (("clients", 1), ("per_client", 1), ("dim", 1), ("n_train", 1), ("n_test", 1),
-                      ("side", 2), ("classes", 2), ("rounds", 1), ("widths", 1), ("width", 1),
-                      ("hidden_dims", 1), ("steps_list", 0), ("batch_size", 0), ("seeds", 0)):
-        if min(np.atleast_1d(getattr(cfg, name)), default=low) < low:  # every list entry too
-            raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
-    for name in ("eta", "alpha", "kappa"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
-    if cfg.eta_s is not None and not cfg.eta_s > 0:
-        raise ConfigError(f"eta_s must be positive or 'auto', got {cfg.eta_s}")
-    if cfg.val_every < 1:
-        raise ConfigError(f"val_every must be positive, got {cfg.val_every}")
-    for name in ("epochs_or_steps", "t_max", "stop_tol"):
-        if not getattr(cfg, name) >= 0:
-            raise ConfigError(f"{name} must be nonnegative, got {getattr(cfg, name)}")
-    for name in ("momentum", "val_fraction"):
-        if not 0 <= getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be in [0, 1), got {getattr(cfg, name)}")
-    if not 0 < cfg.test_fraction < 1:  # a test split needs at least one example
-        raise ConfigError(f"test_fraction must be in (0, 1), got {cfg.test_fraction}")
-    # Each entry of these lists makes its own rows. hidden_dims may repeat a layer width.
-    for name in ("seeds", "methods", "widths", "steps_list", "s_q_list"):
-        values = getattr(cfg, name)
-        if not values and cfg.task in _CONFIG_KEYS[("run", name)].readers[0]:
+        entries, name = value if isinstance(value, list) else [value], f"[{section}] {key}"
+        if any(isinstance(x, float) and not np.isfinite(x) for x in entries):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if spec.bound and not all(x is None or _within(x, spec.bound) for x in entries):
+            raise ConfigError(f"{name} must be {spec.bound}, got {value}")
+        unknown = [x for x in entries if spec.choices and x not in spec.choices]
+        if unknown:  # an entry of [run] methods is a method
+            noun = key.removesuffix("s") if entries is value else f"{section} {key}"
+            raise ConfigError(f"unknown {noun} {unknown[0]!r}, expected one of {spec.choices}")
+        if spec.rows and not value and cfg.task in spec.readers[0]:
             raise ConfigError(f"task {cfg.task} needs at least one value in {name}")
-        if len(set(values)) < len(values):
-            raise ConfigError(f"{name} must not repeat an entry, got {values}")
+        if spec.rows and len(set(value)) < len(value):
+            raise ConfigError(f"{name} must not repeat an entry, got {value}")
     parts = (("on data kind", [cfg.data_kind]), ("with methods", cfg.methods),
              ("and", [f"compress = {str(cfg.compress).lower()}"]),
              ("and", ["val_fraction > 0" if cfg.val_fraction > 0 else "val_fraction = 0"]))
@@ -300,6 +298,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
             flag = f" ({spec.flag})" if spec.flag else ""
             raise ConfigError(f"task {cfg.task}{''.join(misses)} does not read [{section}] "
                               f"{key}{flag}; leave it at its default {unset!r}")
+    # The files a data kind reads; the rule above leaves those of other kinds unset.
+    if cfg.task in _CLASSIFY and cfg.data_kind == "synthetic":
+        raise ConfigError("data kind 'synthetic' is not a classification source")
+    if cfg.data_kind == "idx" and not (cfg.images_path and cfg.labels_path):
+        raise ConfigError("idx data needs images_path and labels_path")
+    if cfg.data_kind == "csv" and not cfg.csv_path:
+        raise ConfigError("csv data needs csv_path")
+    if bool(cfg.test_images_path) != bool(cfg.test_labels_path):
+        raise ConfigError("[data] set both test_images_path and test_labels_path, or neither")
+    if cfg.test_images_path and cfg.test_fraction != default.test_fraction:
+        raise ConfigError("[data] test_fraction is not read when test_images_path and "
+                          "test_labels_path are set; leave it at its default "
+                          f"{default.test_fraction!r}")
     # The task fixes the architecture: two-layer nets for the synthetic sweeps,
     # MLPs for classification. Dense curvature needs the former, K-FAC the latter.
     synthetic = cfg.task in _SYNTHETIC
@@ -512,14 +523,6 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
             cfg.n_train, cfg.n_test, cfg.classes, cfg.side, seed,
             cfg.pixel_noise, cfg.field_noise)
     elif cfg.data_kind == "idx":
-        if not cfg.images_path or not cfg.labels_path:
-            raise ConfigError("idx data needs images_path and labels_path")
-        if bool(cfg.test_images_path) != bool(cfg.test_labels_path):
-            raise ConfigError("[data] set both test_images_path and test_labels_path, or neither")
-        unset = default_config(cfg.task).test_fraction
-        if cfg.test_images_path and cfg.test_fraction != unset:
-            raise ConfigError("[data] test_fraction is not read when test_images_path and "
-                              f"test_labels_path are set; leave it at its default {unset!r}")
         keys = ("images_path", "labels_path")
         x_all, y_all = _read_data(datasets.load_idx, cfg, "images_path", "labels_path")
         if cfg.test_images_path:
@@ -528,14 +531,10 @@ def _classification_data(cfg: ExperimentConfig, seed: int) -> _Splits:
                                         "test_images_path", "test_labels_path")
         else:
             x_train, y_train, x_test, y_test = _holdout(x_all, y_all, cfg.test_fraction, seed)
-    elif cfg.data_kind == "csv":
-        if not cfg.csv_path:
-            raise ConfigError("csv data needs csv_path")
+    else:  # csv; validate_config rejects any other kind
         keys = ("csv_path",)
         x_all, y_all, _ = _read_data(datasets.load_csv, cfg, "csv_path")
         x_train, y_train, x_test, y_test = _holdout(x_all, y_all, cfg.test_fraction, seed)
-    else:
-        raise ConfigError(f"data kind {cfg.data_kind!r} is not a classification source")
 
     rng = np.random.default_rng([seed, 31])
     n = x_train.shape[0]

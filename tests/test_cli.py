@@ -142,6 +142,37 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="cannot read config file"):
             load_config_file(default_config("one-shot"), str(tmp_path / "nope.ini"))
 
+    @pytest.mark.parametrize("text, messages", [
+        # Each exited 1 with a configparser or decoding traceback.
+        (b"clients = 3\n", ["cannot parse config file {path}: File contains no section headers"]),
+        (b"[data]\nclients = 3\nclients = 4\n",
+         ["cannot parse config file {path}: ",
+          "option 'clients' in section 'data' already exists"]),
+        (b"[data]\nclients = 3\n[data]\nalpha = 0.5\n",
+         ["cannot parse config file {path}: ", "section 'data' already exists"]),
+        (b"[data]\nclients\n", ["cannot parse config file {path}: Source contains parsing errors"]),
+        (b"[data]\nclients = 3 ; \xff\n",
+         ["cannot parse config file {path}: 'utf-8' codec can't decode byte 0xff"]),
+        # "%" is literal: the run looks for the file it names.
+        (b"[data]\nkind = csv\ncsv_path = my%data.csv\n",
+         ["[data] csv_path: [Errno 2] No such file or directory: 'my%data.csv'"]),
+        # Keys under [DEFAULT] were dropped (exit 0), or copied into every other section.
+        (b"[DEFAULT]\nclients = 3\n", ["unknown config key [DEFAULT] clients"]),
+        (b"[DEFAULT]\nclients = 3\n[model]\nhidden_dims = 8\n",
+         ["unknown config key [DEFAULT] clients"]),
+    ], ids=["no section", "repeated key", "repeated section", "no equals sign", "not utf-8",
+            "percent sign", "default section", "default beside another section"])
+    def test_malformed_file_is_config_error(self, text, messages, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path, out = tmp_path / "run.ini", tmp_path / "x.csv"
+        path.write_bytes(text)
+        code = cli.main(["one-shot", "--config", str(path), "--seed-list", "0", "--methods",
+                         "fedavg", "--no-timing", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(message.format(path=path) in err for message in messages), err
+        assert not out.exists()
+
     def test_model_kind_key_is_gone(self, tmp_path):
         # The task decides the architecture; there is no [model] kind.
         path = tmp_path / "run.ini"
@@ -237,6 +268,33 @@ class TestValidation:
         assert f"{name} must not repeat an entry" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(data_kind="csv"), "csv data needs csv_path"),
+        (dict(data_kind="idx", images_path="img.idx"),
+         "idx data needs images_path and labels_path"),
+        (dict(data_kind="idx", images_path="img.idx", labels_path="lab.idx",
+              test_images_path="timg.idx"),
+         "[data] set both test_images_path and test_labels_path, or neither"),
+        (dict(data_kind="idx", images_path="img.idx", labels_path="lab.idx",
+              test_images_path="timg.idx", test_labels_path="tlab.idx", test_fraction=0.5),
+         "[data] test_fraction is not read when test_images_path and test_labels_path are set; "
+         "leave it at its default 0.2"),
+        (dict(data_kind="synthetic"), "data kind 'synthetic' is not a classification source"),
+    ])
+    def test_data_source_errors_need_no_file(self, changes, message):
+        # Each passed validate_config and was raised only once the run read its data.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(replace(default_config("one-shot"), **changes))
+
+    @pytest.mark.parametrize("bound, inside, outside", [
+        ("positive", [1e-300, 5], [0, -1e-300]), ("nonnegative", [0, 0.5], [-1e-300]),
+        ("at least 2", [2, 3], [1]), ("in [0, 1)", [0, 0.5], [-1e-300, 1]),
+        ("in (0, 1)", [1e-300, 0.5], [0, 1]), ("in [1, 16]", [1, 16], [0, 17]),
+    ])
+    def test_bounds_hold_at_their_ends(self, bound, inside, outside):
+        assert all(cli._within(x, bound) for x in inside)
+        assert not any(cli._within(x, bound) for x in outside)
+
     def test_repeated_hidden_width_accepted(self):
         validate_config(replace(default_config("one-shot"), hidden_dims=[64, 64]))
 
@@ -320,6 +378,9 @@ class TestValidation:
         # or, for eta_s beside fedavg alone, no effect at all.
         ("one-shot", "[data]\nalpha = inf\n", "[data] alpha must be finite, got inf"),
         ("one-shot", "[data]\npixel_noise = nan\n", "[data] pixel_noise must be finite, got nan"),
+        # Negative noise scales ran (exit 0).
+        ("one-shot", "[data]\npixel_noise = -0.3\n", "[data] pixel_noise must be nonnegative"),
+        ("one-shot", "[data]\nfield_noise = -0.15\n", "[data] field_noise must be nonnegative"),
         ("synthetic-width", "[model]\nkappa = inf\n", "[model] kappa must be finite, got inf"),
         ("synthetic-width", "[local]\neta = inf\n", "[local] eta must be finite, got inf"),
         ("one-shot", "[server]\neta_s = inf\n", "[server] eta_s must be finite, got inf"),
@@ -445,7 +506,9 @@ class TestValidation:
         ("image-classes", "test_fraction"), ("image-classes", "labels_path"),
     ])
     def test_data_keys_checked_per_kind(self, kind, key):
-        cfg = replace(default_config("few-shot"), data_kind=kind)
+        paths = {"idx": dict(images_path="img.idx", labels_path="lab.idx"),
+                 "csv": dict(csv_path="x.csv")}.get(kind, {})  # the files the kind needs
+        cfg = replace(default_config("few-shot"), data_kind=kind, **paths)
         validate_config(cfg)
         spec = cli._CONFIG_KEYS[("data", key)]
         bad = replace(cfg, **{spec.attr: spec.parse(_UNREAD_VALUES[key])})
@@ -454,8 +517,8 @@ class TestValidation:
 
     def test_data_keys_of_the_kind_accepted(self):
         for kind, keys in (("image-classes", "n_train n_test classes side pixel_noise field_noise"),
-                           ("idx", "images_path labels_path test_images_path test_labels_path "
-                                   "test_fraction"),
+                           ("idx", "images_path labels_path test_images_path test_labels_path"),
+                           ("idx", "images_path labels_path test_fraction"),
                            ("csv", "csv_path test_fraction")):
             values = {}
             for key in keys.split() + ["alpha", "val_fraction"]:
@@ -556,17 +619,26 @@ _FLAGS = {
 }
 
 
+def _readme_rows(header: str) -> list[tuple[list[tuple[str, str]], str]]:
+    """(keys, right-hand cell) for every row of README's table under ``header``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme.split(f"\n{header}\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in body.splitlines():
+        keys, cell = line.strip("| ").split(" | ")
+        groups = re.findall(r"`\[(\w+)\] ([\w ]+)`", keys)
+        rows.append(([(section, key) for section, group in groups for key in group.split()], cell))
+    return rows
+
+
 def _readme_table(header: str) -> list[tuple[tuple[str, str], tuple]]:
     """(key, readers) for every key in README's table under ``header``, with
     "every task" and "every task but ..." spelled out as task lists. A
     ", when `methods` has ..." condition adds the methods named, or with
     "but" every other method, and ``compress = true`` or ``val_fraction > 0``
     when it names them."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    body = readme.split(f"\n{header}\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     entries = []
-    for line in body.splitlines():
-        keys, cell = line.strip("|").split(" | ")
+    for keys, cell in _readme_rows(header):
         readers, _, when = cell.partition(", when `methods` has ")
         names = re.findall(r"`([\w-]+)`", readers)
         if readers.startswith("every task"):
@@ -582,8 +654,7 @@ def _readme_table(header: str) -> list[tuple[tuple[str, str], tuple]]:
             while conditions and conditions[-1] is None:
                 conditions.pop()
             groups += tuple(conditions)
-        for section, group in re.findall(r"`\[(\w+)\] ([\w ]+)`", keys):
-            entries.extend(((section, key), groups) for key in group.split())
+        entries.extend((key, groups) for key in keys)
     return entries
 
 
@@ -639,6 +710,23 @@ class TestConfigTable:
         assert sorted(key for key, _ in by_kind) == sorted(kinds)
         for key, (readers,) in by_kind:
             assert readers == sorted(kinds[key]), key
+
+    def test_every_numeric_key_declares_a_bound(self):
+        numeric = (int, float, cli._parse_eta_s, cli._parse_int_list)
+        for key, spec in cli._CONFIG_KEYS.items():
+            assert (spec.bound is not None) == (spec.parse in numeric), key
+
+    def test_readme_range_table_matches_declarations(self):
+        by_range = [(key, bound) for keys, bound in _readme_rows("| keys | range |")
+                    for key in keys]
+        assert sorted(key for key, _ in by_range) == sorted(
+            key for key, spec in cli._CONFIG_KEYS.items() if spec.bound)  # each key once
+        for key, bound in by_range:
+            assert cli._CONFIG_KEYS[key].bound == bound, key
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.search(r"Each entry of\s(.*?)\smakes its own\srows", readme, re.S)[1]
+        assert sorted(re.findall(r"`(\w+)`", rows)) == sorted(
+            key for (_, key), spec in cli._CONFIG_KEYS.items() if spec.rows)
 
     def test_readme_ini_example_validates(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
